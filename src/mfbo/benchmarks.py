@@ -77,10 +77,6 @@ class BenchmarkProblem:
         )
 
 
-def evaluate(problem: BenchmarkProblem, action: Action, rng: np.random.Generator) -> float:
-    return problem.evaluate(action, rng)
-
-
 # --------------------------------------------------------------------------
 # raw response surfaces
 

@@ -1,51 +1,13 @@
-"""Backend dispatch for covariance construction.
+"""Squared-exponential covariance blocks via weighted scipy distances.
 
-The compiled extension (mfbo._covcore) is used when it imported cleanly;
-otherwise the numpy fallback takes over. Set the environment variable
-MFBO_PURE_PY=1 before import, or call use_backend("numpy"), to force the
-fallback explicitly (benchmarks/bench_covops.py does this to time both).
+Distances are taken with weights w = 1/lengthscale**2 rather than on
+pre-scaled inputs: the weighted form accumulates (a-b)**2 * w per
+dimension, while dividing the inputs by the lengthscales first rounds
+differently and is enough to flip near-tied greedy choices.
 """
 
-import os
-
 import numpy as np
-
-from . import _covnumpy
-
-try:
-    from . import _covcore
-except ImportError:
-    _covcore = None
-
-_IMPL = _covnumpy
-if _covcore is not None and not os.environ.get("MFBO_PURE_PY"):
-    _IMPL = _covcore
-
-
-def available_backends():
-    names = ["numpy"]
-    if _covcore is not None:
-        names.insert(0, "compiled")
-    return tuple(names)
-
-
-def active_backend():
-    return "compiled" if _IMPL is _covcore else "numpy"
-
-
-def use_backend(name):
-    """Switch backend at runtime. Returns the previously active name."""
-    global _IMPL
-    prev = active_backend()
-    if name == "numpy":
-        _IMPL = _covnumpy
-    elif name == "compiled":
-        if _covcore is None:
-            raise RuntimeError("compiled covariance core is not available")
-        _IMPL = _covcore
-    else:
-        raise ValueError("unknown backend %r" % (name,))
-    return prev
+from scipy.spatial.distance import cdist, pdist, squareform
 
 
 def _prep(x):
@@ -65,15 +27,24 @@ def se_cross(xa, xb, lengthscales, signal_variance):
             "dimension mismatch: xa %s, xb %s, lengthscales %s"
             % (xa.shape, xb.shape, ls.shape)
         )
-    return _IMPL.se_cross(xa, xb, 1.0 / ls**2, float(signal_variance))
+    d2 = cdist(xa, xb, "sqeuclidean", w=1.0 / ls**2)
+    return float(signal_variance) * np.exp(-0.5 * d2)
 
 
 def se_sym(xa, lengthscales, signal_variance):
-    """Symmetric SE covariance of one point set (exactly symmetric output)."""
+    """Symmetric SE covariance of one point set.
+
+    squareform mirrors one condensed distance vector and leaves a zero
+    diagonal, so the result is bitwise symmetric with diagonal exactly
+    signal_variance.
+    """
     xa = _prep(xa)
     ls = np.ascontiguousarray(lengthscales, dtype=np.float64)
     if xa.shape[1] != ls.shape[0]:
         raise ValueError(
             "dimension mismatch: xa %s, lengthscales %s" % (xa.shape, ls.shape)
         )
-    return _IMPL.se_sym(xa, 1.0 / ls**2, float(signal_variance))
+    if xa.shape[0] == 0:  # squareform would read an empty vector as 1x1
+        return np.empty((0, 0))
+    d2 = squareform(pdist(xa, "sqeuclidean", w=1.0 / ls**2))
+    return float(signal_variance) * np.exp(-0.5 * d2)

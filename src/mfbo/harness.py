@@ -40,8 +40,8 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import PROBLEM_NAMES, make_problem
-from .policy import POLICIES, POLICY_NAMES, PolicyConfig, Trace, trace_records
-from .regret import cumulative_regret_curve, simple_regret_curve
+from .policy import POLICIES, POLICY_NAMES, PolicyConfig, Trace, serialize_trace
+from .regret import cumulative_regret_curve, simple_regret_curve, write_curves_csv
 from .util import mix64
 
 
@@ -293,26 +293,24 @@ def write_traces_csv(path, outcomes, dim: int) -> None:
         for o in outcomes:
             if o.trace is None:
                 continue
-            for row in trace_records(o.trace):
-                ep, step, fid = row[:3]
-                rest = ",".join("%.12g" % v for v in row[3:])
-                fh.write("%s,%d,%d,%d,%d,%s\n" % (o.policy, o.index, ep, step, fid, rest))
+            prefix = "%s,%d," % (o.policy, o.index)
+            for line in serialize_trace(o.trace).splitlines():
+                fh.write(prefix + line + "\n")
 
 
 def write_run_curves_csv(path, outcomes, f_star: float) -> None:
-    with open(path, "w") as fh:
-        fh.write("seed,policy,cost,value,kind\n")
-        for o in outcomes:
-            if o.trace is None:
-                continue
+    write_curves_csv(
+        path,
+        (
+            (o.index, o.policy, curve)
+            for o in outcomes
+            if o.trace is not None
             for curve in (
                 simple_regret_curve(o.trace, f_star),
                 cumulative_regret_curve(o.trace, f_star),
-            ):
-                for c, v in zip(curve.costs, curve.values):
-                    fh.write(
-                        "%d,%s,%.12g,%.12g,%s\n" % (o.index, o.policy, c, v, curve.kind)
-                    )
+            )
+        ),
+    )
 
 
 def summarize(outcomes, f_star: float, checkpoints) -> list[tuple]:

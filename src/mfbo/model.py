@@ -158,24 +158,6 @@ class FidelityModel:
             raise ValueError("fidelity %r out of range 1..%d" % (fidelity, self.m))
 
 
-def joint_cov(model: FidelityModel, a: Action, b: Action, same_obs: bool = False) -> float:
-    """Covariance between two observations under the additive model.
-
-    same_obs=True means a and b are literally the same noisy draw (shared
-    noise); it requires identical point and fidelity.
-    """
-    model._check_fidelity(a.fidelity)
-    model._check_fidelity(b.fidelity)
-    v = model.target_prior.kernel(a.x, b.x)
-    if a.fidelity == b.fidelity and a.fidelity < model.m:
-        v += model.error_kernel(a.fidelity)(a.x, b.x)
-    if same_obs:
-        if a.fidelity != b.fidelity or not np.array_equal(a.x, b.x):
-            raise ValueError("same_obs requires identical actions")
-        v += model.noise_variance(a.fidelity)
-    return v
-
-
 # --------------------------------------------------------------------------
 # dense joint covariance builders
 
@@ -393,10 +375,6 @@ def _alpha(model, cov: CovState, y) -> np.ndarray:
     return solve_triangular(cov.L.T, a, lower=False, check_finite=False)
 
 
-def update(history: History, obs: Observation) -> History:
-    return history.update(obs)
-
-
 # --------------------------------------------------------------------------
 # prediction
 
@@ -431,24 +409,6 @@ def predict_latent_diag(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
     W = solve_triangular(history.cov.L, Kc, lower=True, check_finite=False)
     var = np.maximum(sv - np.einsum("ij,ij->j", W, W), 0.0)
     return mean, var
-
-
-def predict_observable(history: History, action: Action) -> tuple[float, float]:
-    """Posterior mean and variance of a fresh observation at the action."""
-    model = history.model
-    model._check_fidelity(action.fidelity)
-    prior_var = model.prior_variance(action.fidelity)
-    x1 = action.x[None, :]
-    mean_prior = float(model.target_prior.mean_at(x1)[0])
-    if len(history) == 0:
-        return mean_prior, prior_var
-    f1 = np.array([action.fidelity], dtype=np.int64)
-    cross = _joint_cross(model, history.cov.X, history.cov.fids, x1, f1)[:, 0]
-    mean = mean_prior + cross @ history.alpha
-    w = solve_triangular(history.cov.L, cross, lower=True, check_finite=False)
-    var = prior_var - w @ w
-    # independent noise can never be conditioned away
-    return float(mean), float(max(var, model.noise_variance(action.fidelity)))
 
 
 # --------------------------------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 from mfbo.benchmarks import (
     PROBLEM_NAMES,
     BenchmarkProblem,
-    evaluate,
     make_problem,
     single_fidelity_problem,
 )
@@ -147,12 +146,6 @@ class TestNoise:
         rng2 = np.random.default_rng(5)
         rng2.standard_normal()
         assert after_one == rng2.standard_normal()
-
-    def test_module_level_evaluate_wrapper(self):
-        p = make_problem("currin2", noise=0.05)
-        a = Action(x=np.array([0.1, 0.2]), fidelity=2)
-        assert evaluate(p, a, np.random.default_rng(3)) == p.evaluate(
-            a, np.random.default_rng(3))
 
 
 class TestSingleFidelityView:

@@ -14,44 +14,19 @@ def _cases(rng):
             yield xa, xb, ls, sv
 
 
-def test_backends_listed():
-    assert "numpy" in covops.available_backends()
-    assert covops.active_backend() in covops.available_backends()
+def _direct(xa, xb, ls, sv):
+    return np.array(
+        [[sv * np.exp(-0.5 * np.sum(((a - b) / ls) ** 2)) for b in xb] for a in xa]
+    ).reshape(len(xa), len(xb))
 
 
-def test_backends_agree_to_rounding():
-    # accumulation order differs between the loops and the einsum route,
-    # so equality is to a few ulps, not bitwise
-    rng = np.random.default_rng(7)
-    backends = covops.available_backends()
-    for xa, xb, ls, sv in _cases(rng):
-        results_cross = []
-        results_sym = []
-        for b in backends:
-            prev = covops.use_backend(b)
-            try:
-                results_cross.append(covops.se_cross(xa, xb, ls, sv))
-                results_sym.append(covops.se_sym(xa, ls, sv))
-            finally:
-                covops.use_backend(prev)
-        for rc in results_cross[1:]:
-            assert np.allclose(rc, results_cross[0], rtol=1e-13, atol=0.0)
-        for rs in results_sym[1:]:
-            assert np.allclose(rs, results_sym[0], rtol=1e-13, atol=0.0)
-
-
-def test_each_backend_is_deterministic():
+def test_repeat_calls_are_bitwise_equal():
     rng = np.random.default_rng(17)
     xa = rng.uniform(-2, 2, size=(9, 4))
+    xb = rng.uniform(-2, 2, size=(5, 4))
     ls = rng.uniform(0.3, 2.0, size=4)
-    for b in covops.available_backends():
-        prev = covops.use_backend(b)
-        try:
-            first = covops.se_sym(xa, ls, 1.1)
-            second = covops.se_sym(xa, ls, 1.1)
-        finally:
-            covops.use_backend(prev)
-        assert np.array_equal(first, second)
+    assert np.array_equal(covops.se_sym(xa, ls, 1.1), covops.se_sym(xa, ls, 1.1))
+    assert np.array_equal(covops.se_cross(xa, xb, ls, 1.1), covops.se_cross(xa, xb, ls, 1.1))
 
 
 def test_sym_is_bitwise_symmetric_with_exact_diag():
@@ -67,11 +42,25 @@ def test_cross_matches_direct_formula():
     xa = rng.uniform(-1, 1, size=(4, 3))
     xb = rng.uniform(-1, 1, size=(6, 3))
     ls = np.array([0.5, 1.0, 2.0])
-    K = covops.se_cross(xa, xb, ls, 1.7)
-    for i in range(4):
-        for j in range(6):
-            expect = 1.7 * np.exp(-0.5 * np.sum(((xa[i] - xb[j]) / ls) ** 2))
-            assert K[i, j] == pytest.approx(expect, abs=1e-14)
+    cases = [(xa, xb, ls, 1.7)] + list(_cases(rng))
+    for xa, xb, ls, sv in cases:
+        K = covops.se_cross(xa, xb, ls, sv)
+        assert K.shape == (len(xa), len(xb))
+        assert np.allclose(K, _direct(xa, xb, ls, sv), rtol=0.0, atol=1e-14)
+
+
+def test_sym_matches_direct_formula():
+    rng = np.random.default_rng(10)
+    for xa, _, ls, sv in _cases(rng):
+        K = covops.se_sym(xa, ls, sv)
+        assert K.shape == (len(xa), len(xa))
+        assert np.allclose(K, _direct(xa, xa, ls, sv), rtol=0.0, atol=1e-14)
+
+
+def test_empty_point_sets():
+    ls = np.array([1.0, 1.0])
+    assert covops.se_sym(np.zeros((0, 2)), ls, 1.0).shape == (0, 0)
+    assert covops.se_cross(np.zeros((0, 2)), np.zeros((3, 2)), ls, 1.0).shape == (0, 3)
 
 
 def test_readonly_inputs_accepted():
@@ -87,8 +76,3 @@ def test_shape_validation():
         covops.se_cross(x, np.zeros((3, 5)), np.array([1.0, 1.0]), 1.0)
     with pytest.raises(ValueError):
         covops.se_sym(x, np.array([1.0, 1.0, 1.0]), 1.0)
-
-
-def test_use_backend_rejects_unknown():
-    with pytest.raises(ValueError):
-        covops.use_backend("fortran")

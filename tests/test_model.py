@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from mfbo.gp import GpPrior, SquaredExpKernel, posterior
 from mfbo.model import (
@@ -8,17 +9,55 @@ from mfbo.model import (
     History,
     HyperGrid,
     Observation,
+    _joint_cross,
     batch_info_gains,
     default_hyper_grid,
     fit_hyperparameters,
     info_gain_set,
     info_gain_single,
-    joint_cov,
     log_marginal_likelihood,
     predict_latent,
     predict_latent_diag,
-    predict_observable,
 )
+
+
+# --------------------------------------------------------------------------
+# pointwise oracles for the dense joint covariance builders
+
+def joint_cov(model: FidelityModel, a: Action, b: Action, same_obs: bool = False) -> float:
+    """Covariance between two observations under the additive model.
+
+    same_obs=True means a and b are literally the same noisy draw (shared
+    noise); it requires identical point and fidelity.
+    """
+    model._check_fidelity(a.fidelity)
+    model._check_fidelity(b.fidelity)
+    v = model.target_prior.kernel(a.x, b.x)
+    if a.fidelity == b.fidelity and a.fidelity < model.m:
+        v += model.error_kernel(a.fidelity)(a.x, b.x)
+    if same_obs:
+        if a.fidelity != b.fidelity or not np.array_equal(a.x, b.x):
+            raise ValueError("same_obs requires identical actions")
+        v += model.noise_variance(a.fidelity)
+    return v
+
+
+def predict_observable(history: History, action: Action) -> tuple[float, float]:
+    """Posterior mean and variance of a fresh observation at the action."""
+    model = history.model
+    model._check_fidelity(action.fidelity)
+    prior_var = model.prior_variance(action.fidelity)
+    x1 = action.x[None, :]
+    mean_prior = float(model.target_prior.mean_at(x1)[0])
+    if len(history) == 0:
+        return mean_prior, prior_var
+    f1 = np.array([action.fidelity], dtype=np.int64)
+    cross = _joint_cross(model, history.cov.X, history.cov.fids, x1, f1)[:, 0]
+    mean = mean_prior + cross @ history.alpha
+    w = solve_triangular(history.cov.L, cross, lower=True, check_finite=False)
+    var = prior_var - w @ w
+    # independent noise can never be conditioned away
+    return float(mean), float(max(var, model.noise_variance(action.fidelity)))
 
 
 def obs(x, fid, y=0.0):
