@@ -15,7 +15,7 @@ import sys
 
 from .benchmarks import PROBLEM_NAMES
 from .harness import ConfigError, ExperimentConfig, run_experiment
-from .policy import POLICY_NAMES
+from .policy import POLICY_NAMES, SUBROUTINES
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -28,21 +28,23 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to the config file")
     run_p.add_argument("--out", default=None, help="override the output directory")
 
-    bench_p = sub.add_parser("bench", help="run a benchmark with inline options")
+    # bench flags have no defaults of their own: a flag left out is absent
+    # from the namespace, so ExperimentConfig's default applies
+    bench_p = sub.add_parser("bench", help="run a benchmark with inline options",
+                             argument_default=argparse.SUPPRESS)
     bench_p.add_argument("--problem", required=True, help="one of: %s" % ", ".join(PROBLEM_NAMES))
-    bench_p.add_argument("--budget-mult", type=float, default=100.0,
+    bench_p.add_argument("--budget-mult", type=float,
                          help="budget as a multiple of the target query cost")
-    bench_p.add_argument("--seeds", type=int, default=20, help="number of repetitions")
-    bench_p.add_argument("--master-seed", type=int, default=0)
-    bench_p.add_argument("--noise", type=float, default=0.05,
+    bench_p.add_argument("--seeds", dest="n_seeds", type=int, help="number of repetitions")
+    bench_p.add_argument("--master-seed", type=int)
+    bench_p.add_argument("--noise", type=float,
                          help="noise sd as a fraction of each fidelity's range")
-    bench_p.add_argument("--policies", default=",".join(POLICY_NAMES),
+    bench_p.add_argument("--policies",
                          help="comma-separated subset of: %s" % ", ".join(POLICY_NAMES))
-    bench_p.add_argument("--subroutine", default="gp_ucb", choices=("gp_ucb", "gp_mi"))
-    bench_p.add_argument("--candidates", type=int, default=None,
+    bench_p.add_argument("--subroutine", choices=SUBROUTINES)
+    bench_p.add_argument("--candidates", dest="n_candidates", type=int,
                          help="candidate pool size (default scales with dimension)")
-    bench_p.add_argument("--hyperfit-every", type=int, default=10)
-    bench_p.add_argument("--threads", type=int, default=None)
+    bench_p.add_argument("--hyperfit-every", type=int)
     bench_p.add_argument("--out", default=None, help="output directory (default results/<problem>)")
 
     sub.add_parser("verify", help="run the acceptance checks")
@@ -50,21 +52,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
+    kwargs = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    if "policies" in kwargs:
+        kwargs["policies"] = tuple(p.strip() for p in kwargs["policies"].split(",") if p.strip())
     out = args.out if args.out is not None else "results/%s" % args.problem
-    return ExperimentConfig(
-        problem=args.problem,
-        budget_mult=args.budget_mult,
-        n_seeds=args.seeds,
-        master_seed=args.master_seed,
-        noise=args.noise,
-        policies=policies,
-        out_dir=out,
-        subroutine=args.subroutine,
-        n_candidates=args.candidates,
-        hyperfit_every=args.hyperfit_every,
-        threads=args.threads,
-    )
+    return ExperimentConfig(out_dir=out, **kwargs)
 
 
 def main(argv=None) -> int:

@@ -1,4 +1,4 @@
-"""Benchmark harness: config files, seeded parallel runs, CSV outputs.
+"""Benchmark harness: config files, seeded runs, CSV outputs.
 
 A run file is flat INI-ish text (key = value, [section] headers, # comments):
 
@@ -21,8 +21,9 @@ Per-run seeds derive from the master seed and the seed index only, shared
 across policies: at a given index every policy sees the same candidate pool
 and the same observation-noise stream (common random numbers), so
 policy-to-policy differences come from decisions rather than noise luck.
-Runs execute on a thread pool
-(MFBO_THREADS caps the width) and failures are isolated per run. Output is
+Runs execute one after another in (policy, seed index) order, and a failure
+is isolated to its run. Nearly all of a run's time is dense linear algebra,
+which the BLAS library already spreads over every core. Output is
 three CSVs: traces.csv (one row per query), curves.csv (per-episode simple
 and cumulative regret) and summary.csv (mean simple regret at quarter-budget
 checkpoints). Floats are written with %.12g so repeated runs are
@@ -33,7 +34,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -102,15 +102,14 @@ class ExperimentConfig:
     n_candidates: Optional[int] = None
     hyperfit_every: int = 10
     alpha_exponent: float = 1.0 / 3.0
-    threads: Optional[int] = None
 
     def __post_init__(self):
         if self.problem not in PROBLEM_NAMES:
             raise ConfigError(
                 "unknown problem %r (known: %s)" % (self.problem, ", ".join(PROBLEM_NAMES))
             )
-        if self.budget_mult < 1:
-            raise ConfigError("budget_mult must be >= 1")
+        if not 1 <= self.budget_mult < np.inf:
+            raise ConfigError("budget_mult must be finite and >= 1")
         if self.n_seeds < 1:
             raise ConfigError("seeds must be >= 1")
         for name in self.policies:
@@ -120,6 +119,12 @@ class ExperimentConfig:
                 )
         if len(set(self.policies)) != len(self.policies):
             raise ConfigError("duplicate policy names")
+        if not 0 <= self.noise < np.inf:
+            raise ConfigError("noise must be finite and >= 0")
+        try:  # PolicyConfig checks the [policy] and [explore] values
+            self.policy_config(0)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
@@ -157,8 +162,6 @@ class ExperimentConfig:
             kwargs["policies"] = names
         if "out" in top:
             kwargs["out_dir"] = top.pop("out")
-        if "threads" in top:
-            kwargs["threads"] = _coerce("", "threads", top.pop("threads"), int)
         if top:
             raise ConfigError("unknown key %r" % sorted(top)[0])
 
@@ -234,45 +237,28 @@ class ExperimentResult:
         return sum(1 for o in self.outcomes if o.trace is None or o.trace.failed)
 
 
-def _worker_count(cfg: ExperimentConfig) -> int:
-    if cfg.threads is not None:
-        return max(1, cfg.threads)
-    env = os.environ.get("MFBO_THREADS")
-    if env:
-        return max(1, int(env))
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 def run_experiment(cfg: ExperimentConfig, out_dir=None, log=None) -> ExperimentResult:
     problem = make_problem(cfg.problem, noise=cfg.noise, seed=cfg.problem_seed)
     budget = cfg.budget_mult * problem.model.target_cost
     result = ExperimentResult(config=cfg, budget=budget, f_star=problem.f_star)
+    outcomes = result.outcomes
 
-    jobs = [(pol, idx) for pol in cfg.policies for idx in range(cfg.n_seeds)]
-
-    def one(job) -> RunOutcome:
-        pol, idx = job
-        seed = run_seed(cfg.master_seed, idx)
-        pc = cfg.policy_config(candidate_seed(cfg.master_seed, idx))
-        start = time.perf_counter()
-        try:
-            trace = POLICIES[pol](problem, budget, pc, seed)
-            err = None
-        except Exception as exc:  # isolate per-run failures
-            trace = None
-            err = "%s: %s" % (type(exc).__name__, exc)
-        return RunOutcome(pol, idx, seed, trace, err, time.perf_counter() - start)
-
-    with ThreadPoolExecutor(max_workers=_worker_count(cfg)) as pool:
-        outcomes = list(pool.map(one, jobs))
-    order = {pol: i for i, pol in enumerate(cfg.policies)}
-    outcomes.sort(key=lambda o: (order[o.policy], o.index))
-    result.outcomes = outcomes
-
-    if log is not None:
-        for o in outcomes:
-            status = "failed: %s" % o.error if o.error else "%d episodes" % o.trace.n_episodes
-            log("%-22s seed %3d  %6.2fs  %s" % (o.policy, o.index, o.duration, status))
+    for pol in cfg.policies:
+        for idx in range(cfg.n_seeds):
+            seed = run_seed(cfg.master_seed, idx)
+            pc = cfg.policy_config(candidate_seed(cfg.master_seed, idx))
+            start = time.perf_counter()
+            try:
+                trace = POLICIES[pol](problem, budget, pc, seed)
+                err = None
+            except Exception as exc:  # isolate per-run failures
+                trace = None
+                err = "%s: %s" % (type(exc).__name__, exc)
+            duration = time.perf_counter() - start
+            outcomes.append(RunOutcome(pol, idx, seed, trace, err, duration))
+            if log is not None:
+                status = "failed: %s" % err if err else "%d episodes" % trace.n_episodes
+                log("%-22s seed %3d  %6.2fs  %s" % (pol, idx, duration, status))
 
     target = out_dir if out_dir is not None else cfg.out_dir
     os.makedirs(target, exist_ok=True)

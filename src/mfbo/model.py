@@ -259,10 +259,6 @@ class CovState:
     def n(self) -> int:
         return self.X.shape[0]
 
-    def n_at(self, fidelity: int) -> int:
-        f = self.err.get(fidelity)
-        return 0 if f is None else f.idx.size
-
     def append(self, action: Action) -> "CovState":
         model = self.model
         model._check_fidelity(action.fidelity)

@@ -61,6 +61,14 @@ class PolicyConfig:
             )
         if self.hyperfit_every < 0:
             raise ValueError("hyperfit_every must be >= 0")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must be in (0, 1)")
+        if self.alpha_mi is not None and not self.alpha_mi >= 0.0:
+            raise ValueError("alpha_mi must be >= 0")
+        if not 0.0 < self.alpha_exponent < 0.5:
+            raise ValueError("alpha_exponent must lie in (0, 0.5)")
+        if self.n_candidates is not None and self.n_candidates < 1:
+            raise ValueError("candidate count must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -170,7 +170,8 @@ def gamma_max_bound(
     bound / (cost(S2) - c_max) < beta. Larger beta stops earlier and
     yields a smaller (tighter) bound. S2 is a set: each (point, fidelity)
     pair enters at most once, and the loop ends early if every pair is
-    already selected.
+    already selected. Ties break to the lowest fidelity, then the lowest
+    candidate index, as in explore_lf.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -185,7 +186,7 @@ def gamma_max_bound(
     i_single = max(float(gains0[lev].max()) for lev in low)
 
     selected: list[Action] = []
-    taken: set[tuple[int, int]] = set()
+    taken = {lev: np.zeros(candidates.n, dtype=bool) for lev in low}
     cost2 = 0.0
     gamma = i_single / KS_GUARANTEE
     while cost2 <= budget:
@@ -193,17 +194,15 @@ def gamma_max_bound(
         best_ratio = -np.inf
         pick = None
         for lev in low:
-            arr = gains[lev] / model.costs[lev - 1]
-            for i in np.argsort(-arr):
-                if (lev, int(i)) not in taken:
-                    if arr[i] > best_ratio:
-                        best_ratio = float(arr[i])
-                        pick = (lev, int(i))
-                    break
+            arr = np.where(taken[lev], -np.inf, gains[lev] / model.costs[lev - 1])
+            i = int(np.argmax(arr))
+            if arr[i] > best_ratio:
+                best_ratio = float(arr[i])
+                pick = (lev, i)
         if pick is None:
             break  # every candidate-fidelity pair already in the set
         lev, i = pick
-        taken.add(pick)
+        taken[lev][i] = True
         action = Action(x=candidates.points[i], fidelity=lev)
         selected.append(action)
         cost2 += float(model.costs[lev - 1])

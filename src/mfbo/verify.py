@@ -89,13 +89,13 @@ def make_toy_problem() -> BenchmarkProblem:
 def currin_experiment():
     """The criterion-8 experiment (3 policies x 20 seeds), memoized."""
     if "currin" not in _CACHE:
-        out = tempfile.mkdtemp(prefix="mfbo-verify-currin-")
-        cfg = ExperimentConfig(
-            problem="currin2", budget_mult=100.0, n_seeds=20, master_seed=0, out_dir=out
-        )
-        start = time.perf_counter()
-        result = run_experiment(cfg)
-        _CACHE["currin"] = (result, time.perf_counter() - start)
+        with tempfile.TemporaryDirectory(prefix="mfbo-verify-currin-") as out:
+            cfg = ExperimentConfig(
+                problem="currin2", budget_mult=100.0, n_seeds=20, master_seed=0, out_dir=out
+            )
+            start = time.perf_counter()
+            result = run_experiment(cfg)
+            _CACHE["currin"] = (result, time.perf_counter() - start)
     return _CACHE["currin"]
 
 
@@ -408,14 +408,14 @@ def criterion_harness_determinism():
 
     outputs = []
     for _ in range(2):
-        out = tempfile.mkdtemp(prefix="mfbo-verify-bench-")
-        rc = cli_main(["bench", "--problem", "currin2", "--seeds", "3", "--out", out])
-        if rc != 0:
-            return False, "bench exited with code %d" % rc
-        blobs = {}
-        for name in ("traces.csv", "curves.csv", "summary.csv"):
-            with open(os.path.join(out, name), "rb") as fh:
-                blobs[name] = fh.read()
+        with tempfile.TemporaryDirectory(prefix="mfbo-verify-bench-") as out:
+            rc = cli_main(["bench", "--problem", "currin2", "--seeds", "3", "--out", out])
+            if rc != 0:
+                return False, "bench exited with code %d" % rc
+            blobs = {}
+            for name in ("traces.csv", "curves.csv", "summary.csv"):
+                with open(os.path.join(out, name), "rb") as fh:
+                    blobs[name] = fh.read()
         outputs.append(blobs)
     for name in ("traces.csv", "curves.csv", "summary.csv"):
         if outputs[0][name] != outputs[1][name]:

@@ -7,11 +7,22 @@ experiment runs inside the verify module, so ordering within this file
 matters less than it looks.
 """
 
+import tempfile
+
 import pytest
 
 from mfbo.verify import CRITERIA, format_result, run_criterion
 
 from conftest import record_acceptance
+
+
+@pytest.fixture(autouse=True)
+def fresh_tempdir(tmp_path, monkeypatch):
+    """Every temporary file or directory a criterion makes must be gone
+    when it returns."""
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    yield
+    assert list(tmp_path.iterdir()) == []
 
 
 def _check(number: int):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from mfbo.cli import main as cli_main
+from mfbo.cli import _build_parser, _config_from_args, main as cli_main
 from mfbo.harness import (
     ConfigError,
     ExperimentConfig,
@@ -11,7 +11,6 @@ from mfbo.harness import (
     run_experiment,
     run_seed,
     summarize,
-    _worker_count,
 )
 from mfbo.policy import POLICY_NAMES, PolicyConfig, sf_only
 from mfbo.verify import make_toy_problem
@@ -131,6 +130,24 @@ class TestExperimentConfig:
             ExperimentConfig.from_sections(
                 {"": {"problem": "currin2", "policies": "sf_only,sf_only"}})
 
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("policy", "subroutine", "gp_ei", "unknown subroutine 'gp_ei'"),
+        ("policy", "delta", "2", "delta"),
+        ("policy", "alpha_mi", "-1", "alpha_mi"),
+        ("policy", "candidates", "0", "candidate count"),
+        ("explore", "alpha_exponent", "0.7", "alpha_exponent"),
+        ("", "noise", "-1", "noise"),
+        ("", "noise", "inf", "noise"),
+        ("", "budget_mult", "nan", "budget_mult"),
+        ("", "budget_mult", "inf", "budget_mult"),
+        ("", "threads", "2", "unknown key 'threads'"),
+    ])
+    def test_rejects_bad_value(self, section, key, value, message):
+        sections = {"": {"problem": "currin2"}}
+        sections.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_sections(sections)
+
 
 class TestSeeds:
     def test_run_seed_deterministic_and_distinct(self):
@@ -146,23 +163,6 @@ class TestSeeds:
         assert np.allclose(checkpoint_costs(300.0), [75.0, 150.0, 225.0, 300.0])
 
 
-class TestWorkerCount:
-    def test_explicit_threads_win(self, monkeypatch):
-        monkeypatch.setenv("MFBO_THREADS", "5")
-        cfg = ExperimentConfig(problem="currin2", threads=2)
-        assert _worker_count(cfg) == 2
-
-    def test_env_cap(self, monkeypatch):
-        monkeypatch.setenv("MFBO_THREADS", "3")
-        cfg = ExperimentConfig(problem="currin2")
-        assert _worker_count(cfg) == 3
-
-    def test_floor_of_one(self, monkeypatch):
-        monkeypatch.delenv("MFBO_THREADS", raising=False)
-        cfg = ExperimentConfig(problem="currin2", threads=0)
-        assert _worker_count(cfg) == 1
-
-
 def tiny_config(out, **kw):
     base = dict(
         problem="currin2",
@@ -170,7 +170,6 @@ def tiny_config(out, **kw):
         n_seeds=2,
         n_candidates=32,
         hyperfit_every=0,
-        threads=2,
         out_dir=str(out),
     )
     base.update(kw)
@@ -180,9 +179,14 @@ def tiny_config(out, **kw):
 class TestRunExperiment:
     def test_outputs_and_schema(self, tmp_path):
         cfg = tiny_config(tmp_path / "r")
-        result = run_experiment(cfg)
+        lines = []
+        result = run_experiment(cfg, log=lines.append)
         assert result.n_failed == 0
         assert len(result.outcomes) == 3 * 2
+        order = [(pol, idx) for pol in POLICY_NAMES for idx in range(2)]
+        assert [(o.policy, o.index) for o in result.outcomes] == order
+        assert [line.split()[:3] for line in lines] == [
+            [pol, "seed", str(idx)] for pol, idx in order]
         assert result.budget == 6.0
 
         traces = (tmp_path / "r" / "traces.csv").read_text().splitlines()
@@ -256,6 +260,17 @@ class TestCli:
         assert rc == 2
         assert "dqn" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--noise", "-1"), ("--candidates", "0")])
+    def test_bad_bench_value_exit_2(self, flag, value, capsys):
+        rc = cli_main(["bench", "--problem", "currin2", flag, value])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_bench_defaults_come_from_config(self):
+        args = _build_parser().parse_args(["bench", "--problem", "currin2"])
+        assert _config_from_args(args) == ExperimentConfig(
+            problem="currin2", out_dir="results/currin2")
+
     def test_bench_tiny_run_exit_0(self, tmp_path, capsys):
         rc = cli_main([
             "bench", "--problem", "currin2", "--budget-mult", "2",
@@ -288,3 +303,11 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "bad.cfg:2" in err
+
+    def test_bad_config_value_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("problem = currin2\n[policy]\nsubroutine = gp_ei\n")
+        rc = cli_main(["run", "--config", str(cfgfile)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: unknown subroutine 'gp_ei' (known: gp_ucb, gp_mi)"]

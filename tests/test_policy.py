@@ -231,14 +231,12 @@ class TestValidation:
             PolicyConfig(hyperfit_every=-1)
 
     def test_bad_delta_surfaces_at_run(self, toy):
-        cfg = PolicyConfig(delta=2.0, n_candidates=8)
-        with pytest.raises(ValueError):
-            sf_only(toy, 6.0, cfg, seed=0)
+        with pytest.raises(ValueError, match="delta"):
+            sf_only(toy, 6.0, PolicyConfig(delta=2.0, n_candidates=8), seed=0)
 
     def test_bad_alpha_exponent_surfaces_at_run(self, toy):
-        cfg = PolicyConfig(alpha_exponent=0.9, n_candidates=8)
-        with pytest.raises(ValueError):
-            mf_mi_greedy(toy, 6.0, cfg, seed=0)
+        with pytest.raises(ValueError, match="alpha_exponent"):
+            mf_mi_greedy(toy, 6.0, PolicyConfig(alpha_exponent=0.9, n_candidates=8), seed=0)
 
 
 class TestHyperfit:
