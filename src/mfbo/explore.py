@@ -1,9 +1,9 @@
 """Budget-aware greedy exploration of lower fidelities.
 
-Each step scores every candidate action (point, fidelity) by information
-gain about the latent target per unit cost, conditioned on everything
-selected so far. The loop keeps picking lower-fidelity actions until one
-of three exits fires:
+One candidate set is the domain for every fidelity. Each step scores every
+candidate action (point, fidelity) by information gain about the latent
+target per unit cost, conditioned on everything selected so far. The loop
+keeps picking lower-fidelity actions until one of three exits fires:
 
   budget_exhausted      no action fits in the budget reserve,
   target_better         the per-cost argmax is a target-fidelity action,
@@ -31,18 +31,15 @@ LOW_CUMULATIVE_RATIO = "low_cumulative_ratio"
 
 @dataclass(frozen=True)
 class ExploreConfig:
-    """Candidate sets (one per fidelity, may be shared) and the budget
+    """The candidate set, shared by every fidelity, and the budget
     exponent of alpha(B) = B**alpha_exponent, valid in (0, 0.5)."""
 
-    candidates: tuple[CandidateSet, ...]
+    candidates: CandidateSet
     alpha_exponent: float = 1.0 / 3.0
 
     def __post_init__(self):
         if not 0.0 < self.alpha_exponent < 0.5:
             raise ValueError("alpha_exponent must lie in (0, 0.5)")
-        if not self.candidates:
-            raise ValueError("need at least one candidate set")
-        object.__setattr__(self, "candidates", tuple(self.candidates))
 
 
 @dataclass(frozen=True)
@@ -68,11 +65,6 @@ def alpha_budget(budget: float, exponent: float = 1.0 / 3.0) -> float:
 def explore_lf(budget: float, model: FidelityModel, history: History, cfg: ExploreConfig) -> ExploreResult:
     """Select a lower-fidelity exploration set within the budget reserve."""
     m = model.m
-    if len(cfg.candidates) != m:
-        raise ValueError(
-            "need one candidate set per fidelity: got %d for m=%d"
-            % (len(cfg.candidates), m)
-        )
     beta = 1.0 / alpha_budget(budget, cfg.alpha_exponent) if budget > 0 else np.inf
     target_cost = model.target_cost
     if budget < target_cost:
@@ -89,7 +81,7 @@ def explore_lf(budget: float, model: FidelityModel, history: History, cfg: Explo
         if not feasible:
             reason = BUDGET_EXHAUSTED
             break
-        gains = _gains_per_fidelity(state, cfg.candidates)
+        gains = batch_info_gains(state, cfg.candidates.points)
         best_score = -np.inf
         best = None  # (fidelity, candidate index, raw gain)
         for lev in feasible:
@@ -107,7 +99,7 @@ def explore_lf(budget: float, model: FidelityModel, history: History, cfg: Explo
         if new_gain / new_cost < beta:
             reason = LOW_CUMULATIVE_RATIO
             break
-        action = Action(x=cfg.candidates[lev - 1].points[idx], fidelity=lev)
+        action = Action(x=cfg.candidates.points[idx], fidelity=lev)
         selected.append(action)
         cost_sel = new_cost
         running_gain = new_gain
@@ -118,14 +110,3 @@ def explore_lf(budget: float, model: FidelityModel, history: History, cfg: Explo
     total_gain = info_gain_set(history, selected) if selected else 0.0
     return ExploreResult(tuple(selected), cost_sel, total_gain, reason, beta)
 
-
-def _gains_per_fidelity(state: CovState, candidates) -> dict[int, np.ndarray]:
-    """batch_info_gains once per distinct candidate set, mapped by fidelity."""
-    out = {}
-    cache = {}
-    for lev, cand in enumerate(candidates, start=1):
-        key = id(cand)
-        if key not in cache:
-            cache[key] = batch_info_gains(state, cand.points)
-        out[lev] = cache[key][lev]
-    return out

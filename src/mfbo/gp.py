@@ -51,9 +51,6 @@ class SquaredExpKernel:
     def dim(self) -> int:
         return self.lengthscales.shape[0]
 
-    def __call__(self, x, x2) -> float:
-        return kernel_eval(self, x, x2)
-
     def cross(self, xa, xb) -> np.ndarray:
         return covops.se_cross(xa, xb, self.lengthscales, self.signal_variance)
 
@@ -66,18 +63,6 @@ class SquaredExpKernel:
             signal_variance=self.signal_variance * sv_factor,
             lengthscales=self.lengthscales * ls_factor,
         )
-
-
-def kernel_eval(kernel: SquaredExpKernel, x, x2) -> float:
-    x = np.asarray(x, dtype=np.float64).reshape(-1)
-    x2 = np.asarray(x2, dtype=np.float64).reshape(-1)
-    if x.shape[0] != kernel.dim or x2.shape[0] != kernel.dim:
-        raise ValueError(
-            "point dimension mismatch: kernel is %d-d, points are %d-d and %d-d"
-            % (kernel.dim, x.shape[0], x2.shape[0])
-        )
-    z = (x - x2) / kernel.lengthscales
-    return kernel.signal_variance * float(np.exp(-0.5 * np.dot(z, z)))
 
 
 MeanLike = Union[float, Callable[[np.ndarray], np.ndarray]]
@@ -110,7 +95,7 @@ class GpPrior:
         return np.full(X.shape[0], float(self.mean))
 
 
-def chol_factor(mat: np.ndarray, jitters=None) -> tuple[np.ndarray, float]:
+def chol_factor(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric PSD matrix.
 
     Tries the matrix as given, then adds each jitter from the ladder to the
@@ -120,9 +105,7 @@ def chol_factor(mat: np.ndarray, jitters=None) -> tuple[np.ndarray, float]:
     n = mat.shape[0]
     if n == 0:
         return np.zeros((0, 0)), 0.0
-    if jitters is None:
-        jitters = JITTER_LADDER
-    tried = (0.0,) + tuple(jitters)
+    tried = (0.0,) + JITTER_LADDER
     for jit in tried:
         try:
             target = mat if jit == 0.0 else mat + jit * np.eye(n)
@@ -146,31 +129,21 @@ def _cond_estimate(mat) -> float:
         return float("inf")
 
 
-def chol_logdet(mat: np.ndarray, jitter: float = 0.0) -> float:
-    """log det(mat + jitter*I) via Cholesky, escalating jitter on failure.
-
-    The escalation ladder only adds jitters larger than the requested one.
-    """
-    mat = np.asarray(mat, dtype=np.float64)
-    n = mat.shape[0]
-    if n == 0:
-        return 0.0
-    if jitter > 0.0:
-        mat = mat + jitter * np.eye(n)
-    ladder = tuple(j for j in JITTER_LADDER if j > jitter)
-    L, _ = chol_factor(mat, ladder)
+def chol_logdet(mat: np.ndarray) -> float:
+    """log det(mat) via Cholesky, escalating jitter on failure."""
+    L, _ = chol_factor(mat)
     return 2.0 * float(np.sum(np.log(np.diag(L))))
 
 
-def gaussian_entropy(cov: np.ndarray, jitter: float = 0.0) -> float:
-    """Differential entropy 0.5*log det(2*pi*e*(cov + jitter*I)), in nats."""
+def gaussian_entropy(cov: np.ndarray) -> float:
+    """Differential entropy 0.5*log det(2*pi*e*cov), in nats."""
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("cov must be square, got shape %s" % (cov.shape,))
     n = cov.shape[0]
     if n == 0:
         return 0.0
-    return 0.5 * (n * LOG_2PI_E + chol_logdet(cov, jitter))
+    return 0.5 * (n * LOG_2PI_E + chol_logdet(cov))
 
 
 def posterior(prior: GpPrior, X, y, Xq) -> tuple[np.ndarray, np.ndarray]:

@@ -112,6 +112,8 @@ class ExperimentConfig:
             raise ConfigError("budget_mult must be finite and >= 1")
         if self.n_seeds < 1:
             raise ConfigError("seeds must be >= 1")
+        if not self.policies:
+            raise ConfigError("policies must name at least one policy")
         for name in self.policies:
             if name not in POLICY_NAMES:
                 raise ConfigError(

@@ -302,9 +302,6 @@ class CovState:
                     )
         return CovState(model, Xn, fn, L, self.jit, err, self.since_rebuild + 1)
 
-    def logdet(self) -> float:
-        return 2.0 * float(np.sum(np.log(np.diag(self.L))))
-
 
 def _extend_chol(L, col, diag) -> np.ndarray | None:
     """Extend lower Cholesky L by one row/column; None if not positive."""
@@ -415,48 +412,12 @@ def predict_latent_diag(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
 # second entropy is residual-covariance conditioning only; it splits into
 # independent per-fidelity blocks.
 
-def info_gain_single(history: History, action: Action, state: CovState | None = None) -> float:
-    """Information gain of one fresh observation about the latent f."""
-    cov = state if state is not None else history.cov
-    model = cov.model
-    model._check_fidelity(action.fidelity)
-    kf = model.target_prior.kernel
-    sv = kf.signal_variance
-    if sv < DEGENERATE_VAR:
-        return 0.0
-    x1 = action.x[None, :]
-    lev = action.fidelity
-    prior1 = model.prior_variance(lev)
-    if cov.n:
-        base = kf.cross(cov.X, x1)[:, 0]
-        wf = solve_triangular(cov.L, base, lower=True, check_finite=False)
-        if sv - wf @ wf < DEGENERATE_VAR:
-            return 0.0
-        f1 = np.array([lev], dtype=np.int64)
-        cross = _joint_cross(model, cov.X, cov.fids, x1, f1)[:, 0]
-        w1 = solve_triangular(cov.L, cross, lower=True, check_finite=False)
-        v1 = prior1 - w1 @ w1
-    else:
-        v1 = prior1
-    if lev < model.m:
-        v0 = model.error_kernel(lev).signal_variance + model.noise_variance(lev)
-        ef = cov.err.get(lev)
-        if ef is not None:
-            ce = model.error_kernel(lev).cross(cov.X[ef.idx], x1)[:, 0]
-            we = solve_triangular(ef.L, ce, lower=True, check_finite=False)
-            v0 = v0 - we @ we
-    else:
-        v0 = model.noise_variance(model.m)
-    # v1 >= v0 analytically; the floors only guard zero-noise roundoff
-    return 0.5 * float(np.log(max(v1, 1e-300) / max(v0, 1e-300)))
-
-
-def info_gain_set(history: History, actions: Sequence[Action], state: CovState | None = None) -> float:
+def info_gain_set(history: History, actions: Sequence[Action]) -> float:
     """Joint information gain of a set of fresh observations about f."""
     actions = list(actions)
     if not actions:
         return 0.0
-    cov = state if state is not None else history.cov
+    cov = history.cov
     model = cov.model
     Xe = np.array([a.x for a in actions])
     fe = np.array([a.fidelity for a in actions], dtype=np.int64)
@@ -496,10 +457,16 @@ def info_gain_set(history: History, actions: Sequence[Action], state: CovState |
 
 
 def batch_info_gains(state: CovState, Xc) -> dict[int, np.ndarray]:
-    """info_gain_single for every candidate point at every fidelity.
+    """Gain about f of one fresh observation at each candidate, per fidelity.
 
-    Vectorized over candidates; used by the exploration loop's per-step
-    argmax. Agrees with info_gain_single including its degenerate clamp.
+    Returns {fidelity: gains}, gains[i] = I(y_(Xc[i], fidelity); f | state)
+    = 0.5 * log(v1 / v0), where v1 is the observation's variance given the
+    state's observations and v0 its variance given those and the whole of
+    f: the error process's residual variance plus noise at a low fidelity,
+    the noise alone at the target. A candidate whose latent variance is
+    below DEGENERATE_VAR gains exactly 0. This is the score Explore-LF and
+    gamma_max_bound rank by; each entry matches info_gain_set of that one
+    action up to rounding.
     """
     model = state.model
     Xc = np.asarray(Xc, dtype=np.float64).reshape(-1, model.dim)
@@ -561,13 +528,12 @@ class HyperGrid:
         object.__setattr__(self, "models", tuple(self.models))
 
 
-def default_hyper_grid(model: FidelityModel, factors=None) -> HyperGrid:
+def default_hyper_grid(model: FidelityModel) -> HyperGrid:
     """5x5 grid of (lengthscale, signal-variance) multipliers around model.
 
     The same multipliers apply to the target and every error process.
     """
-    if factors is None:
-        factors = np.logspace(np.log10(0.25), np.log10(4.0), 5)
+    factors = np.logspace(np.log10(0.25), np.log10(4.0), 5)
     return HyperGrid(
         tuple(model.scaled(a, b) for a in factors for b in factors)
     )

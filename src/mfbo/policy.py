@@ -30,7 +30,6 @@ from .model import (
     Action,
     FidelityModel,
     History,
-    HyperGrid,
     Observation,
     default_hyper_grid,
     fit_hyperparameters,
@@ -50,9 +49,7 @@ class PolicyConfig:
     alpha_exponent: float = 1.0 / 3.0
     n_candidates: Optional[int] = None    # default by dimension
     hyperfit_every: int = 10              # episodes between refits; 0 disables
-    hyper_grid: Optional[HyperGrid] = None
     candidate_seed: Optional[int] = None  # default derived from the run seed
-    model: Optional[FidelityModel] = None  # default problem.model
 
     def __post_init__(self):
         if self.subroutine not in SUBROUTINES:
@@ -174,8 +171,7 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
     budget = float(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    model = cfg.model if cfg.model is not None else problem.model
-    base_model = model
+    model = problem.model
     m = model.m
     lam_m = model.target_cost
 
@@ -186,10 +182,8 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
     noise_rng = np.random.default_rng(mix64(seed, "noise"))
     schedule = UcbSchedule(delta=cfg.delta)
     alpha_mi = cfg.alpha_mi if cfg.alpha_mi is not None else float(np.log(2.0 / cfg.delta))
-    explore_cfg = ExploreConfig(
-        candidates=(candidates,) * m, alpha_exponent=cfg.alpha_exponent
-    )
-    grid = cfg.hyper_grid
+    explore_cfg = ExploreConfig(candidates=candidates, alpha_exponent=cfg.alpha_exponent)
+    grid = None
 
     history = History.empty(model)
     episodes: list[Episode] = []
@@ -209,7 +203,7 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
                 and len(history) >= 2
             ):
                 if grid is None:
-                    grid = default_hyper_grid(base_model)
+                    grid = default_hyper_grid(problem.model)
                 refit = fit_hyperparameters(history, grid)
                 if refit is not model:
                     model = refit

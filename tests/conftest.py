@@ -1,8 +1,16 @@
 import numpy as np
 import pytest
+from scipy.linalg import solve_triangular
 
 from mfbo.gp import GpPrior, SquaredExpKernel
-from mfbo.model import FidelityModel
+from mfbo.model import (
+    DEGENERATE_VAR,
+    Action,
+    CovState,
+    FidelityModel,
+    History,
+    _joint_cross,
+)
 
 # pass/fail lines recorded by test_acceptance, echoed after the pytest summary
 ACCEPTANCE_LINES: list[str] = []
@@ -17,6 +25,43 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.write_sep("-", "acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+# scalar oracle for batch_info_gains: one action at a time, no vectorization
+def info_gain_single(history: History, action: Action, state: CovState | None = None) -> float:
+    """Information gain of one fresh observation about the latent f."""
+    cov = state if state is not None else history.cov
+    model = cov.model
+    model._check_fidelity(action.fidelity)
+    kf = model.target_prior.kernel
+    sv = kf.signal_variance
+    if sv < DEGENERATE_VAR:
+        return 0.0
+    x1 = action.x[None, :]
+    lev = action.fidelity
+    prior1 = model.prior_variance(lev)
+    if cov.n:
+        base = kf.cross(cov.X, x1)[:, 0]
+        wf = solve_triangular(cov.L, base, lower=True, check_finite=False)
+        if sv - wf @ wf < DEGENERATE_VAR:
+            return 0.0
+        f1 = np.array([lev], dtype=np.int64)
+        cross = _joint_cross(model, cov.X, cov.fids, x1, f1)[:, 0]
+        w1 = solve_triangular(cov.L, cross, lower=True, check_finite=False)
+        v1 = prior1 - w1 @ w1
+    else:
+        v1 = prior1
+    if lev < model.m:
+        v0 = model.error_kernel(lev).signal_variance + model.noise_variance(lev)
+        ef = cov.err.get(lev)
+        if ef is not None:
+            ce = model.error_kernel(lev).cross(cov.X[ef.idx], x1)[:, 0]
+            we = solve_triangular(ef.L, ce, lower=True, check_finite=False)
+            v0 = v0 - we @ we
+    else:
+        v0 = model.noise_variance(model.m)
+    # v1 >= v0 analytically; the floors only guard zero-noise roundoff
+    return 0.5 * float(np.log(max(v1, 1e-300) / max(v0, 1e-300)))
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import info_gain_single
 from mfbo.acquisition import CandidateSet
 from mfbo.explore import (
     BUDGET_EXHAUSTED,
@@ -18,15 +19,14 @@ from mfbo.model import (
     History,
     Observation,
     info_gain_set,
-    info_gain_single,
 )
 
 POINTS3 = np.array([[-0.6], [0.0], [0.7]])
 
 
-def shared_config(m, points=POINTS3, exponent=1.0 / 3.0):
+def shared_config(points=POINTS3, exponent=1.0 / 3.0):
     cand = CandidateSet(points=points, seed=0)
-    return ExploreConfig(candidates=(cand,) * m, alpha_exponent=exponent)
+    return ExploreConfig(candidates=cand, alpha_exponent=exponent)
 
 
 def greedy_oracle(budget, model, history, cfg):
@@ -46,7 +46,7 @@ def greedy_oracle(budget, model, history, cfg):
         for lev in range(1, model.m + 1):
             if lam[lev - 1] > reserve:
                 continue
-            for i, x in enumerate(cfg.candidates[lev - 1].points):
+            for i, x in enumerate(cfg.candidates.points):
                 a = Action(x=x, fidelity=lev)
                 g = info_gain_single(h, a)
                 scored.append((g / lam[lev - 1], lev, i, g, a))
@@ -67,14 +67,14 @@ def greedy_oracle(budget, model, history, cfg):
 class TestStoppingConditions:
     def test_budget_below_target_cost(self, two_fid_model):
         res = explore_lf(2.5, two_fid_model, History.empty(two_fid_model),
-                         shared_config(2))
+                         shared_config())
         assert res.selected == () and res.stop_reason == BUDGET_EXHAUSTED
         assert res.cost == 0.0 and res.cumulative_info_gain == 0.0
 
     def test_no_room_for_any_lower_query(self, two_fid_model):
         # B - lambda_m = 0.5 < cheapest lower cost 1
         res = explore_lf(3.5, two_fid_model, History.empty(two_fid_model),
-                         shared_config(2))
+                         shared_config())
         assert res.selected == () and res.stop_reason == BUDGET_EXHAUSTED
 
     def test_target_better_immediately(self):
@@ -83,14 +83,14 @@ class TestStoppingConditions:
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.4])), 0.05)
         e = GpPrior(SquaredExpKernel(signal_variance=10.0, lengthscales=np.array([0.6])), 0.05)
         model = FidelityModel(target_prior=t, error_priors=(e,), costs=np.array([2.9, 3.0]))
-        res = explore_lf(10.0, model, History.empty(model), shared_config(2))
+        res = explore_lf(10.0, model, History.empty(model), shared_config())
         assert res.selected == () and res.stop_reason == TARGET_BETTER
 
     def test_low_ratio_exit(self, two_fid_model):
         # B=8: beta = 1/2, and the fifth cheap query would drag the
         # cumulative gain per cost under it
         res = explore_lf(8.0, two_fid_model, History.empty(two_fid_model),
-                         shared_config(2, points=np.array([[-1.0], [0.0], [1.0]])))
+                         shared_config(points=np.array([[-1.0], [0.0], [1.0]])))
         assert res.stop_reason == LOW_CUMULATIVE_RATIO
         assert res.size == 4
         assert res.cumulative_info_gain / res.cost >= res.beta - 1e-10
@@ -98,7 +98,7 @@ class TestStoppingConditions:
 
 class TestGreedySequence:
     def test_matches_per_step_oracle(self, two_fid_model, rng):
-        cfg = shared_config(2)
+        cfg = shared_config()
         for budget in (5.0, 9.0, 14.0, 30.0, 100.0):
             h = History.empty(two_fid_model)
             for _ in range(int(rng.integers(0, 3))):
@@ -114,7 +114,7 @@ class TestGreedySequence:
 
     def test_three_fidelity_oracle(self, three_fid_model, rng):
         pts = rng.uniform(-1, 1, size=(3, 2))
-        cfg = shared_config(3, points=pts)
+        cfg = shared_config(points=pts)
         h = History.empty(three_fid_model)
         for budget in (8.0, 20.0, 60.0):
             res = explore_lf(budget, three_fid_model, h, cfg)
@@ -126,7 +126,7 @@ class TestGreedySequence:
 
     def test_gain_chain_sum_matches_joint(self, two_fid_model):
         res = explore_lf(40.0, two_fid_model, History.empty(two_fid_model),
-                         shared_config(2))
+                         shared_config())
         assert res.size >= 2
         h = History.empty(two_fid_model)
         chain = 0.0
@@ -138,7 +138,7 @@ class TestGreedySequence:
 
 class TestCertificate:
     def test_ratio_and_reserve_hold(self, two_fid_model, rng):
-        cfg = shared_config(2)
+        cfg = shared_config()
         nonempty = 0
         for i in range(25):
             budget = float(rng.uniform(4.0, 40.0))
@@ -159,7 +159,7 @@ class TestCertificate:
 
     def test_cost_is_sum_of_costs(self, two_fid_model):
         res = explore_lf(25.0, two_fid_model, History.empty(two_fid_model),
-                         shared_config(2))
+                         shared_config())
         expect = sum(two_fid_model.costs[a.fidelity - 1] for a in res.selected)
         assert res.cost == pytest.approx(expect)
 
@@ -169,16 +169,7 @@ class TestConfig:
         cand = CandidateSet(points=POINTS3, seed=0)
         for bad in (0.0, 0.5, 0.6, -0.1):
             with pytest.raises(ValueError):
-                ExploreConfig(candidates=(cand, cand), alpha_exponent=bad)
-
-    def test_candidates_required(self):
-        with pytest.raises(ValueError):
-            ExploreConfig(candidates=())
-
-    def test_candidate_count_must_match_m(self, two_fid_model):
-        cfg = shared_config(3)
-        with pytest.raises(ValueError):
-            explore_lf(10.0, two_fid_model, History.empty(two_fid_model), cfg)
+                ExploreConfig(candidates=cand, alpha_exponent=bad)
 
     def test_alpha_budget(self):
         assert alpha_budget(27.0) == pytest.approx(3.0)

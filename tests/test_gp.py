@@ -8,7 +8,6 @@ from mfbo.gp import (
     chol_factor,
     chol_logdet,
     gaussian_entropy,
-    kernel_eval,
     posterior,
 )
 
@@ -20,24 +19,26 @@ def dense_se(kern, Xa, Xb):
 
 class TestKernel:
     def test_diagonal_is_signal_variance(self):
-        k = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
-        assert kernel_eval(k, np.array([0.0]), np.array([0.0])) == 1.0
-        k2 = SquaredExpKernel(signal_variance=2.0, lengthscales=np.array([1.0]))
-        assert kernel_eval(k2, np.array([0.0]), np.array([0.0])) == 2.0
+        x = np.array([[0.0], [0.7]])
+        for sv in (1.0, 2.0):
+            k = SquaredExpKernel(signal_variance=sv, lengthscales=np.array([1.0]))
+            assert np.all(np.diag(k.sym(x)) == sv)
+            assert k.cross(x[:1], x[:1])[0, 0] == sv
 
     def test_unit_distance_value(self):
         k = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
-        assert kernel_eval(k, np.array([0.0]), np.array([1.0])) == pytest.approx(
-            np.exp(-0.5), abs=1e-12
-        )
+        v = k.cross(np.array([[0.0]]), np.array([[1.0]]))[0, 0]
+        assert v == pytest.approx(np.exp(-0.5), abs=1e-12)
 
     def test_symmetry_and_range(self, rng):
         k = SquaredExpKernel(signal_variance=1.3, lengthscales=np.array([0.5, 2.0]))
-        for _ in range(20):
-            x, x2 = rng.uniform(-3, 3, size=(2, 2))
-            v = kernel_eval(k, x, x2)
-            assert v == kernel_eval(k, x2, x)
-            assert 0.0 < v <= 1.3
+        xa = rng.uniform(-3, 3, size=(20, 2))
+        xb = rng.uniform(-3, 3, size=(20, 2))
+        C = k.cross(xa, xb)
+        assert np.array_equal(C, k.cross(xb, xa).T)
+        assert np.all((C > 0.0) & (C <= 1.3))
+        S = k.sym(xa)
+        assert np.array_equal(S, S.T)
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -46,7 +47,9 @@ class TestKernel:
             SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0, -1.0]))
         k = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
         with pytest.raises(ValueError):
-            kernel_eval(k, np.array([0.0, 0.0]), np.array([0.0]))
+            k.cross(np.array([[0.0, 0.0]]), np.array([[0.0]]))
+        with pytest.raises(ValueError):
+            k.sym(np.array([[0.0, 0.0]]))
 
     def test_scaled(self):
         k = SquaredExpKernel(signal_variance=2.0, lengthscales=np.array([1.0, 4.0]))

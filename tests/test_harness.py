@@ -141,6 +141,7 @@ class TestExperimentConfig:
         ("", "budget_mult", "nan", "budget_mult"),
         ("", "budget_mult", "inf", "budget_mult"),
         ("", "threads", "2", "unknown key 'threads'"),
+        ("", "policies", "", "at least one policy"),
     ])
     def test_rejects_bad_value(self, section, key, value, message):
         sections = {"": {"problem": "currin2"}}
@@ -260,7 +261,9 @@ class TestCli:
         assert rc == 2
         assert "dqn" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flag, value", [("--noise", "-1"), ("--candidates", "0")])
+    @pytest.mark.parametrize("flag, value", [
+        ("--noise", "-1"), ("--candidates", "0"), ("--policies", ","),
+    ])
     def test_bad_bench_value_exit_2(self, flag, value, capsys):
         rc = cli_main(["bench", "--problem", "currin2", flag, value])
         assert rc == 2

@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from conftest import info_gain_single
 from mfbo.acquisition import CandidateSet
 from mfbo.gp import GpPrior, SquaredExpKernel
 from mfbo.model import (
@@ -11,7 +12,6 @@ from mfbo.model import (
     History,
     Observation,
     info_gain_set,
-    info_gain_single,
 )
 from mfbo.submodular import (
     KS_GUARANTEE,
