@@ -13,6 +13,11 @@ keeps picking lower-fidelity actions until one of three exits fires:
 The reserve keeps one target query affordable: an action at fidelity l is
 feasible only if cost_l <= B - cost(selected) - cost_m. On a non-empty
 result the selected set E certifies info_gain_set(E)/cost(E) >= beta.
+
+The scores come from one CandidateGains per call: each pick adds one row
+to each candidate projection it enters, so a step costs O(n nc) for n
+observations and nc candidates; only a rebuilt factor (or a first point
+at a fidelity) makes them recompute from scratch.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .acquisition import CandidateSet
-from .model import Action, CovState, FidelityModel, History, batch_info_gains, info_gain_set
+from .model import Action, CandidateGains, FidelityModel, History, info_gain_set
 
 BUDGET_EXHAUSTED = "budget_exhausted"
 TARGET_BETTER = "target_better"
@@ -70,7 +75,7 @@ def explore_lf(budget: float, model: FidelityModel, history: History, cfg: Explo
     if budget < target_cost:
         return ExploreResult((), 0.0, 0.0, BUDGET_EXHAUSTED, beta)
 
-    state: CovState = history.cov
+    cands = CandidateGains(history.cov, cfg.candidates.points)
     selected: list[Action] = []
     cost_sel = 0.0
     running_gain = 0.0
@@ -81,7 +86,7 @@ def explore_lf(budget: float, model: FidelityModel, history: History, cfg: Explo
         if not feasible:
             reason = BUDGET_EXHAUSTED
             break
-        gains = batch_info_gains(state, cfg.candidates.points)
+        gains = cands.gains()
         best_score = -np.inf
         best = None  # (fidelity, candidate index, raw gain)
         for lev in feasible:
@@ -103,7 +108,7 @@ def explore_lf(budget: float, model: FidelityModel, history: History, cfg: Explo
         selected.append(action)
         cost_sel = new_cost
         running_gain = new_gain
-        state = state.append(action)
+        cands.append(action)
 
     # certificate recomputed through the contract function so the stored
     # value is exactly what a verifier recomputes

@@ -252,7 +252,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, log=None) -> ExperimentR
             start = time.perf_counter()
             try:
                 trace = POLICIES[pol](problem, budget, pc, seed)
-                err = None
+                err = trace.error
             except Exception as exc:  # isolate per-run failures
                 trace = None
                 err = "%s: %s" % (type(exc).__name__, exc)

@@ -464,53 +464,137 @@ def batch_info_gains(state: CovState, Xc) -> dict[int, np.ndarray]:
     state's observations and v0 its variance given those and the whole of
     f: the error process's residual variance plus noise at a low fidelity,
     the noise alone at the target. A candidate whose latent variance is
-    below DEGENERATE_VAR gains exactly 0. This is the score Explore-LF and
-    gamma_max_bound rank by; each entry matches info_gain_set of that one
-    action up to rounding.
+    below DEGENERATE_VAR gains exactly 0. Each entry matches info_gain_set
+    of that one action up to rounding. This is the from-scratch form of
+    CandidateGains, whose per-step gains Explore-LF and gamma_max_bound
+    rank by.
     """
-    model = state.model
-    Xc = np.asarray(Xc, dtype=np.float64).reshape(-1, model.dim)
-    nc = Xc.shape[0]
-    kf = model.target_prior.kernel
-    sv = kf.signal_variance
-    if state.n:
-        base = kf.cross(state.X, Xc)
-        Wf = solve_triangular(state.L, base, lower=True, check_finite=False)
-        qf = np.einsum("ij,ij->j", Wf, Wf)
-    else:
-        base = None
-        qf = np.zeros(nc)
-    degenerate = (sv - qf < DEGENERATE_VAR) | (sv < DEGENERATE_VAR)
-    out = {}
-    for lev in range(1, model.m + 1):
-        prior1 = model.prior_variance(lev)
-        if state.n:
-            q1 = qf
+    return CandidateGains(state, Xc).gains()
+
+
+class _Rows:
+    """Rows of one projection W = L^-1 C(X, Xc), and their column sums of
+    squares.
+
+    The rows solved for at once stay as the solve returned them; appended
+    rows go to a tail with room for REBUILD_EVERY of them. That is enough:
+    the joint factor is rebuilt at least every REBUILD_EVERY appends, and
+    CandidateGains then starts every _Rows afresh.
+    """
+
+    __slots__ = ("head", "tail", "k", "sq")
+
+    def __init__(self, L, C):
+        # C is Fortran-ordered and owned here, so the solve runs in place
+        self.head = solve_triangular(L, C, lower=True, overwrite_b=True, check_finite=False)
+        self.sq = np.einsum("ij,ij->j", self.head, self.head)
+        self.tail = np.empty((REBUILD_EVERY, C.shape[1]))
+        self.k = 0
+
+    def append(self, c, w, d) -> None:
+        """Add the row for a new last row [w, d] of L and row c of C."""
+        n0 = self.head.shape[0]
+        r = (c - w[:n0] @ self.head - w[n0:] @ self.tail[: self.k]) / d
+        self.tail[self.k] = r
+        self.k += 1
+        self.sq += r * r
+
+
+class CandidateGains:
+    """batch_info_gains for a fixed candidate matrix Xc, kept current as a
+    greedy loop appends its picks one at a time.
+
+    It holds the projections the gains are made of: W_f = L^-1 k_f(X, Xc)
+    over the state's joint factor L; for each low fidelity l with points in
+    the state, W_l = L^-1 (k_f + k_eps_l on l's rows)(X, Xc); for each error
+    factor, W_eps_l = L_eps_l^-1 k_eps_l(X_l, Xc); and the column sums of
+    squares of each. append(action) advances the CovState and adds one row
+    to each projection the new point enters, r = (c(x, Xc) - w^T W) / d,
+    where [w, d] is the factor's new last row. A step thus costs O(n nc)
+    instead of the O(n^2 nc) of a fresh solve. When the joint factor was
+    rebuilt (every REBUILD_EVERY appends, or when extending it failed) or a
+    fidelity gets its first point, every projection is recomputed from
+    scratch at the next gains(); when only an error factor was rebuilt, its
+    own projection is.
+    """
+
+    def __init__(self, state: CovState, Xc):
+        self.state = state
+        self.Xc = np.asarray(Xc, dtype=np.float64).reshape(-1, state.model.dim)
+        self._wf = None  # None: recompute everything at the next gains()
+        self._wl: dict[int, _Rows] = {}
+        self._we: dict[int, _Rows] = {}
+
+    def _recompute(self) -> None:
+        state = self.state
+        model = state.model
+        # built transposed, so the blocks are Fortran-ordered and every
+        # solve runs in place instead of on a copy
+        base = model.target_prior.kernel.cross(self.Xc, state.X).T
+        self._wl = {}
+        for lev in range(1, model.m):
+            idx = np.flatnonzero(state.fids == lev)
+            if idx.size:
+                cross = base.copy(order="F")
+                cross[idx, :] += model.error_kernel(lev).cross(state.X[idx], self.Xc)
+                self._wl[lev] = _Rows(state.L, cross)
+        self._wf = _Rows(state.L, base)
+        self._we = {lev: self._err_rows(lev) for lev in state.err}
+
+    def _err_rows(self, lev) -> _Rows:
+        ef = self.state.err[lev]
+        ker = self.state.model.error_kernel(lev)
+        return _Rows(ef.L, ker.cross(self.Xc, self.state.X[ef.idx]).T)
+
+    def append(self, action: Action) -> None:
+        """Condition on one more observation at action."""
+        old = self.state
+        self.state = new = old.append(action)
+        if self._wf is None:
+            return
+        lev = action.fidelity
+        model = new.model
+        if new.since_rebuild == 0 or (lev < model.m and lev not in old.err):
+            self._wf, self._wl, self._we = None, {}, {}
+            return
+        x1 = action.x[None, :]
+        w, d = new.L[-1, :-1], new.L[-1, -1]
+        kf_row = model.target_prior.kernel.cross(x1, self.Xc)[0]
+        self._wf.append(kf_row, w, d)
+        ke_row = model.error_kernel(lev).cross(x1, self.Xc)[0] if lev < model.m else None
+        for l, rows in self._wl.items():
+            rows.append(kf_row + ke_row if l == lev else kf_row, w, d)
+        if ke_row is None:
+            return
+        ef = new.err[lev]
+        if ef.since_rebuild == 0:
+            self._we[lev] = self._err_rows(lev)
+        else:
+            self._we[lev].append(ke_row, ef.L[-1, :-1], ef.L[-1, -1])
+
+    def gains(self) -> dict[int, np.ndarray]:
+        """{fidelity: gains} at the current state, as batch_info_gains."""
+        if self._wf is None:
+            self._recompute()
+        model = self.state.model
+        nc = self.Xc.shape[0]
+        sv = model.target_prior.kernel.signal_variance
+        qf = self._wf.sq
+        degenerate = (sv - qf < DEGENERATE_VAR) | (sv < DEGENERATE_VAR)
+        out = {}
+        for lev in range(1, model.m + 1):
+            v1 = model.prior_variance(lev) - (self._wl[lev].sq if lev in self._wl else qf)
             if lev < model.m:
-                idx = np.flatnonzero(state.fids == lev)
-                if idx.size:
-                    cross = base.copy()
-                    cross[idx, :] += model.error_kernel(lev).cross(state.X[idx], Xc)
-                    W = solve_triangular(state.L, cross, lower=True, check_finite=False)
-                    q1 = np.einsum("ij,ij->j", W, W)
-            v1 = prior1 - q1
-        else:
-            v1 = np.full(nc, prior1)
-        if lev < model.m:
-            ker = model.error_kernel(lev)
-            v0 = np.full(nc, ker.signal_variance + model.noise_variance(lev))
-            ef = state.err.get(lev)
-            if ef is not None:
-                We = solve_triangular(
-                    ef.L, ker.cross(state.X[ef.idx], Xc), lower=True, check_finite=False
-                )
-                v0 = v0 - np.einsum("ij,ij->j", We, We)
-        else:
-            v0 = np.full(nc, model.noise_variance(model.m))
-        gains = 0.5 * np.log(np.maximum(v1, 1e-300) / np.maximum(v0, 1e-300))
-        gains[degenerate] = 0.0
-        out[lev] = gains
-    return out
+                ker = model.error_kernel(lev)
+                v0 = np.full(nc, ker.signal_variance + model.noise_variance(lev))
+                if lev in self._we:
+                    v0 = v0 - self._we[lev].sq
+            else:
+                v0 = np.full(nc, model.noise_variance(model.m))
+            gains = 0.5 * np.log(np.maximum(v1, 1e-300) / np.maximum(v0, 1e-300))
+            gains[degenerate] = 0.0
+            out[lev] = gains
+        return out
 
 
 # --------------------------------------------------------------------------

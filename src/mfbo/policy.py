@@ -96,6 +96,7 @@ class Trace:
     recommendation: Optional[np.ndarray]
     recommendation_value: float
     failed: bool = False
+    error: Optional[str] = None   # "NumericalError: ..." when failed
 
     @property
     def n_episodes(self) -> int:
@@ -192,6 +193,7 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
     t = 0
     explored_once = False
     failed = False
+    error = None
 
     while budget - spent >= lam_m:
         t += 1
@@ -243,8 +245,9 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
             )
             episodes.append(episode)
             spent += episode.cost
-        except NumericalError:
+        except NumericalError as exc:
             failed = True
+            error = "%s: %s" % (type(exc).__name__, exc)
             break
 
     mean, _ = predict_latent_diag(history, candidates.points)
@@ -260,4 +263,5 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
         recommendation=candidates.points[ridx].copy(),
         recommendation_value=float(mean[ridx]),
         failed=failed,
+        error=error,
     )

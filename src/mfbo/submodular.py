@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .acquisition import CandidateSet
-from .model import Action, CovState, FidelityModel, History, batch_info_gains, info_gain_set
+from .model import Action, CandidateGains, FidelityModel, History, info_gain_set
 
 # best-of-two greedy approximation factor for the submodular knapsack
 KS_GUARANTEE = 0.5 * (1.0 - float(np.exp(-1.0)))
@@ -171,7 +171,9 @@ def gamma_max_bound(
     yields a smaller (tighter) bound. S2 is a set: each (point, fidelity)
     pair enters at most once, and the loop ends early if every pair is
     already selected. Ties break to the lowest fidelity, then the lowest
-    candidate index, as in explore_lf.
+    candidate index, as in explore_lf. As there, the gains come from one
+    CandidateGains: each pick adds one row per candidate projection, and
+    a rebuilt factor makes them recompute from scratch.
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
@@ -180,9 +182,9 @@ def gamma_max_bound(
     low = list(range(1, model.m))
     c_max = float(max(model.costs[lev - 1] for lev in low))
     empty = History.empty(model)
-    state: CovState = empty.cov
+    cands = CandidateGains(empty.cov, candidates.points)
 
-    gains0 = batch_info_gains(state, candidates.points)
+    gains0 = cands.gains()
     i_single = max(float(gains0[lev].max()) for lev in low)
 
     selected: list[Action] = []
@@ -190,7 +192,7 @@ def gamma_max_bound(
     cost2 = 0.0
     gamma = i_single / KS_GUARANTEE
     while cost2 <= budget:
-        gains = gains0 if not selected else batch_info_gains(state, candidates.points)
+        gains = cands.gains()
         best_ratio = -np.inf
         pick = None
         for lev in low:
@@ -206,7 +208,7 @@ def gamma_max_bound(
         action = Action(x=candidates.points[i], fidelity=lev)
         selected.append(action)
         cost2 += float(model.costs[lev - 1])
-        state = state.append(action)
+        cands.append(action)
         i_set = info_gain_set(empty, selected)
         gamma = max(i_single, i_set) / KS_GUARANTEE
         if cost2 <= c_max:

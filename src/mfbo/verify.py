@@ -368,8 +368,8 @@ def criterion_relative_performance():
     mf, _ = final["mf_mi_greedy"]
     ete, _ = final["explore_then_exploit"]
     sf, n = final["sf_only"]
-    ok = mf <= 1.10 * sf and mf <= ete and elapsed < 600.0 and n == 20
-    return ok, "mf %.4f vs 1.10*sf %.4f and ete %.4f (n=%d, %.0fs, limit 600s)" % (
+    ok = mf <= 1.10 * sf and mf <= ete and elapsed < 200.0 and n == 20
+    return ok, "mf %.4f vs 1.10*sf %.4f and ete %.4f (n=%d, %.0fs, limit 200s)" % (
         mf, 1.10 * sf, ete, n, elapsed)
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from mfbo import policy
 from mfbo.cli import _build_parser, _config_from_args, main as cli_main
 from mfbo.harness import (
     ConfigError,
@@ -12,6 +13,7 @@ from mfbo.harness import (
     run_seed,
     summarize,
 )
+from mfbo.gp import chol_factor
 from mfbo.policy import POLICY_NAMES, PolicyConfig, sf_only
 from mfbo.verify import make_toy_problem
 
@@ -225,6 +227,29 @@ class TestRunExperiment:
         result = run_experiment(cfg, out_dir=str(tmp_path / "actual"))
         assert (tmp_path / "actual" / "summary.csv").exists()
         assert result.summary_path.endswith("actual/summary.csv")
+
+
+    def test_numerical_error_reported_with_its_message(self, tmp_path, monkeypatch):
+        real = policy.predict_latent_diag
+        calls = []
+
+        def failing_third_call(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                chol_factor(-np.eye(3))  # raises the real NumericalError
+            return real(*args)
+
+        monkeypatch.setattr(policy, "predict_latent_diag", failing_third_call)
+        cfg = tiny_config(tmp_path / "r", budget_mult=5.0, n_seeds=1, policies=("sf_only",))
+        lines = []
+        result = run_experiment(cfg, log=lines.append)
+        (outcome,) = result.outcomes
+        assert outcome.trace.n_episodes == 2  # the episodes before the failure
+        assert outcome.trace.failed
+        assert outcome.error == outcome.trace.error
+        assert outcome.error.startswith("NumericalError: Cholesky failed for 3x3 matrix")
+        assert "failed: NumericalError: Cholesky failed" in lines[0]
+        assert result.n_failed == 1
 
 
 class TestSummarize:

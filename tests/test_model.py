@@ -5,7 +5,10 @@ from scipy.linalg import solve_triangular
 from conftest import info_gain_single
 from mfbo.gp import GpPrior, SquaredExpKernel, posterior
 from mfbo.model import (
+    REBUILD_EVERY,
     Action,
+    CandidateGains,
+    CovState,
     FidelityModel,
     History,
     HyperGrid,
@@ -335,6 +338,79 @@ class TestInfoGain:
             for i in range(9):
                 expect = info_gain_single(h, Action(x=Xc[i], fidelity=fid))
                 assert gains[fid][i] == pytest.approx(expect, abs=1e-9)
+
+
+class TestCandidateGains:
+    """Incremental gains against a fresh batch_info_gains after every append."""
+
+    @staticmethod
+    def _rebuilds(old: CovState, new: CovState, lev: int) -> set:
+        """Which from-scratch recomputations appending at lev caused."""
+        m = old.model.m
+        out = set()
+        if lev < m and lev not in old.err:
+            out.add("first point at %d" % lev)
+        if new.since_rebuild == 0:
+            out.add("joint every" if old.since_rebuild + 1 >= REBUILD_EVERY
+                    else "joint extend failed")
+        elif lev < m and lev in old.err and new.err[lev].since_rebuild == 0:
+            out.add("error factor")
+        return out
+
+    def _run(self, model, Xc, choose, steps) -> set:
+        gains = CandidateGains(CovState.empty(model), Xc)
+        seen = set()
+        for t in range(steps):
+            action = choose(t, gains.gains())
+            old = gains.state
+            gains.append(action)
+            seen |= self._rebuilds(old, gains.state, action.fidelity)
+            got = gains.gains()
+            want = batch_info_gains(gains.state, Xc)
+            assert sorted(got) == sorted(want)
+            for lev in want:
+                assert np.allclose(got[lev], want[lev], rtol=0, atol=1e-10), (t, lev)
+        return seen
+
+    def test_300_greedy_steps(self, three_fid_model, rng):
+        Xc = rng.uniform(-1, 1, size=(40, 2))
+
+        def greedy(t, gains):  # argmax gain, fidelities in turn
+            lev = t % 3 + 1
+            return Action(x=Xc[int(np.argmax(gains[lev]))], fidelity=lev)
+
+        seen = self._run(three_fid_model, Xc, greedy, 300)
+        assert {"first point at 1", "first point at 2", "joint every"} <= seen
+
+    def test_failed_extensions(self, three_fid_model, rng):
+        # noiseless target and fidelity 1, unit prior variances: a repeated
+        # point makes the Cholesky pivot exactly 0, so extending the joint
+        # factor fails; once the joint factor carries jitter and the error
+        # factor does not, a repeated fidelity-1 point fails only the latter.
+        # (An error factor never reaches its own REBUILD_EVERY: the joint
+        # factor counts every append and is rebuilt first.)
+        unit = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.5, 0.8]))
+        model = FidelityModel(
+            target_prior=GpPrior(unit, noise_variance=0.0),
+            error_priors=(GpPrior(unit.scaled(1.4, 1.0), noise_variance=0.0),
+                          three_fid_model.error_priors[1]),
+            costs=three_fid_model.costs,
+        )
+        xa, xb = np.array([1.5, -1.5]), np.array([-1.5, 1.5])
+        # candidates near the repeated points feel the jitter a rebuild adds
+        Xc = np.vstack([rng.uniform(-1, 1, size=(40, 2)), xa + 0.03, xb + 0.03])
+        forced = [(xa, 3), (xa, 3), (xb, 1), (xb, 1)]
+
+        def choose(t, gains):
+            if t < len(forced):
+                return Action(x=forced[t][0], fidelity=forced[t][1])
+            # fidelity 2 is noisy: a noiseless pick inside Xc would leave
+            # candidates whose v1 and v0 are both rounding-level
+            return Action(x=Xc[int(np.argmax(gains[2]))], fidelity=2)
+
+        seen = self._run(model, Xc, choose, 12)
+        assert {"joint extend failed", "error factor", "first point at 1",
+                "first point at 2"} <= seen
 
 
 class TestHistory:

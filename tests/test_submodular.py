@@ -13,6 +13,7 @@ from mfbo.model import (
     Observation,
     info_gain_set,
 )
+from mfbo import submodular
 from mfbo.submodular import (
     KS_GUARANTEE,
     GroundSet,
@@ -35,6 +36,43 @@ def coverage_instance(rng, n, universe):
 
     costs = rng.uniform(0.5, 2.0, size=n)
     return GroundSet(costs=costs, utility=f)
+
+
+def gamma_oracle(model, candidates, budget, beta):
+    """Step-by-step gamma_max_bound using only info_gain_single.
+
+    Returns the picked (fidelity, candidate index) pairs and the bound.
+    """
+    low = range(1, model.m)
+    costs = model.costs
+    c_max = float(max(costs[lev - 1] for lev in low))
+    empty = History.empty(model)
+    pairs = [(lev, i) for lev in low for i in range(candidates.n)]
+
+    def gain(h, pair):
+        lev, i = pair
+        return info_gain_single(h, Action(x=candidates.points[i], fidelity=lev))
+
+    i_single = max(gain(empty, p) for p in pairs)
+    gamma = i_single / KS_GUARANTEE
+    h = empty
+    picked = []
+    cost2 = 0.0
+    while cost2 <= budget:
+        scored = [(gain(h, p) / costs[p[0] - 1], p) for p in pairs if p not in picked]
+        if not scored:
+            break
+        scored.sort(key=lambda s: (-s[0], s[1]))
+        lev, i = scored[0][1]
+        picked.append((lev, i))
+        cost2 += float(costs[lev - 1])
+        action = Action(x=candidates.points[i], fidelity=lev)
+        h = h.update(Observation(action, 0.0))
+        actions = [Action(x=candidates.points[j], fidelity=f) for f, j in picked]
+        gamma = max(i_single, info_gain_set(empty, actions)) / KS_GUARANTEE
+        if cost2 > c_max and gamma / (cost2 - c_max) < beta:
+            break
+    return picked, gamma
 
 
 class TestGroundSet:
@@ -187,6 +225,26 @@ class TestGammaMaxBound:
         expect = max(float(gains.max()),
                      info_gain_set(h, (first, second))) / KS_GUARANTEE
         assert bound == pytest.approx(expect, abs=1e-10)
+
+    # every pair taken (16 picks); ratio below beta (14); budget spent (10)
+    @pytest.mark.parametrize("budget, beta", [(30.0, 0.01), (40.0, 1.5), (12.0, 0.05)])
+    def test_matches_oracle_pick_for_pick(self, three_fid_model, rng, monkeypatch, budget, beta):
+        cand = CandidateSet(points=rng.uniform(-1, 1, size=(8, 2)), seed=0)
+        sets = []  # gamma_max_bound scores its set after every pick
+
+        def recording(history, actions):
+            sets.append(list(actions))
+            return info_gain_set(history, actions)
+
+        monkeypatch.setattr(submodular, "info_gain_set", recording)
+        bound = gamma_max_bound(three_fid_model, cand, budget, beta)
+        want_picks, want_bound = gamma_oracle(three_fid_model, cand, budget, beta)
+        got_picks = [
+            (a.fidelity, int(np.flatnonzero((cand.points == a.x).all(axis=1))[0]))
+            for a in (sets[-1] if sets else [])
+        ]
+        assert got_picks == want_picks
+        assert bound == pytest.approx(want_bound, rel=0, abs=1e-12)
 
     def test_single_fidelity_model_is_zero(self):
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 0.1)
