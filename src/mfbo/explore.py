@@ -14,10 +14,10 @@ The reserve keeps one target query affordable: an action at fidelity l is
 feasible only if cost_l <= B - cost(selected) - cost_m. On a non-empty
 result the selected set E certifies info_gain_set(E)/cost(E) >= beta.
 
-The scores come from one CandidateGains per call: each pick adds one row
-to each candidate projection it enters, so a step costs O(n nc) for n
-observations and nc candidates; only a rebuilt factor (or a first point
-at a fidelity) makes them recompute from scratch.
+The scores come from the caller's CandidateGains at the history's state
+(the policy keeps one for a whole run). Each pick is appended to it and
+adds one row to each candidate projection it enters, so a step costs
+O(n nc) for n observations and nc candidates.
 """
 
 from __future__ import annotations
@@ -26,8 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .acquisition import CandidateSet
-from .model import Action, CandidateGains, FidelityModel, History, info_gain_set
+from .model import Action, CandidateGains, History, info_gain_set
 
 BUDGET_EXHAUSTED = "budget_exhausted"
 TARGET_BETTER = "target_better"
@@ -36,10 +35,8 @@ LOW_CUMULATIVE_RATIO = "low_cumulative_ratio"
 
 @dataclass(frozen=True)
 class ExploreConfig:
-    """The candidate set, shared by every fidelity, and the budget
-    exponent of alpha(B) = B**alpha_exponent, valid in (0, 0.5)."""
+    """The budget exponent of alpha(B) = B**alpha_exponent, in (0, 0.5)."""
 
-    candidates: CandidateSet
     alpha_exponent: float = 1.0 / 3.0
 
     def __post_init__(self):
@@ -67,15 +64,18 @@ def alpha_budget(budget: float, exponent: float = 1.0 / 3.0) -> float:
     return float(budget) ** exponent
 
 
-def explore_lf(budget: float, model: FidelityModel, history: History, cfg: ExploreConfig) -> ExploreResult:
-    """Select a lower-fidelity exploration set within the budget reserve."""
+def explore_lf(budget: float, history: History, cfg: ExploreConfig, cands: CandidateGains) -> ExploreResult:
+    """Select a lower-fidelity exploration set within the budget reserve
+    from cands.Xc, shared by every fidelity; each pick is appended to cands."""
+    if cands.state is not history.cov:
+        raise ValueError("cands must hold the history's covariance state")
+    model = history.model
     m = model.m
     beta = 1.0 / alpha_budget(budget, cfg.alpha_exponent) if budget > 0 else np.inf
     target_cost = model.target_cost
     if budget < target_cost:
         return ExploreResult((), 0.0, 0.0, BUDGET_EXHAUSTED, beta)
 
-    cands = CandidateGains(history.cov, cfg.candidates.points)
     selected: list[Action] = []
     cost_sel = 0.0
     running_gain = 0.0
@@ -104,7 +104,7 @@ def explore_lf(budget: float, model: FidelityModel, history: History, cfg: Explo
         if new_gain / new_cost < beta:
             reason = LOW_CUMULATIVE_RATIO
             break
-        action = Action(x=cfg.candidates.points[idx], fidelity=lev)
+        action = Action(x=cands.Xc[idx], fidelity=lev)
         selected.append(action)
         cost_sel = new_cost
         running_gain = new_gain

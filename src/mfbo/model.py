@@ -20,6 +20,7 @@ Fidelities are 1-based; m = number of fidelities = target index.
 from __future__ import annotations
 
 import warnings
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -35,13 +36,15 @@ from .gp import (
     gaussian_entropy,
 )
 
-# A history factorization is extended incrementally; every REBUILD_EVERY
-# appends it is recomputed from scratch to stop error accumulation.
-REBUILD_EVERY = 25
-
 # Below this latent variance a query point is treated as already known and
 # its information gain is exactly zero (avoids log(0/0) degeneracies).
 DEGENERATE_VAR = 1e-12
+
+# Why a factor or a candidate projection was computed from scratch
+FIRST_POINT = "first point"
+JOINT_FAILED = "joint extension failed"
+ERROR_FAILED = "error extension failed"
+NEW_MODEL = "new model"
 
 
 @dataclass(frozen=True, eq=False)
@@ -188,16 +191,8 @@ def _joint_cross(model, Xa, fida, Xb, fidb) -> np.ndarray:
 # --------------------------------------------------------------------------
 # incremental factorization state
 
-class _ErrFactor:
-    """Cholesky of k_eps_l(X_l, X_l) + s2_l I over one fidelity's points."""
-
-    __slots__ = ("idx", "L", "jit", "since_rebuild")
-
-    def __init__(self, idx, L, jit, since_rebuild):
-        self.idx = idx
-        self.L = L
-        self.jit = jit
-        self.since_rebuild = since_rebuild
+# Cholesky of k_eps_l(X_l, X_l) + s2_l I over one fidelity's points X[idx]
+_ErrFactor = namedtuple("_ErrFactor", "idx L jit")
 
 
 class CovState:
@@ -206,36 +201,31 @@ class CovState:
     Holds the joint-covariance Cholesky factor plus one residual-covariance
     factor per low fidelity (the error processes are independent across
     fidelities, so residual conditioning block-diagonalizes). Appending an
-    observation extends each factor by a triangular solve; every
-    REBUILD_EVERY appends the factor is rebuilt from scratch.
+    observation extends each factor it enters by one row (bordered
+    Cholesky); only a failed extension, from a rounding-level pivot as at a
+    noiseless repeated point, recomputes that factor from scratch. rebuilt
+    is JOINT_FAILED or ERROR_FAILED if the append that made the state did
+    so, FIRST_POINT if it started a fidelity's error factor, else None.
     """
 
-    __slots__ = ("model", "X", "fids", "L", "jit", "err", "since_rebuild")
+    __slots__ = ("model", "X", "fids", "L", "jit", "err", "rebuilt")
 
-    def __init__(self, model, X, fids, L, jit, err, since_rebuild):
+    def __init__(self, model, X, fids, L, jit, err, rebuilt=None):
         self.model = model
         self.X = X
         self.fids = fids
         self.L = L
         self.jit = jit
         self.err = err  # dict fidelity -> _ErrFactor
-        self.since_rebuild = since_rebuild
+        self.rebuilt = rebuilt
 
     @classmethod
     def empty(cls, model: FidelityModel) -> "CovState":
-        d = model.dim
-        return cls(
-            model,
-            np.zeros((0, d)),
-            np.zeros(0, dtype=np.int64),
-            np.zeros((0, 0)),
-            0.0,
-            {},
-            0,
-        )
+        no_points = np.zeros((0, model.dim)), np.zeros(0, dtype=np.int64), np.zeros((0, 0))
+        return cls(model, *no_points, 0.0, {})
 
     @classmethod
-    def build(cls, model: FidelityModel, X, fids) -> "CovState":
+    def build(cls, model: FidelityModel, X, fids, rebuilt=None) -> "CovState":
         X = np.asarray(X, dtype=np.float64).reshape(-1, model.dim)
         fids = np.asarray(fids, dtype=np.int64).reshape(-1)
         if X.shape[0] == 0:
@@ -246,14 +236,14 @@ class CovState:
             idx = np.flatnonzero(fids == lev)
             if idx.size:
                 err[lev] = cls._build_err(model, X, idx, lev)
-        return cls(model, X, fids, L, jit, err, 0)
+        return cls(model, X, fids, L, jit, err, rebuilt)
 
     @staticmethod
     def _build_err(model, X, idx, lev) -> _ErrFactor:
         Ke = model.error_kernel(lev).sym(X[idx])
         Ke[np.diag_indices_from(Ke)] += model.noise_variance(lev)
         L, jit = chol_factor(Ke)
-        return _ErrFactor(idx, L, jit, 0)
+        return _ErrFactor(idx, L, jit)
 
     @property
     def n(self) -> int:
@@ -264,43 +254,29 @@ class CovState:
         model._check_fidelity(action.fidelity)
         if action.x.shape[0] != model.dim:
             raise ValueError("action dimension mismatch")
-        Xn = np.vstack([self.X, action.x[None, :]])
-        fn = np.append(self.fids, action.fidelity)
-        if self.since_rebuild + 1 >= REBUILD_EVERY:
-            return CovState.build(model, Xn, fn)
         x1 = action.x[None, :]
-        f1 = np.array([action.fidelity], dtype=np.int64)
-        diag = model.prior_variance(action.fidelity)
-        L = _extend_chol(
-            self.L,
-            _joint_cross(model, self.X, self.fids, x1, f1)[:, 0] if self.n else np.zeros(0),
-            diag + self.jit,
-        )
+        Xn = np.vstack([self.X, x1])
+        fn = np.append(self.fids, action.fidelity)
+        col = _joint_cross(model, self.X, self.fids, x1, fn[-1:])[:, 0]
+        L = _extend_chol(self.L, col, model.prior_variance(action.fidelity) + self.jit)
         if L is None:
-            return CovState.build(model, Xn, fn)
+            return CovState.build(model, Xn, fn, JOINT_FAILED)
         err = dict(self.err)
+        rebuilt = None
         lev = action.fidelity
         if lev < model.m:
             ker = model.error_kernel(lev)
-            old = err.get(lev)
-            if old is None:
-                Le, jite = chol_factor(
-                    np.array([[ker.signal_variance + model.noise_variance(lev)]])
-                )
-                err[lev] = _ErrFactor(np.array([self.n]), Le, jite, 0)
-            elif old.since_rebuild + 1 >= REBUILD_EVERY:
-                err[lev] = self._build_err(model, Xn, np.append(old.idx, self.n), lev)
+            old = err.get(lev, _ErrFactor(np.zeros(0, dtype=np.int64), np.zeros((0, 0)), 0.0))
+            idx = np.append(old.idx, self.n)
+            col = ker.cross(self.X[old.idx], x1)[:, 0]
+            Le = _extend_chol(old.L, col, ker.signal_variance + model.noise_variance(lev) + old.jit)
+            if Le is None:
+                err[lev] = self._build_err(model, Xn, idx, lev)
+                rebuilt = ERROR_FAILED
             else:
-                col = ker.cross(self.X[old.idx], x1)[:, 0]
-                de = ker.signal_variance + model.noise_variance(lev) + old.jit
-                Le = _extend_chol(old.L, col, de)
-                if Le is None:
-                    err[lev] = self._build_err(model, Xn, np.append(old.idx, self.n), lev)
-                else:
-                    err[lev] = _ErrFactor(
-                        np.append(old.idx, self.n), Le, old.jit, old.since_rebuild + 1
-                    )
-        return CovState(model, Xn, fn, L, self.jit, err, self.since_rebuild + 1)
+                err[lev] = _ErrFactor(idx, Le, old.jit)
+                rebuilt = None if lev in self.err else FIRST_POINT
+        return CovState(model, Xn, fn, L, self.jit, err, rebuilt)
 
 
 def _extend_chol(L, col, diag) -> np.ndarray | None:
@@ -352,9 +328,17 @@ class History:
         return cls(model, observations, cov, y, _alpha(model, cov, y))
 
     def update(self, obs: Observation) -> "History":
-        cov = self.cov.append(obs.action)
-        y = np.append(self.y, obs.y)
-        return History(self.model, self.observations + (obs,), cov, y, _alpha(self.model, cov, y))
+        return self.adopt((obs,), self.cov.append(obs.action))
+
+    def adopt(self, observations: Sequence[Observation], cov: CovState) -> "History":
+        """This history plus observations whose actions cov, a
+        CandidateGains.state, holds already, so no factor is extended twice."""
+        observations = self.observations + tuple(observations)
+        if cov.n != len(observations):
+            raise ValueError("covariance state holds %d points for %d observations"
+                             % (cov.n, len(observations)))
+        y = np.append(self.y, [o.y for o in observations[len(self):]])
+        return History(self.model, observations, cov, y, _alpha(self.model, cov, y))
 
     def __len__(self) -> int:
         return len(self.observations)
@@ -386,22 +370,6 @@ def predict_latent(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
     cov = prior_cov - W.T @ W
     cov = 0.5 * (cov + cov.T)
     return mean, cov
-
-
-def predict_latent_diag(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and pointwise variance of f at Xq (no cross terms)."""
-    model = history.model
-    Xq = np.asarray(Xq, dtype=np.float64).reshape(-1, model.dim)
-    kf = model.target_prior.kernel
-    prior_mean = model.target_prior.mean_at(Xq)
-    sv = kf.signal_variance
-    if len(history) == 0:
-        return prior_mean, np.full(Xq.shape[0], sv)
-    Kc = kf.cross(history.cov.X, Xq)
-    mean = prior_mean + Kc.T @ history.alpha
-    W = solve_triangular(history.cov.L, Kc, lower=True, check_finite=False)
-    var = np.maximum(sv - np.einsum("ij,ij->j", W, W), 0.0)
-    return mean, var
 
 
 # --------------------------------------------------------------------------
@@ -472,104 +440,116 @@ def batch_info_gains(state: CovState, Xc) -> dict[int, np.ndarray]:
     return CandidateGains(state, Xc).gains()
 
 
+class _Grow:
+    """Rows appended one at a time to a C-ordered block whose room doubles
+    when full, so an append never copies the rows already there."""
+
+    __slots__ = ("buf", "n")
+
+    def __init__(self, rows):
+        self.buf, self.n = rows, rows.shape[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self.buf[: self.n]
+
+    def append(self, r) -> None:
+        if self.n == self.buf.shape[0]:
+            buf = np.empty((max(2 * self.n, 8), self.buf.shape[1]))
+            buf[: self.n] = self.rows
+            self.buf = buf
+        self.buf[self.n] = r
+        self.n += 1
+
+
 class _Rows:
-    """Rows of one projection W = L^-1 C(X, Xc), and their column sums of
-    squares.
+    """Rows of one projection W = L^-1 C(X, Xc), solved at once (head) or
+    appended one at a time (tail), and their column sums of squares."""
 
-    The rows solved for at once stay as the solve returned them; appended
-    rows go to a tail with room for REBUILD_EVERY of them. That is enough:
-    the joint factor is rebuilt at least every REBUILD_EVERY appends, and
-    CandidateGains then starts every _Rows afresh.
-    """
-
-    __slots__ = ("head", "tail", "k", "sq")
+    __slots__ = ("head", "tail", "sq")
 
     def __init__(self, L, C):
         # C is Fortran-ordered and owned here, so the solve runs in place
         self.head = solve_triangular(L, C, lower=True, overwrite_b=True, check_finite=False)
         self.sq = np.einsum("ij,ij->j", self.head, self.head)
-        self.tail = np.empty((REBUILD_EVERY, C.shape[1]))
-        self.k = 0
+        self.tail = _Grow(np.empty((0, C.shape[1])))
 
     def append(self, c, w, d) -> None:
         """Add the row for a new last row [w, d] of L and row c of C."""
         n0 = self.head.shape[0]
-        r = (c - w[:n0] @ self.head - w[n0:] @ self.tail[: self.k]) / d
-        self.tail[self.k] = r
-        self.k += 1
+        r = (c - w[:n0] @ self.head - w[n0:] @ self.tail.rows) / d
+        self.tail.append(r)
         self.sq += r * r
 
 
 class CandidateGains:
-    """batch_info_gains for a fixed candidate matrix Xc, kept current as a
-    greedy loop appends its picks one at a time.
+    """batch_info_gains and the latent posterior at a fixed candidate matrix
+    Xc, kept current as observations are appended one at a time.
 
-    It holds the projections the gains are made of: W_f = L^-1 k_f(X, Xc)
-    over the state's joint factor L; for each low fidelity l with points in
-    the state, W_l = L^-1 (k_f + k_eps_l on l's rows)(X, Xc); for each error
-    factor, W_eps_l = L_eps_l^-1 k_eps_l(X_l, Xc); and the column sums of
-    squares of each. append(action) advances the CovState and adds one row
-    to each projection the new point enters, r = (c(x, Xc) - w^T W) / d,
-    where [w, d] is the factor's new last row. A step thus costs O(n nc)
-    instead of the O(n^2 nc) of a fresh solve. When the joint factor was
-    rebuilt (every REBUILD_EVERY appends, or when extending it failed) or a
-    fidelity gets its first point, every projection is recomputed from
-    scratch at the next gains(); when only an error factor was rebuilt, its
-    own projection is.
+    It holds W_f = L^-1 k_f(X, Xc) over the state's joint factor L; for
+    each low fidelity l with points, W_l = L^-1 (k_f + k_eps_l on l's
+    rows)(X, Xc); for each error factor, W_eps_l = L_eps_l^-1 k_eps_l(X_l,
+    Xc); the column sums of squares of each; and K_c = k_f(X, Xc) as one
+    C-ordered n x nc block. append(action) advances the CovState and adds
+    one row to K_c and to each projection the point enters, r = (c(x, Xc)
+    - w^T W) / d for the factor's new last row [w, d], at O(n nc) cost.
+    After an append with a `rebuilt` state, or reset(), all is computed
+    afresh at the next use; recomputes counts these computes by cause.
     """
 
     def __init__(self, state: CovState, Xc):
-        self.state = state
         self.Xc = np.asarray(Xc, dtype=np.float64).reshape(-1, state.model.dim)
-        self._wf = None  # None: recompute everything at the next gains()
+        self.recomputes = dict.fromkeys((FIRST_POINT, JOINT_FAILED, ERROR_FAILED, NEW_MODEL), 0)
+        self.reset(state, None)
+
+    def reset(self, state: CovState, cause=NEW_MODEL) -> None:
+        """Drop every projection, to compute afresh at state on next use
+        (by default the state of a new model, after a refit)."""
+        self.state, self._cause = state, cause
+        self._wf = self._kc = None
         self._wl: dict[int, _Rows] = {}
         self._we: dict[int, _Rows] = {}
 
     def _recompute(self) -> None:
+        if self._cause is not None:
+            self.recomputes[self._cause] += 1
         state = self.state
         model = state.model
-        # built transposed, so the blocks are Fortran-ordered and every
-        # solve runs in place instead of on a copy
-        base = model.target_prior.kernel.cross(self.Xc, state.X).T
+        kc = model.target_prior.kernel.cross(state.X, self.Xc)
+        # solved on Fortran-ordered copies, so every solve runs in place
         self._wl = {}
         for lev in range(1, model.m):
             idx = np.flatnonzero(state.fids == lev)
             if idx.size:
-                cross = base.copy(order="F")
+                cross = kc.copy(order="F")
                 cross[idx, :] += model.error_kernel(lev).cross(state.X[idx], self.Xc)
                 self._wl[lev] = _Rows(state.L, cross)
-        self._wf = _Rows(state.L, base)
-        self._we = {lev: self._err_rows(lev) for lev in state.err}
-
-    def _err_rows(self, lev) -> _Rows:
-        ef = self.state.err[lev]
-        ker = self.state.model.error_kernel(lev)
-        return _Rows(ef.L, ker.cross(self.Xc, self.state.X[ef.idx]).T)
+        self._wf = _Rows(state.L, kc.copy(order="F"))
+        self._kc = _Grow(kc)
+        self._we = {
+            lev: _Rows(ef.L, model.error_kernel(lev).cross(self.Xc, state.X[ef.idx]).T)
+            for lev, ef in state.err.items()
+        }
 
     def append(self, action: Action) -> None:
         """Condition on one more observation at action."""
-        old = self.state
-        self.state = new = old.append(action)
+        self.state = new = self.state.append(action)
         if self._wf is None:
             return
+        if new.rebuilt is not None:
+            return self.reset(new, new.rebuilt)
         lev = action.fidelity
         model = new.model
-        if new.since_rebuild == 0 or (lev < model.m and lev not in old.err):
-            self._wf, self._wl, self._we = None, {}, {}
-            return
         x1 = action.x[None, :]
         w, d = new.L[-1, :-1], new.L[-1, -1]
         kf_row = model.target_prior.kernel.cross(x1, self.Xc)[0]
+        self._kc.append(kf_row)
         self._wf.append(kf_row, w, d)
         ke_row = model.error_kernel(lev).cross(x1, self.Xc)[0] if lev < model.m else None
         for l, rows in self._wl.items():
             rows.append(kf_row + ke_row if l == lev else kf_row, w, d)
-        if ke_row is None:
-            return
-        ef = new.err[lev]
-        if ef.since_rebuild == 0:
-            self._we[lev] = self._err_rows(lev)
-        else:
+        if ke_row is not None:
+            ef = new.err[lev]
             self._we[lev].append(ke_row, ef.L[-1, :-1], ef.L[-1, -1])
 
     def gains(self) -> dict[int, np.ndarray]:
@@ -595,6 +575,18 @@ class CandidateGains:
             gains[degenerate] = 0.0
             out[lev] = gains
         return out
+
+    def posterior(self, history: History) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean, prior + K_c^T alpha, and pointwise variance,
+        sv - (W_f column sums of squares) floored at 0, of f at Xc given
+        history, whose covariance state must be this object's."""
+        if history.cov is not self.state:
+            raise ValueError("history does not hold this object's covariance state")
+        if self._wf is None:
+            self._recompute()
+        prior = self.state.model.target_prior
+        mean = prior.mean_at(self.Xc) + self._kc.rows.T @ history.alpha
+        return mean, np.maximum(prior.kernel.signal_variance - self._wf.sq, 0.0)
 
 
 # --------------------------------------------------------------------------

@@ -14,6 +14,11 @@ An episode starts only while the remaining budget covers one target query,
 so the budget is never overdrawn. Episode bookkeeping retains exploration
 cost, certified exploration information gain and the exploration threshold
 beta for later regret accounting.
+
+A run keeps one CandidateGains over its candidate set. Explore-LF and the
+target query append to it, the History adopts its covariance state (each
+observation extends the factors once), and the target choice and the
+recommendation read the latent posterior from it. A model refit resets it.
 """
 
 from __future__ import annotations
@@ -28,12 +33,12 @@ from .explore import ExploreConfig, explore_lf
 from .gp import NumericalError
 from .model import (
     Action,
+    CandidateGains,
     FidelityModel,
     History,
     Observation,
     default_hyper_grid,
     fit_hyperparameters,
-    predict_latent_diag,
 )
 from .util import mix64
 
@@ -183,10 +188,11 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
     noise_rng = np.random.default_rng(mix64(seed, "noise"))
     schedule = UcbSchedule(delta=cfg.delta)
     alpha_mi = cfg.alpha_mi if cfg.alpha_mi is not None else float(np.log(2.0 / cfg.delta))
-    explore_cfg = ExploreConfig(candidates=candidates, alpha_exponent=cfg.alpha_exponent)
+    explore_cfg = ExploreConfig(alpha_exponent=cfg.alpha_exponent)
     grid = None
 
     history = History.empty(model)
+    cands = CandidateGains(history.cov, candidates.points)
     episodes: list[Episode] = []
     spent = 0.0
     gamma_mi = 0.0
@@ -210,25 +216,25 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
                 if refit is not model:
                     model = refit
                     history = History.from_observations(model, history.observations)
+                    cands.reset(history.cov)
 
             low_obs: list[Observation] = []
             result = None
             if explore == "each" or (explore == "once" and not explored_once):
-                result = explore_lf(budget - spent, model, history, explore_cfg)
+                result = explore_lf(budget - spent, history, explore_cfg, cands)
                 explored_once = True
-                for action in result.selected:
-                    obs = Observation(action, problem.evaluate(action, noise_rng))
-                    history = history.update(obs)
-                    low_obs.append(obs)
+                low_obs = [Observation(a, problem.evaluate(a, noise_rng)) for a in result.selected]
+                history = history.adopt(low_obs, cands.state)
 
-            mean, var = predict_latent_diag(history, candidates.points)
+            mean, var = cands.posterior(history)
             if cfg.subroutine == "gp_ucb":
                 idx = gp_ucb_select(mean, var, schedule, t)
             else:
                 idx, gamma_mi = gp_mi_select(mean, var, gamma_mi, alpha_mi)
             target_action = Action(x=candidates.points[idx], fidelity=m)
             target_obs = Observation(target_action, problem.evaluate(target_action, noise_rng))
-            history = history.update(target_obs)
+            cands.append(target_action)
+            history = history.adopt((target_obs,), cands.state)
 
             ep_explore_cost = result.cost if result is not None else 0.0
             episode = Episode(
@@ -248,9 +254,11 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
         except NumericalError as exc:
             failed = True
             error = "%s: %s" % (type(exc).__name__, exc)
+            if cands.state is not history.cov:  # an append failed partway
+                cands = CandidateGains(history.cov, candidates.points)
             break
 
-    mean, _ = predict_latent_diag(history, candidates.points)
+    mean, _ = cands.posterior(history)
     ridx = int(np.argmax(mean))
     return Trace(
         problem_name=getattr(problem, "name", "unknown"),

@@ -26,6 +26,7 @@ from .gp import GpPrior, SquaredExpKernel, posterior
 from .harness import ExperimentConfig, run_experiment, summarize, checkpoint_costs
 from .model import (
     Action,
+    CandidateGains,
     FidelityModel,
     History,
     Observation,
@@ -297,8 +298,7 @@ def criterion_explore_certificate():
             hist = hist.update(Observation(a, prob.evaluate(a, rng)))
         budget = float(rng.uniform(1.0, 30.0))
         cand = make_candidates(prob.bounds, 64, seed=1000 + i)
-        cfg = ExploreConfig(candidates=cand)
-        res = explore_lf(budget, model, hist, cfg)
+        res = explore_lf(budget, hist, ExploreConfig(), CandidateGains(hist.cov, cand.points))
         if not res.selected:
             continue
         nonempty += 1

@@ -64,6 +64,24 @@ def info_gain_single(history: History, action: Action, state: CovState | None = 
     return 0.5 * float(np.log(max(v1, 1e-300) / max(v0, 1e-300)))
 
 
+# from-scratch oracle for CandidateGains.posterior: the latent posterior at
+# Xq from one fresh solve, K_c built in one block
+def predict_latent_diag(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and pointwise variance of f at Xq (no cross terms)."""
+    model = history.model
+    Xq = np.asarray(Xq, dtype=np.float64).reshape(-1, model.dim)
+    kf = model.target_prior.kernel
+    prior_mean = model.target_prior.mean_at(Xq)
+    sv = kf.signal_variance
+    if len(history) == 0:
+        return prior_mean, np.full(Xq.shape[0], sv)
+    Kc = kf.cross(history.cov.X, Xq)
+    mean = prior_mean + Kc.T @ history.alpha
+    W = solve_triangular(history.cov.L, Kc, lower=True, check_finite=False)
+    var = np.maximum(sv - np.einsum("ij,ij->j", W, W), 0.0)
+    return mean, var
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

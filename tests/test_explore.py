@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from conftest import info_gain_single
-from mfbo.acquisition import CandidateSet
 from mfbo.explore import (
     BUDGET_EXHAUSTED,
     LOW_CUMULATIVE_RATIO,
@@ -15,6 +14,7 @@ from mfbo.explore import (
 from mfbo.gp import GpPrior, SquaredExpKernel
 from mfbo.model import (
     Action,
+    CandidateGains,
     FidelityModel,
     History,
     Observation,
@@ -24,14 +24,14 @@ from mfbo.model import (
 POINTS3 = np.array([[-0.6], [0.0], [0.7]])
 
 
-def shared_config(points=POINTS3, exponent=1.0 / 3.0):
-    cand = CandidateSet(points=points, seed=0)
-    return ExploreConfig(candidates=cand, alpha_exponent=exponent)
+def explore(budget, history, points=POINTS3):
+    """explore_lf over points, ranked by a fresh CandidateGains."""
+    return explore_lf(budget, history, ExploreConfig(), CandidateGains(history.cov, points))
 
 
-def greedy_oracle(budget, model, history, cfg):
+def greedy_oracle(budget, model, history, points=POINTS3):
     """Step-by-step reimplementation using only info_gain_single."""
-    beta = 1.0 / alpha_budget(budget, cfg.alpha_exponent)
+    beta = 1.0 / alpha_budget(budget, ExploreConfig().alpha_exponent)
     lam = model.costs
     lam_m = float(lam[-1])
     if budget < lam_m:
@@ -46,7 +46,7 @@ def greedy_oracle(budget, model, history, cfg):
         for lev in range(1, model.m + 1):
             if lam[lev - 1] > reserve:
                 continue
-            for i, x in enumerate(cfg.candidates.points):
+            for i, x in enumerate(points):
                 a = Action(x=x, fidelity=lev)
                 g = info_gain_single(h, a)
                 scored.append((g / lam[lev - 1], lev, i, g, a))
@@ -66,15 +66,13 @@ def greedy_oracle(budget, model, history, cfg):
 
 class TestStoppingConditions:
     def test_budget_below_target_cost(self, two_fid_model):
-        res = explore_lf(2.5, two_fid_model, History.empty(two_fid_model),
-                         shared_config())
+        res = explore(2.5, History.empty(two_fid_model))
         assert res.selected == () and res.stop_reason == BUDGET_EXHAUSTED
         assert res.cost == 0.0 and res.cumulative_info_gain == 0.0
 
     def test_no_room_for_any_lower_query(self, two_fid_model):
         # B - lambda_m = 0.5 < cheapest lower cost 1
-        res = explore_lf(3.5, two_fid_model, History.empty(two_fid_model),
-                         shared_config())
+        res = explore(3.5, History.empty(two_fid_model))
         assert res.selected == () and res.stop_reason == BUDGET_EXHAUSTED
 
     def test_target_better_immediately(self):
@@ -83,14 +81,13 @@ class TestStoppingConditions:
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.4])), 0.05)
         e = GpPrior(SquaredExpKernel(signal_variance=10.0, lengthscales=np.array([0.6])), 0.05)
         model = FidelityModel(target_prior=t, error_priors=(e,), costs=np.array([2.9, 3.0]))
-        res = explore_lf(10.0, model, History.empty(model), shared_config())
+        res = explore(10.0, History.empty(model))
         assert res.selected == () and res.stop_reason == TARGET_BETTER
 
     def test_low_ratio_exit(self, two_fid_model):
         # B=8: beta = 1/2, and the fifth cheap query would drag the
         # cumulative gain per cost under it
-        res = explore_lf(8.0, two_fid_model, History.empty(two_fid_model),
-                         shared_config(points=np.array([[-1.0], [0.0], [1.0]])))
+        res = explore(8.0, History.empty(two_fid_model), np.array([[-1.0], [0.0], [1.0]]))
         assert res.stop_reason == LOW_CUMULATIVE_RATIO
         assert res.size == 4
         assert res.cumulative_info_gain / res.cost >= res.beta - 1e-10
@@ -98,14 +95,13 @@ class TestStoppingConditions:
 
 class TestGreedySequence:
     def test_matches_per_step_oracle(self, two_fid_model, rng):
-        cfg = shared_config()
         for budget in (5.0, 9.0, 14.0, 30.0, 100.0):
             h = History.empty(two_fid_model)
             for _ in range(int(rng.integers(0, 3))):
                 a = Action(x=rng.uniform(-1, 1, size=1), fidelity=int(rng.integers(1, 3)))
                 h = h.update(Observation(a, float(rng.standard_normal())))
-            res = explore_lf(budget, two_fid_model, h, cfg)
-            want, want_reason = greedy_oracle(budget, two_fid_model, h, cfg)
+            res = explore(budget, h)
+            want, want_reason = greedy_oracle(budget, two_fid_model, h)
             assert res.stop_reason == want_reason
             assert len(res.selected) == len(want)
             for got, exp in zip(res.selected, want):
@@ -114,19 +110,17 @@ class TestGreedySequence:
 
     def test_three_fidelity_oracle(self, three_fid_model, rng):
         pts = rng.uniform(-1, 1, size=(3, 2))
-        cfg = shared_config(points=pts)
         h = History.empty(three_fid_model)
         for budget in (8.0, 20.0, 60.0):
-            res = explore_lf(budget, three_fid_model, h, cfg)
-            want, want_reason = greedy_oracle(budget, three_fid_model, h, cfg)
+            res = explore(budget, h, pts)
+            want, want_reason = greedy_oracle(budget, three_fid_model, h, pts)
             assert res.stop_reason == want_reason
             assert [a.fidelity for a in res.selected] == [a.fidelity for a in want]
             for got, exp in zip(res.selected, want):
                 assert np.allclose(got.x, exp.x)
 
     def test_gain_chain_sum_matches_joint(self, two_fid_model):
-        res = explore_lf(40.0, two_fid_model, History.empty(two_fid_model),
-                         shared_config())
+        res = explore(40.0, History.empty(two_fid_model))
         assert res.size >= 2
         h = History.empty(two_fid_model)
         chain = 0.0
@@ -138,7 +132,6 @@ class TestGreedySequence:
 
 class TestCertificate:
     def test_ratio_and_reserve_hold(self, two_fid_model, rng):
-        cfg = shared_config()
         nonempty = 0
         for i in range(25):
             budget = float(rng.uniform(4.0, 40.0))
@@ -146,7 +139,7 @@ class TestCertificate:
             for _ in range(int(rng.integers(0, 4))):
                 a = Action(x=rng.uniform(-1, 1, size=1), fidelity=int(rng.integers(1, 3)))
                 h = h.update(Observation(a, float(rng.standard_normal())))
-            res = explore_lf(budget, two_fid_model, h, cfg)
+            res = explore(budget, h)
             assert res.beta == pytest.approx(1.0 / alpha_budget(budget))
             for a in res.selected:
                 assert a.fidelity < two_fid_model.m
@@ -158,18 +151,33 @@ class TestCertificate:
         assert nonempty >= 5
 
     def test_cost_is_sum_of_costs(self, two_fid_model):
-        res = explore_lf(25.0, two_fid_model, History.empty(two_fid_model),
-                         shared_config())
+        res = explore(25.0, History.empty(two_fid_model))
         expect = sum(two_fid_model.costs[a.fidelity - 1] for a in res.selected)
         assert res.cost == pytest.approx(expect)
 
 
+class TestCallerGains:
+    def test_picks_are_appended_to_the_callers_object(self, two_fid_model):
+        h = History.empty(two_fid_model)
+        cands = CandidateGains(h.cov, POINTS3)
+        res = explore_lf(40.0, h, ExploreConfig(), cands)
+        assert res.size >= 2
+        assert np.array_equal(cands.state.X, [a.x for a in res.selected])
+        assert list(cands.state.fids) == [a.fidelity for a in res.selected]
+
+    def test_rejects_an_object_at_another_state(self, two_fid_model):
+        h = History.empty(two_fid_model)
+        cands = CandidateGains(h.cov, POINTS3)
+        h1 = h.update(Observation(Action(x=np.array([0.2]), fidelity=1), 0.0))
+        with pytest.raises(ValueError, match="covariance state"):
+            explore_lf(40.0, h1, ExploreConfig(), cands)
+
+
 class TestConfig:
     def test_alpha_exponent_range(self):
-        cand = CandidateSet(points=POINTS3, seed=0)
         for bad in (0.0, 0.5, 0.6, -0.1):
             with pytest.raises(ValueError):
-                ExploreConfig(candidates=cand, alpha_exponent=bad)
+                ExploreConfig(alpha_exponent=bad)
 
     def test_alpha_budget(self):
         assert alpha_budget(27.0) == pytest.approx(3.0)

@@ -230,16 +230,16 @@ class TestRunExperiment:
 
 
     def test_numerical_error_reported_with_its_message(self, tmp_path, monkeypatch):
-        real = policy.predict_latent_diag
+        real = policy.CandidateGains.posterior
         calls = []
 
-        def failing_third_call(*args):
+        def failing_third_call(*args):  # the third episode's posterior
             calls.append(1)
             if len(calls) == 3:
                 chol_factor(-np.eye(3))  # raises the real NumericalError
             return real(*args)
 
-        monkeypatch.setattr(policy, "predict_latent_diag", failing_third_call)
+        monkeypatch.setattr(policy.CandidateGains, "posterior", failing_third_call)
         cfg = tiny_config(tmp_path / "r", budget_mult=5.0, n_seeds=1, policies=("sf_only",))
         lines = []
         result = run_experiment(cfg, log=lines.append)

@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
-from conftest import info_gain_single
-from mfbo.gp import GpPrior, SquaredExpKernel, posterior
+from conftest import info_gain_single, predict_latent_diag
+from mfbo.benchmarks import make_problem
+from mfbo.gp import GpPrior, SquaredExpKernel, chol_factor, posterior
 from mfbo.model import (
-    REBUILD_EVERY,
+    ERROR_FAILED,
+    FIRST_POINT,
+    JOINT_FAILED,
     Action,
     CandidateGains,
     CovState,
@@ -14,13 +17,13 @@ from mfbo.model import (
     HyperGrid,
     Observation,
     _joint_cross,
+    _joint_sym,
     batch_info_gains,
     default_hyper_grid,
     fit_hyperparameters,
     info_gain_set,
     log_marginal_likelihood,
     predict_latent,
-    predict_latent_diag,
 )
 
 
@@ -329,7 +332,7 @@ class TestInfoGain:
             big = info_gain_set(h, actions[: k + 1])
             assert big >= small - 1e-8
 
-    @pytest.mark.parametrize("n_hist", [5, 30])  # 30 crosses REBUILD_EVERY
+    @pytest.mark.parametrize("n_hist", [5, 30])
     def test_batch_matches_singles(self, three_fid_model, rng, n_hist):
         h = random_history(rng, three_fid_model, n_hist)
         Xc = rng.uniform(-1, 1, size=(9, 2))
@@ -343,52 +346,57 @@ class TestInfoGain:
 class TestCandidateGains:
     """Incremental gains against a fresh batch_info_gains after every append."""
 
-    @staticmethod
-    def _rebuilds(old: CovState, new: CovState, lev: int) -> set:
-        """Which from-scratch recomputations appending at lev caused."""
-        m = old.model.m
-        out = set()
-        if lev < m and lev not in old.err:
-            out.add("first point at %d" % lev)
-        if new.since_rebuild == 0:
-            out.add("joint every" if old.since_rebuild + 1 >= REBUILD_EVERY
-                    else "joint extend failed")
-        elif lev < m and lev in old.err and new.err[lev].since_rebuild == 0:
-            out.add("error factor")
-        return out
-
     def _run(self, model, Xc, choose, steps) -> set:
+        """Append steps picks; return the (cause, fidelity) of each append
+        that computed a factor from scratch."""
         gains = CandidateGains(CovState.empty(model), Xc)
-        seen = set()
+        seen = []
         for t in range(steps):
             action = choose(t, gains.gains())
-            old = gains.state
             gains.append(action)
-            seen |= self._rebuilds(old, gains.state, action.fidelity)
+            if gains.state.rebuilt is not None:
+                seen.append((gains.state.rebuilt, action.fidelity))
             got = gains.gains()
             want = batch_info_gains(gains.state, Xc)
             assert sorted(got) == sorted(want)
             for lev in want:
                 assert np.allclose(got[lev], want[lev], rtol=0, atol=1e-10), (t, lev)
-        return seen
+        # gains() follows every append, so each cause costs one recompute
+        assert gains.recomputes == {cause: sum(c == cause for c, _ in seen)
+                                    for cause in gains.recomputes}
+        return set(seen)
 
     def test_300_greedy_steps(self, three_fid_model, rng):
-        Xc = rng.uniform(-1, 1, size=(40, 2))
+        # three_fid_model's noisy fidelities 1 and 2 take the greedy picks
+        # in turn; a noiseless fidelity 3 and target are queried only at
+        # repeated points outside the candidate box, so that extending the
+        # joint factor and then fidelity 3's error factor fails partway
+        unit = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.5, 0.8]))
+        tp = three_fid_model.target_prior
+        model = FidelityModel(
+            target_prior=GpPrior(tp.kernel, noise_variance=0.0, mean=tp.mean),
+            error_priors=three_fid_model.error_priors + (GpPrior(unit, noise_variance=0.0),),
+            costs=np.array([1.0, 2.0, 3.0, 4.0]),
+        )
+        xa, xb = np.array([1.5, -1.5]), np.array([-1.5, 1.5])
+        Xc = np.vstack([rng.uniform(-1, 1, size=(40, 2)), xa + 0.03, xb + 0.03])
+        forced = {150: (xa, 4), 151: (xa, 4), 152: (xb, 3), 153: (xb, 3)}
 
-        def greedy(t, gains):  # argmax gain, fidelities in turn
-            lev = t % 3 + 1
+        def greedy(t, gains):  # argmax gain at fidelities 1 and 2 in turn
+            if t in forced:
+                return Action(x=forced[t][0], fidelity=forced[t][1])
+            lev = t % 2 + 1
             return Action(x=Xc[int(np.argmax(gains[lev]))], fidelity=lev)
 
-        seen = self._run(three_fid_model, Xc, greedy, 300)
-        assert {"first point at 1", "first point at 2", "joint every"} <= seen
+        seen = self._run(model, Xc, greedy, 300)
+        assert seen == {(FIRST_POINT, 1), (FIRST_POINT, 2), (JOINT_FAILED, 4),
+                        (FIRST_POINT, 3), (ERROR_FAILED, 3)}
 
     def test_failed_extensions(self, three_fid_model, rng):
         # noiseless target and fidelity 1, unit prior variances: a repeated
         # point makes the Cholesky pivot exactly 0, so extending the joint
         # factor fails; once the joint factor carries jitter and the error
-        # factor does not, a repeated fidelity-1 point fails only the latter.
-        # (An error factor never reaches its own REBUILD_EVERY: the joint
-        # factor counts every append and is rebuilt first.)
+        # factor does not, a repeated fidelity-1 point fails only the latter
         unit = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.5, 0.8]))
         model = FidelityModel(
             target_prior=GpPrior(unit, noise_variance=0.0),
@@ -409,8 +417,47 @@ class TestCandidateGains:
             return Action(x=Xc[int(np.argmax(gains[2]))], fidelity=2)
 
         seen = self._run(model, Xc, choose, 12)
-        assert {"joint extend failed", "error factor", "first point at 1",
-                "first point at 2"} <= seen
+        assert seen == {(JOINT_FAILED, 3), (FIRST_POINT, 1), (ERROR_FAILED, 1),
+                        (FIRST_POINT, 2)}
+
+class TestLongRunDrift:
+    """Factors are extended row by row for a whole run and never rebuilt
+    on a step count; this bounds the rounding that accumulates meanwhile."""
+
+    def test_800_greedy_observations_on_hartmann6(self):
+        # about the size of a hartmann6 run at 100x budget; the picks
+        # follow Explore-LF's rule, gain per cost over every fidelity
+        problem = make_problem("hartmann6", seed=0)
+        model = problem.model
+        rng = np.random.default_rng(7)
+        Xc = rng.uniform(problem.bounds[:, 0], problem.bounds[:, 1], size=(200, model.dim))
+        gains = CandidateGains(CovState.empty(model), Xc)
+        history = History.empty(model)
+        for t in range(1, 801):
+            g = gains.gains()
+            lev = max(g, key=lambda l: g[l].max() / model.costs[l - 1])
+            a = Action(x=Xc[int(np.argmax(g[lev]))], fidelity=lev)
+            gains.append(a)
+            history = history.adopt((Observation(a, problem.evaluate(a, rng)),), gains.state)
+            if t not in (200, 400, 800):
+                continue
+            # measured: 2e-15 (L), 2e-14 (gains), 2e-16 (variance), 7e-15
+            # (against a rebuilt history), so each tolerance leaves 100x
+            state = gains.state
+            L, _ = chol_factor(_joint_sym(model, state.X, state.fids))
+            assert np.max(np.abs(state.L - L)) < 1e-12
+            got, want = gains.gains(), batch_info_gains(state, Xc)
+            for lev in want:
+                assert np.max(np.abs(got[lev] - want[lev])) < 1e-10
+            mean, var = gains.posterior(history)
+            mean_o, var_o = predict_latent_diag(history, Xc)
+            assert np.array_equal(mean, mean_o)
+            assert np.max(np.abs(var - var_o)) < 1e-10
+            fresh = History.from_observations(model, history.observations)
+            mean_f, var_f = predict_latent_diag(fresh, Xc)
+            assert np.max(np.abs(mean - mean_f)) < 1e-10
+            assert np.max(np.abs(var - var_f)) < 1e-10
+        assert gains.recomputes[JOINT_FAILED] == gains.recomputes[ERROR_FAILED] == 0
 
 
 class TestHistory:
@@ -421,7 +468,7 @@ class TestHistory:
         assert len(h) == 1
 
     def test_incremental_matches_rebuild(self, three_fid_model, rng):
-        h = random_history(rng, three_fid_model, 30)  # crosses the rebuild period
+        h = random_history(rng, three_fid_model, 30)  # extended row by row
         rebuilt = History.from_observations(three_fid_model, h.observations)
         def logdet(cov):
             return 2.0 * float(np.sum(np.log(np.diag(cov.L))))
@@ -432,6 +479,22 @@ class TestHistory:
         m2, v2 = predict_latent_diag(rebuilt, Xq)
         assert np.allclose(m1, m2, atol=1e-8)
         assert np.allclose(v1, v2, atol=1e-8)
+
+    def test_adopt_takes_the_extended_state(self, two_fid_model, rng):
+        h = random_history(rng, two_fid_model, 4)
+        new = [obs(0.3, 1, 0.5), obs(-0.2, 2, 1.5)]
+        gains = CandidateGains(h.cov, rng.uniform(-1, 1, size=(5, 1)))
+        for o in new:
+            gains.append(o.action)
+        adopted = h.adopt(new, gains.state)
+        updated = h.update(new[0]).update(new[1])
+        assert adopted.cov is gains.state
+        assert adopted.observations == updated.observations
+        assert np.array_equal(adopted.alpha, updated.alpha)
+        with pytest.raises(ValueError, match="6 points for 5 observations"):
+            h.adopt(new[:1], gains.state)
+        with pytest.raises(ValueError, match="covariance state"):
+            gains.posterior(updated)
 
     def test_order_invariance(self, two_fid_model, rng):
         observations = [

@@ -1,10 +1,23 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mfbo.benchmarks import BenchmarkProblem, single_fidelity_problem
+from conftest import predict_latent_diag
+from mfbo import model as model_module
+from mfbo import policy
+from mfbo.benchmarks import BenchmarkProblem, make_problem, single_fidelity_problem
 from mfbo.explore import alpha_budget
-from mfbo.gp import GpPrior, SquaredExpKernel
-from mfbo.model import FidelityModel
+from mfbo.gp import GpPrior, SquaredExpKernel, chol_factor
+from mfbo.model import (
+    FIRST_POINT,
+    JOINT_FAILED,
+    NEW_MODEL,
+    CandidateGains,
+    CovState,
+    FidelityModel,
+    History,
+)
 from mfbo.policy import (
     POLICIES,
     POLICY_NAMES,
@@ -250,3 +263,119 @@ class TestHyperfit:
         # machinery must keep the trace well-formed)
         assert models[0] is models[1]
         assert trace.spent <= trace.budget
+
+
+def noiseless_target_toy():
+    """The toy problem with a noiseless target 1000x as costly as the low
+    fidelity: exploration still buys low-fidelity points, and GP-UCB over a
+    few candidates repeats target points, whose zero Cholesky pivot makes
+    extending the joint factor fail."""
+    toy = make_toy_problem()
+    tp = toy.model.target_prior
+    costs = np.array([1.0, 1000.0])
+    model = dataclasses.replace(
+        toy.model, target_prior=GpPrior(tp.kernel, noise_variance=0.0, mean=tp.mean), costs=costs)
+    return dataclasses.replace(
+        toy, costs=costs, noise_sd=np.array([toy.noise_sd[0], 0.0]), model=model)
+
+
+class TestRunLongPosterior:
+    """The run's one CandidateGains against a fresh solve per posterior."""
+
+    def test_matches_oracle_after_every_observation(self, monkeypatch):
+        made = []
+
+        class Checked(CandidateGains):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            def posterior(self, history):
+                mean, var = super().posterior(history)
+                mean_o, var_o = predict_latent_diag(history, self.Xc)
+                assert np.array_equal(mean, mean_o)
+                assert np.max(np.abs(var - var_o)) <= 1e-10
+                return mean, var
+
+        monkeypatch.setattr(policy, "CandidateGains", Checked)
+        problem = noiseless_target_toy()
+        cfg = PolicyConfig(n_candidates=8, hyperfit_every=2)
+        trace = mf_mi_greedy(problem, 8000.0, cfg, seed=0)
+        (gains,) = made
+        assert gains.recomputes[JOINT_FAILED] >= 1 and gains.recomputes[NEW_MODEL] >= 1
+        assert any(ep.low_observations for ep in trace.episodes)
+
+        # the run's observations again, one at a time, with the same refits
+        history = History.empty(problem.model)
+        replay = Checked(history.cov, gains.Xc)
+        for ep in trace.episodes:
+            if ep.model is not history.model:
+                history = History.from_observations(ep.model, history.observations)
+                replay.reset(history.cov)
+            for obs in ep.low_observations + (ep.target_observation,):
+                replay.append(obs.action)
+                history = history.adopt((obs,), replay.state)
+                replay.posterior(history)
+        assert replay.recomputes[JOINT_FAILED] >= 1
+
+    def test_failure_inside_exploration_leaves_a_usable_recommendation(self, toy, monkeypatch):
+        # the fifth append fails inside the first Explore-LF call, after
+        # four picks the history never received
+        real = CovState.append
+        calls = []
+
+        def failing_fifth(self, action):
+            calls.append(1)
+            if len(calls) == 5:
+                chol_factor(-np.eye(3))  # raises the real NumericalError
+            return real(self, action)
+
+        monkeypatch.setattr(CovState, "append", failing_fifth)
+        trace = mf_mi_greedy(toy, 21.0, PolicyConfig(n_candidates=16, hyperfit_every=0), seed=2718)
+        assert trace.failed and trace.n_episodes == 0
+        assert trace.error.startswith("NumericalError: Cholesky failed")
+        assert trace.recommendation_value == toy.model.target_prior.mean
+
+
+class TestRecomputeCount:
+    @pytest.mark.parametrize("run", [sf_only, mf_mi_greedy])
+    def test_projections_computed_once_plus_once_per_cause(self, monkeypatch, run):
+        # every solve against all nc candidates must belong to one of the
+        # counted from-scratch computes; a per-episode solve put back fails
+        nc = 200
+        made, computes, stray = [], [], []
+        inside = [0]
+
+        class Counted(CandidateGains):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+            def _recompute(self):
+                computes.append(self.state.n)
+                inside[0] += 1
+                try:
+                    super()._recompute()
+                finally:
+                    inside[0] -= 1
+
+        real_solve = model_module.solve_triangular
+
+        def solve(a, b, *args, **kwargs):
+            if np.ndim(b) == 2 and np.shape(b)[1] == nc and not inside[0]:
+                stray.append(np.shape(b))
+            return real_solve(a, b, *args, **kwargs)
+
+        monkeypatch.setattr(policy, "CandidateGains", Counted)
+        monkeypatch.setattr(model_module, "solve_triangular", solve)
+        problem = make_problem("currin2", seed=0)
+        cfg = PolicyConfig(n_candidates=nc, hyperfit_every=0)
+        trace = run(problem, 100 * problem.model.target_cost, cfg, seed=1)
+        assert not trace.failed and trace.n_episodes >= 2
+        (gains,) = made
+        counted = gains.recomputes
+        low = {o.action.fidelity for ep in trace.episodes for o in ep.low_observations}
+        assert counted[NEW_MODEL] == 0
+        assert counted[FIRST_POINT] == len(low)
+        assert len(computes) == 1 + sum(counted.values())
+        assert not stray
