@@ -58,7 +58,7 @@ class UcbSchedule:
     beta_t = 2 * log(n_candidates * t^2 * pi^2 / (6 * delta)), t >= 1.
     """
 
-    delta: float = 0.1
+    delta: float
 
     def __post_init__(self):
         if not 0.0 < self.delta < 1.0:

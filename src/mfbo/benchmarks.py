@@ -42,12 +42,16 @@ class BenchmarkProblem:
 
     name: str
     bounds: np.ndarray          # (d, 2)
-    costs: np.ndarray           # (m,), strictly increasing
     fidelity_fns: tuple[Callable, ...]  # vectorized (n, d) -> (n,); last is the target
     noise_sd: np.ndarray        # (m,)
     f_star: float               # certified max of the target
     x_star: np.ndarray
     model: FidelityModel        # default prior (reproduction parameters)
+
+    @property
+    def costs(self) -> np.ndarray:
+        """Query cost of each fidelity, strictly increasing: the model's."""
+        return self.model.costs
 
     @property
     def m(self) -> int:
@@ -171,7 +175,6 @@ def _cosine_bump(bounds, amplitude: float, seed: int):
 
 def _assemble(name, target_fn, bounds, costs, amplitudes, f_star, x_star, noise_frac, seed):
     bounds = np.asarray(bounds, dtype=np.float64)
-    costs = np.asarray(costs, dtype=np.float64)
     m = len(amplitudes) + 1
     sample = halton_points(bounds, _RANGE_SAMPLE, _RANGE_SEED)
     fm = target_fn(sample)
@@ -208,7 +211,6 @@ def _assemble(name, target_fn, bounds, costs, amplitudes, f_star, x_star, noise_
     return BenchmarkProblem(
         name=name,
         bounds=bounds,
-        costs=costs,
         fidelity_fns=tuple(fns),
         noise_sd=noise_sd,
         f_star=f_star,
@@ -305,7 +307,6 @@ def single_fidelity_problem(problem: BenchmarkProblem) -> BenchmarkProblem:
     return BenchmarkProblem(
         name=problem.name + "-sf",
         bounds=problem.bounds,
-        costs=problem.costs[-1:].copy(),
         fidelity_fns=problem.fidelity_fns[-1:],
         noise_sd=problem.noise_sd[-1:].copy(),
         f_star=problem.f_star,

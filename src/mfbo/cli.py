@@ -14,7 +14,7 @@ import argparse
 import sys
 
 from .benchmarks import PROBLEM_NAMES
-from .harness import ConfigError, ExperimentConfig, run_experiment
+from .harness import ConfigError, ExperimentConfig, parse_names, run_experiment
 from .policy import POLICY_NAMES, SUBROUTINES
 
 
@@ -54,7 +54,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _config_from_args(args) -> ExperimentConfig:
     kwargs = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     if "policies" in kwargs:
-        kwargs["policies"] = tuple(p.strip() for p in kwargs["policies"].split(",") if p.strip())
+        kwargs["policies"] = parse_names(kwargs["policies"])
     out = args.out if args.out is not None else "results/%s" % args.problem
     return ExperimentConfig(out_dir=out, **kwargs)
 

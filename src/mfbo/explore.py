@@ -34,17 +34,6 @@ LOW_CUMULATIVE_RATIO = "low_cumulative_ratio"
 
 
 @dataclass(frozen=True)
-class ExploreConfig:
-    """The budget exponent of alpha(B) = B**alpha_exponent, in (0, 0.5)."""
-
-    alpha_exponent: float = 1.0 / 3.0
-
-    def __post_init__(self):
-        if not 0.0 < self.alpha_exponent < 0.5:
-            raise ValueError("alpha_exponent must lie in (0, 0.5)")
-
-
-@dataclass(frozen=True)
 class ExploreResult:
     selected: tuple[Action, ...]
     cost: float
@@ -57,21 +46,27 @@ class ExploreResult:
         return len(self.selected)
 
 
-def alpha_budget(budget: float, exponent: float = 1.0 / 3.0) -> float:
+def alpha_budget(budget: float, exponent: float) -> float:
     """Exploration allowance alpha(B) = B**exponent."""
     if budget <= 0:
         raise ValueError("budget must be positive")
     return float(budget) ** exponent
 
 
-def explore_lf(budget: float, history: History, cfg: ExploreConfig, cands: CandidateGains) -> ExploreResult:
-    """Select a lower-fidelity exploration set within the budget reserve
-    from cands.Xc, shared by every fidelity; each pick is appended to cands."""
+def explore_lf(budget: float, history: History, alpha_exponent: float, cands: CandidateGains) -> ExploreResult:
+    """Select a lower-fidelity exploration set within the budget reserve.
+
+    budget is the remaining budget B, and the stop threshold is
+    beta = 1/alpha(B) = B**-alpha_exponent (PolicyConfig checks the
+    exponent's range). The actions come from cands.Xc, shared by every
+    fidelity; cands must hold history's covariance state, and each pick is
+    appended to it.
+    """
     if cands.state is not history.cov:
         raise ValueError("cands must hold the history's covariance state")
     model = history.model
     m = model.m
-    beta = 1.0 / alpha_budget(budget, cfg.alpha_exponent) if budget > 0 else np.inf
+    beta = 1.0 / alpha_budget(budget, alpha_exponent) if budget > 0 else np.inf
     target_cost = model.target_cost
     if budget < target_cost:
         return ExploreResult((), 0.0, 0.0, BUDGET_EXHAUSTED, beta)

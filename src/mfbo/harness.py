@@ -1,18 +1,23 @@
 """Benchmark harness: config files, seeded runs, CSV outputs.
 
-A run file is flat INI-ish text (key = value, [section] headers, # comments):
+A run file is flat INI-ish text (key = value, [section] headers, # comments).
+Every key but problem is optional; the values below are the defaults:
 
-    problem = currin2
+    problem = currin2        # required: borehole8, currin2 or hartmann6
     budget_mult = 100        # budget = budget_mult * target cost
     seeds = 20
-    master_seed = 7
+    master_seed = 0
+    noise = 0.05             # noise sd as a fraction of each fidelity's range
+    problem_seed = 0         # fixes the lower-fidelity disturbances
     policies = mf_mi_greedy, explore_then_exploit, sf_only
-    out = results/currin2
+    out = results
 
     [policy]
-    subroutine = gp_ucb
+    subroutine = gp_ucb      # or gp_mi
     delta = 0.1
-    hyperfit_every = 10
+    # alpha_mi = 3.0         # gp_mi weight; unset: log(2/delta)
+    # candidates = 1000      # unset: 1000 up to 2 dimensions, else 5000
+    hyperfit_every = 10      # episodes between refits; 0 disables them
 
     [explore]
     alpha_exponent = 0.3333333333333333
@@ -32,6 +37,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import time
 from dataclasses import dataclass, field
@@ -78,12 +84,38 @@ def parse_config_text(text: str, source: str = "<config>") -> dict:
     return sections
 
 
+def parse_names(text: str) -> tuple[str, ...]:
+    """A comma-separated name list, blanks dropped: "a, b," -> ("a", "b")."""
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
 def _coerce(section: str, key: str, value: str, kind):
     try:
         return kind(value)
     except ValueError:
         where = "[%s] %s" % (section, key) if section else key
         raise ConfigError("bad value for %s: %r" % (where, value)) from None
+
+
+# (section, key) of a config file -> (ExperimentConfig field, value parser);
+# section "" is the top level
+CONFIG_KEYS = {
+    ("", "problem"): ("problem", str),
+    ("", "budget_mult"): ("budget_mult", float),
+    ("", "seeds"): ("n_seeds", int),
+    ("", "master_seed"): ("master_seed", int),
+    ("", "noise"): ("noise", float),
+    ("", "problem_seed"): ("problem_seed", int),
+    ("", "policies"): ("policies", parse_names),
+    ("", "out"): ("out_dir", str),
+    ("policy", "subroutine"): ("subroutine", str),
+    ("policy", "delta"): ("delta", float),
+    ("policy", "alpha_mi"): ("alpha_mi", float),
+    ("policy", "candidates"): ("n_candidates", int),
+    ("policy", "hyperfit_every"): ("hyperfit_every", int),
+    ("explore", "alpha_exponent"): ("alpha_exponent", float),
+}
+CONFIG_SECTIONS = tuple(dict.fromkeys(section for section, _ in CONFIG_KEYS))
 
 
 @dataclass(frozen=True)
@@ -96,12 +128,13 @@ class ExperimentConfig:
     problem_seed: int = 0
     policies: tuple[str, ...] = POLICY_NAMES
     out_dir: str = "results"
-    subroutine: str = "gp_ucb"
-    delta: float = 0.1
-    alpha_mi: Optional[float] = None
-    n_candidates: Optional[int] = None
-    hyperfit_every: int = 10
-    alpha_exponent: float = 1.0 / 3.0
+    # the PolicyConfig fields but candidate_seed, with PolicyConfig's defaults
+    subroutine: str = PolicyConfig.subroutine
+    delta: float = PolicyConfig.delta
+    alpha_mi: Optional[float] = PolicyConfig.alpha_mi
+    n_candidates: Optional[int] = PolicyConfig.n_candidates
+    hyperfit_every: int = PolicyConfig.hyperfit_every
+    alpha_exponent: float = PolicyConfig.alpha_exponent
 
     def __post_init__(self):
         if self.problem not in PROBLEM_NAMES:
@@ -137,69 +170,27 @@ class ExperimentConfig:
 
     @classmethod
     def from_sections(cls, sections: dict) -> "ExperimentConfig":
-        known = {"", "policy", "explore"}
         for name in sections:
-            if name not in known:
+            if name not in CONFIG_SECTIONS:
                 raise ConfigError("unknown section [%s]" % name)
-        top = dict(sections.get("", {}))
-        pol = dict(sections.get("policy", {}))
-        exp = dict(sections.get("explore", {}))
-
-        kwargs = {}
-        if "problem" not in top:
+        if "problem" not in sections.get("", {}):
             raise ConfigError("missing required key: problem")
-        kwargs["problem"] = top.pop("problem")
-        if "budget_mult" in top:
-            kwargs["budget_mult"] = _coerce("", "budget_mult", top.pop("budget_mult"), float)
-        if "seeds" in top:
-            kwargs["n_seeds"] = _coerce("", "seeds", top.pop("seeds"), int)
-        if "master_seed" in top:
-            kwargs["master_seed"] = _coerce("", "master_seed", top.pop("master_seed"), int)
-        if "noise" in top:
-            kwargs["noise"] = _coerce("", "noise", top.pop("noise"), float)
-        if "problem_seed" in top:
-            kwargs["problem_seed"] = _coerce("", "problem_seed", top.pop("problem_seed"), int)
-        if "policies" in top:
-            names = tuple(p.strip() for p in top.pop("policies").split(",") if p.strip())
-            kwargs["policies"] = names
-        if "out" in top:
-            kwargs["out_dir"] = top.pop("out")
-        if top:
-            raise ConfigError("unknown key %r" % sorted(top)[0])
-
-        if "subroutine" in pol:
-            kwargs["subroutine"] = pol.pop("subroutine")
-        if "delta" in pol:
-            kwargs["delta"] = _coerce("policy", "delta", pol.pop("delta"), float)
-        if "alpha_mi" in pol:
-            kwargs["alpha_mi"] = _coerce("policy", "alpha_mi", pol.pop("alpha_mi"), float)
-        if "candidates" in pol:
-            kwargs["n_candidates"] = _coerce("policy", "candidates", pol.pop("candidates"), int)
-        if "hyperfit_every" in pol:
-            kwargs["hyperfit_every"] = _coerce(
-                "policy", "hyperfit_every", pol.pop("hyperfit_every"), int
-            )
-        if pol:
-            raise ConfigError("unknown key %r in [policy]" % sorted(pol)[0])
-
-        if "alpha_exponent" in exp:
-            kwargs["alpha_exponent"] = _coerce(
-                "explore", "alpha_exponent", exp.pop("alpha_exponent"), float
-            )
-        if exp:
-            raise ConfigError("unknown key %r in [explore]" % sorted(exp)[0])
+        kwargs = {}
+        for section in CONFIG_SECTIONS:
+            rest = dict(sections.get(section, {}))
+            for (sec, key), (name, kind) in CONFIG_KEYS.items():
+                if sec == section and key in rest:
+                    kwargs[name] = _coerce(section, key, rest.pop(key), kind)
+            if rest:
+                where = " in [%s]" % section if section else ""
+                raise ConfigError("unknown key %r%s" % (sorted(rest)[0], where))
         return cls(**kwargs)
 
     def policy_config(self, candidate_seed: int) -> PolicyConfig:
-        return PolicyConfig(
-            subroutine=self.subroutine,
-            delta=self.delta,
-            alpha_mi=self.alpha_mi,
-            alpha_exponent=self.alpha_exponent,
-            n_candidates=self.n_candidates,
-            hyperfit_every=self.hyperfit_every,
-            candidate_seed=candidate_seed,
-        )
+        return PolicyConfig(candidate_seed=candidate_seed, **{
+            f.name: getattr(self, f.name)
+            for f in dataclasses.fields(PolicyConfig) if f.name != "candidate_seed"
+        })
 
 
 def run_seed(master_seed: int, index: int) -> int:

@@ -29,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .acquisition import UcbSchedule, gp_mi_select, gp_ucb_select, make_candidates
-from .explore import ExploreConfig, explore_lf
+from .explore import explore_lf
 from .gp import NumericalError
 from .model import (
     Action,
@@ -186,9 +186,8 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
         cand_seed = mix64(seed, "candidates")
     candidates = make_candidates(problem.bounds, cfg.n_candidates, cand_seed)
     noise_rng = np.random.default_rng(mix64(seed, "noise"))
-    schedule = UcbSchedule(delta=cfg.delta)
+    schedule = UcbSchedule(cfg.delta)
     alpha_mi = cfg.alpha_mi if cfg.alpha_mi is not None else float(np.log(2.0 / cfg.delta))
-    explore_cfg = ExploreConfig(alpha_exponent=cfg.alpha_exponent)
     grid = None
 
     history = History.empty(model)
@@ -221,7 +220,7 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
             low_obs: list[Observation] = []
             result = None
             if explore == "each" or (explore == "once" and not explored_once):
-                result = explore_lf(budget - spent, history, explore_cfg, cands)
+                result = explore_lf(budget - spent, history, cfg.alpha_exponent, cands)
                 explored_once = True
                 low_obs = [Observation(a, problem.evaluate(a, noise_rng)) for a in result.selected]
                 history = history.adopt(low_obs, cands.state)

@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .acquisition import CandidateSet
-from .model import Action, CandidateGains, FidelityModel, History, info_gain_set
+from .model import Action, CandidateGains, CovState, FidelityModel
 
 # best-of-two greedy approximation factor for the submodular knapsack
 KS_GUARANTEE = 0.5 * (1.0 - float(np.exp(-1.0)))
@@ -165,10 +165,11 @@ def gamma_max_bound(
 
     Grows a greedy lower-fidelity set S2 under the joint prior (no prior
     observations) by information gain per cost; after each addition the
-    bound is max(I(best single), I(S2)) / (0.5*(1 - 1/e)). Once S2 costs
-    more than the largest single-action cost, the loop stops as soon as
-    bound / (cost(S2) - c_max) < beta. Larger beta stops earlier and
-    yields a smaller (tighter) bound. S2 is a set: each (point, fidelity)
+    bound is max(I(best single), I(S2)) / (0.5*(1 - 1/e)), where I(S2) is
+    the running sum of the picks' conditional gains (the chain rule).
+    Once S2 costs more than the largest single-action cost, the loop stops
+    as soon as bound / (cost(S2) - c_max) < beta. Larger beta stops
+    earlier and yields a smaller (tighter) bound. S2 is a set: each (point, fidelity)
     pair enters at most once, and the loop ends early if every pair is
     already selected. Ties break to the lowest fidelity, then the lowest
     candidate index, as in explore_lf. As there, the gains come from one
@@ -181,15 +182,14 @@ def gamma_max_bound(
         return 0.0
     low = list(range(1, model.m))
     c_max = float(max(model.costs[lev - 1] for lev in low))
-    empty = History.empty(model)
-    cands = CandidateGains(empty.cov, candidates.points)
+    cands = CandidateGains(CovState.empty(model), candidates.points)
 
     gains0 = cands.gains()
     i_single = max(float(gains0[lev].max()) for lev in low)
 
-    selected: list[Action] = []
     taken = {lev: np.zeros(candidates.n, dtype=bool) for lev in low}
     cost2 = 0.0
+    i_set = 0.0
     gamma = i_single / KS_GUARANTEE
     while cost2 <= budget:
         gains = cands.gains()
@@ -205,11 +205,9 @@ def gamma_max_bound(
             break  # every candidate-fidelity pair already in the set
         lev, i = pick
         taken[lev][i] = True
-        action = Action(x=candidates.points[i], fidelity=lev)
-        selected.append(action)
         cost2 += float(model.costs[lev - 1])
-        cands.append(action)
-        i_set = info_gain_set(empty, selected)
+        i_set += float(gains[lev][i])
+        cands.append(Action(x=candidates.points[i], fidelity=lev))
         gamma = max(i_single, i_set) / KS_GUARANTEE
         if cost2 <= c_max:
             continue

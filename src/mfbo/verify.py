@@ -21,7 +21,7 @@ import numpy as np
 
 from .acquisition import make_candidates
 from .benchmarks import BenchmarkProblem, make_problem, single_fidelity_problem
-from .explore import ExploreConfig, alpha_budget, explore_lf
+from .explore import alpha_budget, explore_lf
 from .gp import GpPrior, SquaredExpKernel, posterior
 from .harness import ExperimentConfig, run_experiment, summarize, checkpoint_costs
 from .model import (
@@ -80,7 +80,6 @@ def make_toy_problem() -> BenchmarkProblem:
     return BenchmarkProblem(
         name="toy1d",
         bounds=bounds,
-        costs=np.array([1.0, 3.0]),
         fidelity_fns=(u1, f),
         noise_sd=noise_sd,
         f_star=f_star,
@@ -298,7 +297,8 @@ def criterion_explore_certificate():
             hist = hist.update(Observation(a, prob.evaluate(a, rng)))
         budget = float(rng.uniform(1.0, 30.0))
         cand = make_candidates(prob.bounds, 64, seed=1000 + i)
-        res = explore_lf(budget, hist, ExploreConfig(), CandidateGains(hist.cov, cand.points))
+        cands = CandidateGains(hist.cov, cand.points)
+        res = explore_lf(budget, hist, PolicyConfig.alpha_exponent, cands)
         if not res.selected:
             continue
         nonempty += 1
@@ -334,7 +334,7 @@ def criterion_decomposition():
                 parts["gap"], trace.policy, trace.seed)
         lam_low = sum(ep.explore_cost for ep in trace.episodes)
         gains = sum(ep.explore_info_gain for ep in trace.episodes)
-        bound = alpha_budget(trace.budget) * gains + 1e-6
+        bound = alpha_budget(trace.budget, PolicyConfig.alpha_exponent) * gains + 1e-6
         worst_slack = max(worst_slack, lam_low - bound)
         if lam_low > bound:
             return False, "explore cost %.6g > alpha(B)*gain %.6g (%s seed %d)" % (

@@ -61,18 +61,18 @@ class TestUcbSchedule:
 
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError):
-            UcbSchedule().beta(0, 10)
+            UcbSchedule(delta=0.1).beta(0, 10)
 
 
 class TestGpUcbSelect:
     def test_zero_variance_is_pure_exploitation(self):
         mean = np.array([0.1, 0.9, 0.4])
-        idx = gp_ucb_select(mean, np.zeros(3), UcbSchedule(), t=1)
+        idx = gp_ucb_select(mean, np.zeros(3), UcbSchedule(delta=0.1), t=1)
         assert idx == 1
 
     def test_equal_means_prefer_wider(self):
         var = np.array([0.1, 0.1, 0.5, 0.1])
-        idx = gp_ucb_select(np.zeros(4), var, UcbSchedule(), t=1)
+        idx = gp_ucb_select(np.zeros(4), var, UcbSchedule(delta=0.1), t=1)
         assert idx == 2
 
     def test_five_candidate_oracle(self):
@@ -85,21 +85,21 @@ class TestGpUcbSelect:
 
     def test_tie_breaks_to_lowest_index(self):
         mean = np.array([1.0, 1.0, 1.0])
-        assert gp_ucb_select(mean, np.zeros(3), UcbSchedule(), t=2) == 0
+        assert gp_ucb_select(mean, np.zeros(3), UcbSchedule(delta=0.1), t=2) == 0
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(7)
         mean = rng.standard_normal(20)
         var = rng.uniform(0, 1, 20)
-        i0 = gp_ucb_select(mean, var, UcbSchedule(), t=4)
-        i1 = gp_ucb_select(mean + 13.7, var, UcbSchedule(), t=4)
+        i0 = gp_ucb_select(mean, var, UcbSchedule(delta=0.1), t=4)
+        i1 = gp_ucb_select(mean + 13.7, var, UcbSchedule(delta=0.1), t=4)
         assert i0 == i1
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         mean = rng.standard_normal(30)
         var = rng.uniform(0, 1, 30)
-        picks = {gp_ucb_select(mean, var, UcbSchedule(), t=2) for _ in range(5)}
+        picks = {gp_ucb_select(mean, var, UcbSchedule(delta=0.1), t=2) for _ in range(5)}
         assert len(picks) == 1
 
     def test_selection_in_range(self):
@@ -107,12 +107,12 @@ class TestGpUcbSelect:
         for _ in range(10):
             n = int(rng.integers(1, 15))
             idx = gp_ucb_select(rng.standard_normal(n), rng.uniform(0, 1, n),
-                                UcbSchedule(), t=1)
+                                UcbSchedule(delta=0.1), t=1)
             assert 0 <= idx < n
 
     def test_empty_candidates_error(self):
         with pytest.raises(ValueError):
-            gp_ucb_select(np.array([]), np.array([]), UcbSchedule(), t=1)
+            gp_ucb_select(np.array([]), np.array([]), UcbSchedule(delta=0.1), t=1)
 
 
 class TestGpMiSelect:

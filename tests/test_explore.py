@@ -6,7 +6,6 @@ from mfbo.explore import (
     BUDGET_EXHAUSTED,
     LOW_CUMULATIVE_RATIO,
     TARGET_BETTER,
-    ExploreConfig,
     ExploreResult,
     alpha_budget,
     explore_lf,
@@ -20,18 +19,20 @@ from mfbo.model import (
     Observation,
     info_gain_set,
 )
+from mfbo.policy import PolicyConfig
 
+EXPONENT = PolicyConfig.alpha_exponent
 POINTS3 = np.array([[-0.6], [0.0], [0.7]])
 
 
 def explore(budget, history, points=POINTS3):
     """explore_lf over points, ranked by a fresh CandidateGains."""
-    return explore_lf(budget, history, ExploreConfig(), CandidateGains(history.cov, points))
+    return explore_lf(budget, history, EXPONENT, CandidateGains(history.cov, points))
 
 
 def greedy_oracle(budget, model, history, points=POINTS3):
     """Step-by-step reimplementation using only info_gain_single."""
-    beta = 1.0 / alpha_budget(budget, ExploreConfig().alpha_exponent)
+    beta = 1.0 / alpha_budget(budget, EXPONENT)
     lam = model.costs
     lam_m = float(lam[-1])
     if budget < lam_m:
@@ -140,7 +141,7 @@ class TestCertificate:
                 a = Action(x=rng.uniform(-1, 1, size=1), fidelity=int(rng.integers(1, 3)))
                 h = h.update(Observation(a, float(rng.standard_normal())))
             res = explore(budget, h)
-            assert res.beta == pytest.approx(1.0 / alpha_budget(budget))
+            assert res.beta == pytest.approx(1.0 / alpha_budget(budget, EXPONENT))
             for a in res.selected:
                 assert a.fidelity < two_fid_model.m
             if res.selected:
@@ -160,7 +161,7 @@ class TestCallerGains:
     def test_picks_are_appended_to_the_callers_object(self, two_fid_model):
         h = History.empty(two_fid_model)
         cands = CandidateGains(h.cov, POINTS3)
-        res = explore_lf(40.0, h, ExploreConfig(), cands)
+        res = explore_lf(40.0, h, EXPONENT, cands)
         assert res.size >= 2
         assert np.array_equal(cands.state.X, [a.x for a in res.selected])
         assert list(cands.state.fids) == [a.fidelity for a in res.selected]
@@ -170,17 +171,17 @@ class TestCallerGains:
         cands = CandidateGains(h.cov, POINTS3)
         h1 = h.update(Observation(Action(x=np.array([0.2]), fidelity=1), 0.0))
         with pytest.raises(ValueError, match="covariance state"):
-            explore_lf(40.0, h1, ExploreConfig(), cands)
+            explore_lf(40.0, h1, EXPONENT, cands)
 
 
 class TestConfig:
     def test_alpha_exponent_range(self):
         for bad in (0.0, 0.5, 0.6, -0.1):
             with pytest.raises(ValueError):
-                ExploreConfig(alpha_exponent=bad)
+                PolicyConfig(alpha_exponent=bad)
 
     def test_alpha_budget(self):
-        assert alpha_budget(27.0) == pytest.approx(3.0)
+        assert alpha_budget(27.0, 1.0 / 3.0) == pytest.approx(3.0)
         assert alpha_budget(16.0, 0.25) == pytest.approx(2.0)
         with pytest.raises(ValueError):
-            alpha_budget(0.0)
+            alpha_budget(0.0, 1.0 / 3.0)

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from mfbo import policy
 from mfbo.cli import _build_parser, _config_from_args, main as cli_main
 from mfbo.harness import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     candidate_seed,
@@ -69,11 +72,13 @@ class TestExperimentConfig:
             "seeds = 3\n"
             "master_seed = 5\n"
             "noise = 0.02\n"
+            "problem_seed = 4\n"
             "policies = sf_only, mf_mi_greedy\n"
             "out = somewhere\n"
             "[policy]\n"
             "subroutine = gp_mi\n"
             "delta = 0.05\n"
+            "alpha_mi = 1.5\n"
             "candidates = 64\n"
             "hyperfit_every = 0\n"
             "[explore]\n"
@@ -85,16 +90,26 @@ class TestExperimentConfig:
         assert cfg.n_seeds == 3
         assert cfg.master_seed == 5
         assert cfg.noise == 0.02
+        assert cfg.problem_seed == 4
         assert cfg.policies == ("sf_only", "mf_mi_greedy")
         assert cfg.out_dir == "somewhere"
         assert cfg.subroutine == "gp_mi"
         assert cfg.delta == 0.05
+        assert cfg.alpha_mi == 1.5
         assert cfg.n_candidates == 64
         assert cfg.hyperfit_every == 0
         assert cfg.alpha_exponent == 0.25
         pc = cfg.policy_config(candidate_seed=9)
         assert isinstance(pc, PolicyConfig)
         assert pc.subroutine == "gp_mi" and pc.candidate_seed == 9
+
+    def test_key_table_names_every_field_once(self):
+        fields = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
+        assert sorted(name for name, _ in CONFIG_KEYS.values()) == fields
+
+    def test_policy_defaults_are_policy_configs(self):
+        cfg = ExperimentConfig(problem="currin2")
+        assert cfg.policy_config(5) == PolicyConfig(candidate_seed=5)
 
     def test_missing_problem(self):
         with pytest.raises(ConfigError, match="missing required key"):

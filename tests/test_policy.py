@@ -75,7 +75,6 @@ def quadratic_problem():
     return BenchmarkProblem(
         name="quad1d",
         bounds=bounds,
-        costs=np.array([1.0]),
         fidelity_fns=(f,),
         noise_sd=np.array([0.0]),
         f_star=1.0,
@@ -99,7 +98,8 @@ class TestGoldenTrace:
         trace = mf_mi_greedy(toy, 21.0, quick_cfg, seed=2718)
         remaining = 21.0
         for ep in trace.episodes:
-            assert ep.explore_beta == pytest.approx(1.0 / alpha_budget(remaining))
+            beta = 1.0 / alpha_budget(remaining, quick_cfg.alpha_exponent)
+            assert ep.explore_beta == pytest.approx(beta)
             remaining -= ep.cost
 
     def test_golden_certificate(self, toy, quick_cfg):
@@ -276,7 +276,7 @@ def noiseless_target_toy():
     model = dataclasses.replace(
         toy.model, target_prior=GpPrior(tp.kernel, noise_variance=0.0, mean=tp.mean), costs=costs)
     return dataclasses.replace(
-        toy, costs=costs, noise_sd=np.array([toy.noise_sd[0], 0.0]), model=model)
+        toy, noise_sd=np.array([toy.noise_sd[0], 0.0]), model=model)
 
 
 class TestRunLongPosterior:

@@ -8,12 +8,12 @@ from mfbo.acquisition import CandidateSet
 from mfbo.gp import GpPrior, SquaredExpKernel
 from mfbo.model import (
     Action,
+    CandidateGains,
     FidelityModel,
     History,
     Observation,
     info_gain_set,
 )
-from mfbo import submodular
 from mfbo.submodular import (
     KS_GUARANTEE,
     GroundSet,
@@ -230,18 +230,19 @@ class TestGammaMaxBound:
     @pytest.mark.parametrize("budget, beta", [(30.0, 0.01), (40.0, 1.5), (12.0, 0.05)])
     def test_matches_oracle_pick_for_pick(self, three_fid_model, rng, monkeypatch, budget, beta):
         cand = CandidateSet(points=rng.uniform(-1, 1, size=(8, 2)), seed=0)
-        sets = []  # gamma_max_bound scores its set after every pick
+        picks = []  # gamma_max_bound appends every pick to its CandidateGains
+        append = CandidateGains.append
 
-        def recording(history, actions):
-            sets.append(list(actions))
-            return info_gain_set(history, actions)
+        def recording(self, action):
+            picks.append(action)
+            return append(self, action)
 
-        monkeypatch.setattr(submodular, "info_gain_set", recording)
+        monkeypatch.setattr(CandidateGains, "append", recording)
         bound = gamma_max_bound(three_fid_model, cand, budget, beta)
         want_picks, want_bound = gamma_oracle(three_fid_model, cand, budget, beta)
         got_picks = [
             (a.fidelity, int(np.flatnonzero((cand.points == a.x).all(axis=1))[0]))
-            for a in (sets[-1] if sets else [])
+            for a in picks
         ]
         assert got_picks == want_picks
         assert bound == pytest.approx(want_bound, rel=0, abs=1e-12)
