@@ -16,10 +16,9 @@ from .util import halton_points
 
 @dataclass(frozen=True)
 class CandidateSet:
-    """Finite optimization domain: quasi-uniform points plus their seed."""
+    """Finite optimization domain of quasi-uniform points."""
 
     points: np.ndarray
-    seed: int
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
@@ -48,7 +47,7 @@ def make_candidates(bounds, n: int | None, seed: int) -> CandidateSet:
         n = default_candidate_count(bounds.shape[0])
     if n < 1:
         raise ValueError("candidate count must be >= 1")
-    return CandidateSet(points=halton_points(bounds, n, seed), seed=seed)
+    return CandidateSet(points=halton_points(bounds, n, seed))
 
 
 @dataclass(frozen=True)

@@ -12,12 +12,15 @@ keeps picking lower-fidelity actions until one of three exits fires:
 
 The reserve keeps one target query affordable: an action at fidelity l is
 feasible only if cost_l <= B - cost(selected) - cost_m. On a non-empty
-result the selected set E certifies info_gain_set(E)/cost(E) >= beta.
+result the selected set E certifies I(E)/cost(E) >= beta, where I(E) is
+the running sum of the picks' conditional gains, which by the chain rule
+is the joint gain of E about f; it is the sum the stop test compares, so
+the certificate holds exactly as stored.
 
-The scores come from the caller's CandidateGains at the history's state
-(the policy keeps one for a whole run). Each pick is appended to it and
-adds one row to each candidate projection it enters, so a step costs
-O(n nc) for n observations and nc candidates.
+The scores come from the caller's CandidateGains (the policy keeps one for
+a whole run), and the model is the one of its covariance state. Each pick
+is appended to it and adds one row to each candidate projection it
+enters, so a step costs O(n nc) for n observations and nc candidates.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, CandidateGains, History, info_gain_set
+from .model import Action, CandidateGains
 
 BUDGET_EXHAUSTED = "budget_exhausted"
 TARGET_BETTER = "target_better"
@@ -41,10 +44,6 @@ class ExploreResult:
     stop_reason: str
     beta: float
 
-    @property
-    def size(self) -> int:
-        return len(self.selected)
-
 
 def alpha_budget(budget: float, exponent: float) -> float:
     """Exploration allowance alpha(B) = B**exponent."""
@@ -53,18 +52,15 @@ def alpha_budget(budget: float, exponent: float) -> float:
     return float(budget) ** exponent
 
 
-def explore_lf(budget: float, history: History, alpha_exponent: float, cands: CandidateGains) -> ExploreResult:
+def explore_lf(budget: float, alpha_exponent: float, cands: CandidateGains) -> ExploreResult:
     """Select a lower-fidelity exploration set within the budget reserve.
 
     budget is the remaining budget B, and the stop threshold is
     beta = 1/alpha(B) = B**-alpha_exponent (PolicyConfig checks the
     exponent's range). The actions come from cands.Xc, shared by every
-    fidelity; cands must hold history's covariance state, and each pick is
-    appended to it.
+    fidelity, and are scored at cands.state; each pick is appended to it.
     """
-    if cands.state is not history.cov:
-        raise ValueError("cands must hold the history's covariance state")
-    model = history.model
+    model = cands.state.model
     m = model.m
     beta = 1.0 / alpha_budget(budget, alpha_exponent) if budget > 0 else np.inf
     target_cost = model.target_cost
@@ -105,8 +101,5 @@ def explore_lf(budget: float, history: History, alpha_exponent: float, cands: Ca
         running_gain = new_gain
         cands.append(action)
 
-    # certificate recomputed through the contract function so the stored
-    # value is exactly what a verifier recomputes
-    total_gain = info_gain_set(history, selected) if selected else 0.0
-    return ExploreResult(tuple(selected), cost_sel, total_gain, reason, beta)
+    return ExploreResult(tuple(selected), cost_sel, running_gain, reason, beta)
 

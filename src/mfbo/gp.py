@@ -12,8 +12,6 @@ numerical failures surface as a single exception type (NumericalError).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
-
 import numpy as np
 from scipy.linalg import solve_triangular
 
@@ -65,34 +63,22 @@ class SquaredExpKernel:
         )
 
 
-MeanLike = Union[float, Callable[[np.ndarray], np.ndarray]]
-
-
 @dataclass(frozen=True)
 class GpPrior:
-    """GP prior with homoscedastic observation noise.
-
-    mean is either a constant or a callable mapping an (n, d) point array
-    to an (n,) vector.
-    """
+    """GP prior with a constant mean and homoscedastic observation noise."""
 
     kernel: SquaredExpKernel
     noise_variance: float = 0.0
-    mean: MeanLike = 0.0
+    mean: float = 0.0
 
     def __post_init__(self):
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be >= 0")
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
+        object.__setattr__(self, "mean", float(self.mean))
 
     def mean_at(self, X) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        if callable(self.mean):
-            out = np.asarray(self.mean(X), dtype=np.float64).reshape(-1)
-            if out.shape[0] != X.shape[0]:
-                raise ValueError("mean callable returned wrong length")
-            return out
-        return np.full(X.shape[0], float(self.mean))
+        return np.full(np.shape(X)[0], self.mean)
 
 
 def chol_factor(mat: np.ndarray) -> tuple[np.ndarray, float]:

@@ -96,7 +96,7 @@ class FidelityModel:
         if not np.all(costs > 0):
             raise ValueError("costs must be strictly positive")
         for p in self.error_priors:
-            if callable(p.mean) or float(p.mean) != 0.0:
+            if p.mean != 0.0:
                 raise ValueError("error priors must be zero-mean")
             if p.kernel.dim != self.target_prior.kernel.dim:
                 raise ValueError("error prior dimension mismatch")
@@ -115,10 +115,6 @@ class FidelityModel:
     @property
     def target_cost(self) -> float:
         return float(self.costs[-1])
-
-    def cost(self, fidelity: int) -> float:
-        self._check_fidelity(fidelity)
-        return float(self.costs[fidelity - 1])
 
     def noise_variance(self, fidelity: int) -> float:
         self._check_fidelity(fidelity)
@@ -353,26 +349,6 @@ def _alpha(model, cov: CovState, y) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# prediction
-
-def predict_latent(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and covariance of the latent target f at Xq."""
-    model = history.model
-    Xq = np.asarray(Xq, dtype=np.float64).reshape(-1, model.dim)
-    kf = model.target_prior.kernel
-    prior_mean = model.target_prior.mean_at(Xq)
-    prior_cov = kf.sym(Xq)
-    if len(history) == 0:
-        return prior_mean, prior_cov
-    Kc = kf.cross(history.cov.X, Xq)
-    mean = prior_mean + Kc.T @ history.alpha
-    W = solve_triangular(history.cov.L, Kc, lower=True, check_finite=False)
-    cov = prior_cov - W.T @ W
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov
-
-
-# --------------------------------------------------------------------------
 # information gains about the latent target f
 #
 # I(y_A; f | y_S) = H(y_A | y_S) - H(y_A | f, y_S). Given the whole latent
@@ -424,22 +400,6 @@ def info_gain_set(history: History, actions: Sequence[Action]) -> float:
     return h1 - h0
 
 
-def batch_info_gains(state: CovState, Xc) -> dict[int, np.ndarray]:
-    """Gain about f of one fresh observation at each candidate, per fidelity.
-
-    Returns {fidelity: gains}, gains[i] = I(y_(Xc[i], fidelity); f | state)
-    = 0.5 * log(v1 / v0), where v1 is the observation's variance given the
-    state's observations and v0 its variance given those and the whole of
-    f: the error process's residual variance plus noise at a low fidelity,
-    the noise alone at the target. A candidate whose latent variance is
-    below DEGENERATE_VAR gains exactly 0. Each entry matches info_gain_set
-    of that one action up to rounding. This is the from-scratch form of
-    CandidateGains, whose per-step gains Explore-LF and gamma_max_bound
-    rank by.
-    """
-    return CandidateGains(state, Xc).gains()
-
-
 class _Grow:
     """Rows appended one at a time to a C-ordered block whose room doubles
     when full, so an append never copies the rows already there."""
@@ -483,8 +443,18 @@ class _Rows:
 
 
 class CandidateGains:
-    """batch_info_gains and the latent posterior at a fixed candidate matrix
-    Xc, kept current as observations are appended one at a time.
+    """Per-candidate information gains and the latent posterior at a fixed
+    candidate matrix Xc, kept current as observations are appended one at
+    a time. This is the library's one source of both: Explore-LF and
+    gamma_max_bound rank by gains(), and the policies read posterior().
+
+    gains()[l][i] = I(y_(Xc[i], l); f | state) = 0.5 * log(v1 / v0), where
+    v1 is a fresh observation's variance given the state's observations and
+    v0 its variance given those and the whole of f: the error process's
+    residual variance plus noise at a low fidelity, the noise alone at the
+    target. A candidate whose latent variance is below DEGENERATE_VAR gains
+    exactly 0. Each entry matches info_gain_set of that one action up to
+    rounding.
 
     It holds W_f = L^-1 k_f(X, Xc) over the state's joint factor L; for
     each low fidelity l with points, W_l = L^-1 (k_f + k_eps_l on l's
@@ -553,7 +523,7 @@ class CandidateGains:
             self._we[lev].append(ke_row, ef.L[-1, :-1], ef.L[-1, -1])
 
     def gains(self) -> dict[int, np.ndarray]:
-        """{fidelity: gains} at the current state, as batch_info_gains."""
+        """{fidelity: gains} of one fresh observation at each candidate."""
         if self._wf is None:
             self._recompute()
         model = self.state.model

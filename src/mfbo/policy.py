@@ -220,7 +220,7 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
             low_obs: list[Observation] = []
             result = None
             if explore == "each" or (explore == "once" and not explored_once):
-                result = explore_lf(budget - spent, history, cfg.alpha_exponent, cands)
+                result = explore_lf(budget - spent, cfg.alpha_exponent, cands)
                 explored_once = True
                 low_obs = [Observation(a, problem.evaluate(a, noise_rng)) for a in result.selected]
                 history = history.adopt(low_obs, cands.state)

@@ -166,7 +166,8 @@ def gamma_max_bound(
     Grows a greedy lower-fidelity set S2 under the joint prior (no prior
     observations) by information gain per cost; after each addition the
     bound is max(I(best single), I(S2)) / (0.5*(1 - 1/e)), where I(S2) is
-    the running sum of the picks' conditional gains (the chain rule).
+    the running sum of the picks' conditional gains, by the chain rule the
+    joint gain of S2 (Explore-LF reports its certificate the same way).
     Once S2 costs more than the largest single-action cost, the loop stops
     as soon as bound / (cost(S2) - c_max) < beta. Larger beta stops
     earlier and yields a smaller (tighter) bound. S2 is a set: each (point, fidelity)

@@ -4,10 +4,11 @@ Each criterion is a function returning (passed, detail). Where an
 independent oracle exists it is the dumbest correct method available
 (dense inverses, exhaustive enumeration, direct recomputation from trace
 rows). Criteria 2, 3 and 5 instead check identities between library
-functions: the chain rule ties batch_info_gains to info_gain_set, the
-m=1 model to the plain GP posterior, and each exploration set to its
-certificate. The heavyweight currin2 experiment is memoized per process so
-the criteria that share it (6, 8, 9) pay for it once.
+functions: the chain rule ties CandidateGains.gains to info_gain_set, the
+m=1 model's CandidateGains.posterior to the plain GP posterior, and each
+exploration set to its certificate. The heavyweight currin2 experiment is
+memoized per process so the criteria that share it (6 to 9) pay for it
+once.
 """
 
 from __future__ import annotations
@@ -30,9 +31,7 @@ from .model import (
     FidelityModel,
     History,
     Observation,
-    batch_info_gains,
     info_gain_set,
-    predict_latent,
 )
 from .policy import PolicyConfig, mf_mi_greedy, sf_only, trace_records
 from .regret import cumulative_regret_at, decompose_regret
@@ -185,14 +184,14 @@ def criterion_gp_oracle():
 
 
 def _single_gain(hist: History, a: Action) -> float:
-    """The gain Explore-LF ranks a by: batch_info_gains at one point."""
-    return float(batch_info_gains(hist.cov, a.x[None, :])[a.fidelity][0])
+    """The gain Explore-LF ranks a by: CandidateGains at one point."""
+    return float(CandidateGains(hist.cov, a.x[None, :]).gains()[a.fidelity][0])
 
 
 def criterion_chain_rule():
     """I(y_ab; f) = I(y_a; f) + I(y_b; f | y_a) on 100 2-action instances.
 
-    The single-action terms come from batch_info_gains, the joint term from
+    The single-action terms come from CandidateGains, the joint term from
     info_gain_set's joint entropies, so the check ties the function
     Explore-LF ranks by to the certificate it reports.
     """
@@ -222,7 +221,9 @@ def criterion_chain_rule():
 
 
 def criterion_additive_consistency():
-    """With m=1 and target-only data, predict_latent == plain GP posterior."""
+    """With m=1 and target-only data, the posterior every run reads
+    (CandidateGains.posterior) == the plain GP posterior's mean and
+    diagonal."""
     rng = np.random.default_rng(20240603)
     worst = 0.0
     for _ in range(50):
@@ -241,9 +242,10 @@ def criterion_additive_consistency():
             hist = hist.update(Observation(Action(x=X[i], fidelity=1), float(y[i])))
         Xq = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), d))
 
-        mean1, cov1 = predict_latent(hist, Xq)
+        mean1, var1 = CandidateGains(hist.cov, Xq).posterior(hist)
         mean0, cov0 = posterior(prior, X, y, Xq)
-        worst = max(worst, float(np.max(np.abs(mean1 - mean0))), float(np.max(np.abs(cov1 - cov0))))
+        worst = max(worst, float(np.max(np.abs(mean1 - mean0))),
+                    float(np.max(np.abs(var1 - np.diag(cov0)))))
     ok = worst <= 1e-10
     return ok, "max abs err %.3g (tol 1e-10) over 50 instances" % worst
 
@@ -298,11 +300,14 @@ def criterion_explore_certificate():
         budget = float(rng.uniform(1.0, 30.0))
         cand = make_candidates(prob.bounds, 64, seed=1000 + i)
         cands = CandidateGains(hist.cov, cand.points)
-        res = explore_lf(budget, hist, PolicyConfig.alpha_exponent, cands)
+        res = explore_lf(budget, PolicyConfig.alpha_exponent, cands)
         if not res.selected:
             continue
         nonempty += 1
         gain = info_gain_set(hist, res.selected)
+        if abs(gain - res.cumulative_info_gain) > 1e-10:
+            return False, "call %d: stored gain %.12g != joint gain %.12g" % (
+                i, res.cumulative_info_gain, gain)
         if gain / res.cost < res.beta - 1e-10:
             return False, "call %d: gain/cost %.6g < beta %.6g" % (i, gain / res.cost, res.beta)
         if res.cost + lam_m > budget + 1e-12:

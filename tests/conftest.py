@@ -27,7 +27,7 @@ def pytest_terminal_summary(terminalreporter):
             terminalreporter.write_line(line)
 
 
-# scalar oracle for batch_info_gains: one action at a time, no vectorization
+# scalar oracle for CandidateGains.gains: one action at a time, no vectorization
 def info_gain_single(history: History, action: Action, state: CovState | None = None) -> float:
     """Information gain of one fresh observation about the latent f."""
     cov = state if state is not None else history.cov

@@ -14,11 +14,11 @@ from mfbo.acquisition import (
 class TestCandidateSet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            CandidateSet(points=np.empty((0, 2)), seed=0)
+            CandidateSet(points=np.empty((0, 2)))
 
     def test_rejects_wrong_rank(self):
         with pytest.raises(ValueError):
-            CandidateSet(points=np.zeros(5), seed=0)
+            CandidateSet(points=np.zeros(5))
 
     def test_make_candidates_within_bounds(self):
         bounds = np.array([[-2.0, 1.0], [0.0, 5.0]])

@@ -27,7 +27,7 @@ POINTS3 = np.array([[-0.6], [0.0], [0.7]])
 
 def explore(budget, history, points=POINTS3):
     """explore_lf over points, ranked by a fresh CandidateGains."""
-    return explore_lf(budget, history, EXPONENT, CandidateGains(history.cov, points))
+    return explore_lf(budget, EXPONENT, CandidateGains(history.cov, points))
 
 
 def greedy_oracle(budget, model, history, points=POINTS3):
@@ -90,7 +90,7 @@ class TestStoppingConditions:
         # cumulative gain per cost under it
         res = explore(8.0, History.empty(two_fid_model), np.array([[-1.0], [0.0], [1.0]]))
         assert res.stop_reason == LOW_CUMULATIVE_RATIO
-        assert res.size == 4
+        assert len(res.selected) == 4
         assert res.cumulative_info_gain / res.cost >= res.beta - 1e-10
 
 
@@ -122,7 +122,7 @@ class TestGreedySequence:
 
     def test_gain_chain_sum_matches_joint(self, two_fid_model):
         res = explore(40.0, History.empty(two_fid_model))
-        assert res.size >= 2
+        assert len(res.selected) >= 2
         h = History.empty(two_fid_model)
         chain = 0.0
         for a in res.selected:
@@ -161,17 +161,23 @@ class TestCallerGains:
     def test_picks_are_appended_to_the_callers_object(self, two_fid_model):
         h = History.empty(two_fid_model)
         cands = CandidateGains(h.cov, POINTS3)
-        res = explore_lf(40.0, h, EXPONENT, cands)
-        assert res.size >= 2
+        res = explore_lf(40.0, EXPONENT, cands)
+        assert len(res.selected) >= 2
         assert np.array_equal(cands.state.X, [a.x for a in res.selected])
         assert list(cands.state.fids) == [a.fidelity for a in res.selected]
 
     def test_rejects_an_object_at_another_state(self, two_fid_model):
+        # explore_lf reads only cands; a history that does not hold its
+        # state refuses the picks, and its posterior refuses the history
         h = History.empty(two_fid_model)
         cands = CandidateGains(h.cov, POINTS3)
         h1 = h.update(Observation(Action(x=np.array([0.2]), fidelity=1), 0.0))
+        res = explore_lf(40.0, EXPONENT, cands)
+        picks = [Observation(a, 0.0) for a in res.selected]
+        with pytest.raises(ValueError, match="covariance state holds"):
+            h1.adopt(picks, cands.state)
         with pytest.raises(ValueError, match="covariance state"):
-            explore_lf(40.0, h1, EXPONENT, cands)
+            cands.posterior(h1)
 
 
 class TestConfig:

@@ -172,13 +172,6 @@ class TestPosterior:
         assert np.max(np.abs(mean - y)) < 1e-8
         assert np.all(np.diag(cov) <= 1e-8)
 
-    def test_callable_mean(self):
-        kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
-        prior = GpPrior(kern, noise_variance=0.1, mean=lambda X: X[:, 0] * 2.0)
-        Xq = np.array([[1.0], [2.0]])
-        mean, _ = posterior(prior, np.zeros((0, 1)), np.zeros(0), Xq)
-        assert np.allclose(mean, [2.0, 4.0])
-
     def test_mismatched_lengths_raise(self):
         kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
         prior = GpPrior(kern, noise_variance=0.1)

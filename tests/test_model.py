@@ -18,12 +18,10 @@ from mfbo.model import (
     Observation,
     _joint_cross,
     _joint_sym,
-    batch_info_gains,
     default_hyper_grid,
     fit_hyperparameters,
     info_gain_set,
     log_marginal_likelihood,
-    predict_latent,
 )
 
 
@@ -69,6 +67,29 @@ def predict_observable(history: History, action: Action) -> tuple[float, float]:
     var = prior_var - w @ w
     # independent noise can never be conditioned away
     return float(mean), float(max(var, model.noise_variance(action.fidelity)))
+
+
+def dense_latent_posterior(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and variance of f at each row of Xq, by conditioning the dense
+    joint Gaussian of (f(xq), y_hist) built entry by entry from joint_cov."""
+    model = history.model
+    acts = [o.action for o in history.observations]
+    K = np.array([[joint_cov(model, a, b, same_obs=(i == j)) for j, b in enumerate(acts)]
+                  for i, a in enumerate(acts)])
+    mu = model.target_prior.mean
+    resid = np.array([o.y for o in history.observations]) - mu
+    kf = model.target_prior.kernel
+    means, variances = [], []
+    for xq in Xq:
+        k = np.array([_se(kf, xq, a.x) for a in acts])
+        means.append(mu + k @ np.linalg.solve(K, resid))
+        variances.append(_se(kf, xq, xq) - k @ np.linalg.solve(K, k))
+    return np.array(means), np.array(variances)
+
+
+def latent_posterior(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
+    """CandidateGains.posterior at Xq, from a fresh object at history's state."""
+    return CandidateGains(history.cov, Xq).posterior(history)
 
 
 def obs(x, fid, y=0.0):
@@ -138,22 +159,23 @@ class TestModelValidation:
 
 
 class TestPredictLatent:
+    """The latent posterior at candidates, CandidateGains.posterior."""
+
     def test_empty_history_is_prior(self, two_fid_model, rng):
         h = History.empty(two_fid_model)
         Xq = rng.uniform(-1, 1, size=(4, 1))
-        mean, cov = predict_latent(h, Xq)
-        assert np.allclose(mean, 0.0)
-        kf = two_fid_model.target_prior.kernel
-        assert np.allclose(cov, kf.cross(Xq, Xq), atol=1e-12)
+        mean, var = latent_posterior(h, Xq)
+        assert np.array_equal(mean, np.zeros(4))
+        assert np.array_equal(var, np.full(4, two_fid_model.target_prior.kernel.signal_variance))
 
     def test_target_observation_matches_plain_gp(self, two_fid_model, rng):
         h = History.empty(two_fid_model).update(obs(0.4, 2, 1.1))
         Xq = rng.uniform(-1, 1, size=(5, 1))
-        mean, cov = predict_latent(h, Xq)
+        mean, var = latent_posterior(h, Xq)
         mean0, cov0 = posterior(two_fid_model.target_prior, np.array([[0.4]]),
                                 np.array([1.1]), Xq)
         assert np.max(np.abs(mean - mean0)) < 1e-10
-        assert np.max(np.abs(cov - cov0)) < 1e-10
+        assert np.max(np.abs(var - np.diag(cov0))) < 1e-10
 
     def test_low_fidelity_half_variance_oracle(self):
         # k_f(x,x)=1, k_eps(x,x)=1, sigma^2=0: one low obs leaves var 1/2
@@ -161,23 +183,29 @@ class TestPredictLatent:
         e = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 0.0)
         model = FidelityModel(target_prior=t, error_priors=(e,), costs=np.array([1.0, 2.0]))
         h = History.empty(model).update(obs(0.0, 1, 0.7))
-        _, cov = predict_latent(h, np.array([[0.0]]))
-        assert cov[0, 0] == pytest.approx(0.5, abs=1e-10)
+        _, var = latent_posterior(h, np.array([[0.0]]))
+        assert var[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_diag_matches_full(self, three_fid_model, rng):
+        # the run's posterior and the test oracle against the full joint
+        # Gaussian over every fidelity's observations
         h = random_history(rng, three_fid_model, 6)
+        for lev in (1, 2, 3):
+            h = h.update(Observation(Action(x=rng.uniform(-1, 1, size=2), fidelity=lev),
+                                     float(rng.standard_normal())))
         Xq = rng.uniform(-1, 1, size=(7, 2))
-        mean_d, var_d = predict_latent_diag(h, Xq)
-        mean_f, cov_f = predict_latent(h, Xq)
-        assert np.allclose(mean_d, mean_f, atol=1e-10)
-        assert np.allclose(var_d, np.diag(cov_f), atol=1e-10)
+        mean0, var0 = dense_latent_posterior(h, Xq)
+        for mean, var in (latent_posterior(h, Xq), predict_latent_diag(h, Xq)):
+            assert np.max(np.abs(mean - mean0)) < 1e-10
+            assert np.max(np.abs(var - var0)) < 1e-10
 
-    def test_every_fidelity_informs_the_target(self, two_fid_model):
-        h0 = History.empty(two_fid_model)
-        h1 = h0.update(obs(0.2, 1, 0.5))
-        _, v0 = predict_latent_diag(h0, np.array([[0.2]]))
-        _, v1 = predict_latent_diag(h1, np.array([[0.2]]))
-        assert v1[0] < v0[0]
+    def test_every_fidelity_informs_the_target(self, three_fid_model):
+        h0 = History.empty(three_fid_model)
+        x = np.array([[0.2, -0.1]])
+        _, v0 = latent_posterior(h0, x)
+        for lev in (1, 2, 3):
+            _, v1 = latent_posterior(h0.update(obs(x[0], lev, 0.5)), x)
+            assert v1[0] < v0[0]
 
 
 class TestPredictObservable:
@@ -336,7 +364,7 @@ class TestInfoGain:
     def test_batch_matches_singles(self, three_fid_model, rng, n_hist):
         h = random_history(rng, three_fid_model, n_hist)
         Xc = rng.uniform(-1, 1, size=(9, 2))
-        gains = batch_info_gains(h.cov, Xc)
+        gains = CandidateGains(h.cov, Xc).gains()
         for fid in (1, 2, 3):
             for i in range(9):
                 expect = info_gain_single(h, Action(x=Xc[i], fidelity=fid))
@@ -344,7 +372,7 @@ class TestInfoGain:
 
 
 class TestCandidateGains:
-    """Incremental gains against a fresh batch_info_gains after every append."""
+    """Incremental gains against a fresh CandidateGains after every append."""
 
     def _run(self, model, Xc, choose, steps) -> set:
         """Append steps picks; return the (cause, fidelity) of each append
@@ -357,7 +385,7 @@ class TestCandidateGains:
             if gains.state.rebuilt is not None:
                 seen.append((gains.state.rebuilt, action.fidelity))
             got = gains.gains()
-            want = batch_info_gains(gains.state, Xc)
+            want = CandidateGains(gains.state, Xc).gains()
             assert sorted(got) == sorted(want)
             for lev in want:
                 assert np.allclose(got[lev], want[lev], rtol=0, atol=1e-10), (t, lev)
@@ -446,7 +474,7 @@ class TestLongRunDrift:
             state = gains.state
             L, _ = chol_factor(_joint_sym(model, state.X, state.fids))
             assert np.max(np.abs(state.L - L)) < 1e-12
-            got, want = gains.gains(), batch_info_gains(state, Xc)
+            got, want = gains.gains(), CandidateGains(state, Xc).gains()
             for lev in want:
                 assert np.max(np.abs(got[lev] - want[lev])) < 1e-10
             mean, var = gains.posterior(history)

@@ -17,6 +17,7 @@ from mfbo.model import (
     CovState,
     FidelityModel,
     History,
+    info_gain_set,
 )
 from mfbo.policy import (
     POLICIES,
@@ -106,6 +107,30 @@ class TestGoldenTrace:
         trace = mf_mi_greedy(toy, 21.0, quick_cfg, seed=2718)
         ep = trace.episodes[0]
         assert ep.explore_info_gain / ep.explore_cost >= ep.explore_beta - 1e-10
+
+
+class TestStoredCertificate:
+    """Explore-LF stores the running sum of its picks' gains; by the chain
+    rule it is their joint gain about f given the history before the
+    episode, which info_gain_set computes from joint entropies."""
+
+    @pytest.mark.parametrize("run", ["golden", "currin2"])
+    def test_equals_joint_gain_of_the_picks(self, toy, quick_cfg, run):
+        if run == "golden":
+            trace = mf_mi_greedy(toy, 21.0, quick_cfg, seed=2718)
+        else:
+            problem = make_problem("currin2", seed=0)
+            trace = mf_mi_greedy(problem, 100 * problem.model.target_cost,
+                                 PolicyConfig(n_candidates=200), seed=1)
+        before, exploring = [], 0
+        for ep in trace.episodes:
+            if ep.low_observations:
+                exploring += 1
+                history = History.from_observations(ep.model, before)
+                want = info_gain_set(history, [o.action for o in ep.low_observations])
+                assert abs(ep.explore_info_gain - want) <= 1e-10, (ep.index, want)
+            before += ep.low_observations + (ep.target_observation,)
+        assert exploring >= 1
 
 
 class TestEpisodeStructure:

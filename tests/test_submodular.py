@@ -193,14 +193,14 @@ class TestRatioMonotone:
 
 class TestGammaMaxBound:
     def test_single_candidate_value(self, two_fid_model):
-        cand = CandidateSet(points=np.array([[0.2]]), seed=0)
+        cand = CandidateSet(points=np.array([[0.2]]))
         bound = gamma_max_bound(two_fid_model, cand, budget=50.0, beta=1e-6)
         h = History.empty(two_fid_model)
         gain = info_gain_single(h, Action(x=np.array([0.2]), fidelity=1))
         assert bound == pytest.approx(gain / KS_GUARANTEE, abs=1e-12)
 
     def test_nonincreasing_in_beta(self, two_fid_model):
-        cand = CandidateSet(points=np.linspace(-1, 1, 12)[:, None], seed=0)
+        cand = CandidateSet(points=np.linspace(-1, 1, 12)[:, None])
         betas = [0.01, 0.05, 0.2, 0.8, 3.0]
         bounds = [gamma_max_bound(two_fid_model, cand, 40.0, b) for b in betas]
         for lo, hi in zip(bounds[1:], bounds):
@@ -209,7 +209,7 @@ class TestGammaMaxBound:
     def test_huge_beta_stops_at_first_chance(self, two_fid_model):
         # with beta = inf the loop breaks at the first step past c_max;
         # costs [1,3] make that the second addition
-        cand = CandidateSet(points=np.linspace(-1, 1, 6)[:, None], seed=0)
+        cand = CandidateSet(points=np.linspace(-1, 1, 6)[:, None])
         bound = gamma_max_bound(two_fid_model, cand, 40.0, beta=np.inf)
 
         h = History.empty(two_fid_model)
@@ -229,7 +229,7 @@ class TestGammaMaxBound:
     # every pair taken (16 picks); ratio below beta (14); budget spent (10)
     @pytest.mark.parametrize("budget, beta", [(30.0, 0.01), (40.0, 1.5), (12.0, 0.05)])
     def test_matches_oracle_pick_for_pick(self, three_fid_model, rng, monkeypatch, budget, beta):
-        cand = CandidateSet(points=rng.uniform(-1, 1, size=(8, 2)), seed=0)
+        cand = CandidateSet(points=rng.uniform(-1, 1, size=(8, 2)))
         picks = []  # gamma_max_bound appends every pick to its CandidateGains
         append = CandidateGains.append
 
@@ -250,10 +250,10 @@ class TestGammaMaxBound:
     def test_single_fidelity_model_is_zero(self):
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 0.1)
         model = FidelityModel(target_prior=t, error_priors=(), costs=np.array([1.0]))
-        cand = CandidateSet(points=np.array([[0.0]]), seed=0)
+        cand = CandidateSet(points=np.array([[0.0]]))
         assert gamma_max_bound(model, cand, 10.0, 0.5) == 0.0
 
     def test_budget_positive(self, two_fid_model):
-        cand = CandidateSet(points=np.array([[0.0]]), seed=0)
+        cand = CandidateSet(points=np.array([[0.0]]))
         with pytest.raises(ValueError):
             gamma_max_bound(two_fid_model, cand, 0.0, 0.5)
