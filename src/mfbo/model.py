@@ -12,7 +12,11 @@ so any two observations are jointly Gaussian with covariance
 Everything downstream (posteriors over the latent target f, information
 gains of candidate queries about f) is exact conditioning in that joint
 Gaussian. Information gains need no observed values, only locations, which
-is what lets the exploration routine score hypothetical query sets.
+is what lets the exploration routine score hypothetical query sets. So a
+CovState records only where observations were made; their values travel
+beside it as one vector y, in the order the points were appended, and
+only the posterior mean (CandidateGains.posterior) and the marginal
+likelihood (fit_hyperparameters) read them.
 
 Fidelities are 1-based; m = number of fidelities = target index.
 """
@@ -22,7 +26,7 @@ from __future__ import annotations
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -294,83 +298,28 @@ def _extend_chol(L, col, diag) -> np.ndarray | None:
 
 
 # --------------------------------------------------------------------------
-# observation history
-
-class History:
-    """Immutable record of observations plus cached factorizations."""
-
-    __slots__ = ("model", "observations", "cov", "y", "alpha")
-
-    def __init__(self, model, observations, cov, y, alpha):
-        self.model = model
-        self.observations = observations
-        self.cov = cov
-        self.y = y
-        self.alpha = alpha
-
-    @classmethod
-    def empty(cls, model: FidelityModel) -> "History":
-        return cls(model, (), CovState.empty(model), np.zeros(0), np.zeros(0))
-
-    @classmethod
-    def from_observations(cls, model: FidelityModel, observations: Iterable[Observation]) -> "History":
-        observations = tuple(observations)
-        if not observations:
-            return cls.empty(model)
-        X = np.array([o.action.x for o in observations])
-        fids = np.array([o.action.fidelity for o in observations], dtype=np.int64)
-        cov = CovState.build(model, X, fids)
-        y = np.array([o.y for o in observations])
-        return cls(model, observations, cov, y, _alpha(model, cov, y))
-
-    def update(self, obs: Observation) -> "History":
-        return self.adopt((obs,), self.cov.append(obs.action))
-
-    def adopt(self, observations: Sequence[Observation], cov: CovState) -> "History":
-        """This history plus observations whose actions cov, a
-        CandidateGains.state, holds already, so no factor is extended twice."""
-        observations = self.observations + tuple(observations)
-        if cov.n != len(observations):
-            raise ValueError("covariance state holds %d points for %d observations"
-                             % (cov.n, len(observations)))
-        y = np.append(self.y, [o.y for o in observations[len(self):]])
-        return History(self.model, observations, cov, y, _alpha(self.model, cov, y))
-
-    def __len__(self) -> int:
-        return len(self.observations)
-
-
-def _alpha(model, cov: CovState, y) -> np.ndarray:
-    if y.shape[0] == 0:
-        return np.zeros(0)
-    resid = y - model.target_prior.mean_at(cov.X)
-    a = solve_triangular(cov.L, resid, lower=True, check_finite=False)
-    return solve_triangular(cov.L.T, a, lower=False, check_finite=False)
-
-
-# --------------------------------------------------------------------------
 # information gains about the latent target f
 #
 # I(y_A; f | y_S) = H(y_A | y_S) - H(y_A | f, y_S). Given the whole latent
-# f, the residuals y_s - f(x_s) of the history become observable, so the
-# second entropy is residual-covariance conditioning only; it splits into
-# independent per-fidelity blocks.
+# f, the residuals y_s - f(x_s) at the state's points become observable,
+# so the second entropy is residual-covariance conditioning only; it splits
+# into independent per-fidelity blocks.
 
-def info_gain_set(history: History, actions: Sequence[Action]) -> float:
-    """Joint information gain of a set of fresh observations about f."""
+def info_gain_set(state: CovState, actions: Sequence[Action]) -> float:
+    """Joint information gain about f of fresh observations at actions,
+    given the observations at state's points."""
     actions = list(actions)
     if not actions:
         return 0.0
-    cov = history.cov
-    model = cov.model
+    model = state.model
     Xe = np.array([a.x for a in actions])
     fe = np.array([a.fidelity for a in actions], dtype=np.int64)
     for f in fe:
         model._check_fidelity(int(f))
     See = _joint_sym(model, Xe, fe)
-    if cov.n:
-        Cse = _joint_cross(model, cov.X, cov.fids, Xe, fe)
-        W = solve_triangular(cov.L, Cse, lower=True, check_finite=False)
+    if state.n:
+        Cse = _joint_cross(model, state.X, state.fids, Xe, fe)
+        W = solve_triangular(state.L, Cse, lower=True, check_finite=False)
         cond1 = See - W.T @ W
         cond1 = 0.5 * (cond1 + cond1.T)
     else:
@@ -384,10 +333,10 @@ def info_gain_set(history: History, actions: Sequence[Action]) -> float:
         ker = model.error_kernel(lev)
         Ke = ker.sym(Xe[idx])
         Ke[np.diag_indices_from(Ke)] += model.noise_variance(lev)
-        ef = cov.err.get(lev)
+        ef = state.err.get(lev)
         if ef is not None:
             We = solve_triangular(
-                ef.L, ker.cross(cov.X[ef.idx], Xe[idx]), lower=True, check_finite=False
+                ef.L, ker.cross(state.X[ef.idx], Xe[idx]), lower=True, check_finite=False
             )
             Ke = Ke - We.T @ We
             Ke = 0.5 * (Ke + Ke.T)
@@ -546,53 +495,45 @@ class CandidateGains:
             out[lev] = gains
         return out
 
-    def posterior(self, history: History) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean, prior + K_c^T alpha, and pointwise variance,
-        sv - (W_f column sums of squares) floored at 0, of f at Xc given
-        history, whose covariance state must be this object's."""
-        if history.cov is not self.state:
-            raise ValueError("history does not hold this object's covariance state")
+    def posterior(self, y) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior mean, prior + K_c^T alpha with alpha = K^-1 (y - mu),
+        and pointwise variance, sv - (W_f column sums of squares) floored
+        at 0, of f at Xc given the values y observed at the state's
+        points, in the order they were appended."""
+        state = self.state
+        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        if y.shape[0] != state.n:
+            raise ValueError("%d values for %d observed points" % (y.shape[0], state.n))
         if self._wf is None:
             self._recompute()
-        prior = self.state.model.target_prior
-        mean = prior.mean_at(self.Xc) + self._kc.rows.T @ history.alpha
+        prior = state.model.target_prior
+        alpha = np.zeros(0)
+        if state.n:
+            resid = y - prior.mean_at(state.X)
+            a = solve_triangular(state.L, resid, lower=True, check_finite=False)
+            alpha = solve_triangular(state.L.T, a, lower=False, check_finite=False)
+        mean = prior.mean_at(self.Xc) + self._kc.rows.T @ alpha
         return mean, np.maximum(prior.kernel.signal_variance - self._wf.sq, 0.0)
 
 
 # --------------------------------------------------------------------------
 # hyperparameter refitting
 
-@dataclass(frozen=True)
-class HyperGrid:
-    """Candidate joint models for marginal-likelihood grid search."""
-
-    models: tuple[FidelityModel, ...]
-
-    def __post_init__(self):
-        if not self.models:
-            raise ValueError("grid must contain at least one model")
-        object.__setattr__(self, "models", tuple(self.models))
-
-
-def default_hyper_grid(model: FidelityModel) -> HyperGrid:
+def default_hyper_grid(model: FidelityModel) -> tuple[FidelityModel, ...]:
     """5x5 grid of (lengthscale, signal-variance) multipliers around model.
 
     The same multipliers apply to the target and every error process.
     """
     factors = np.logspace(np.log10(0.25), np.log10(4.0), 5)
-    return HyperGrid(
-        tuple(model.scaled(a, b) for a in factors for b in factors)
-    )
+    return tuple(model.scaled(a, b) for a in factors for b in factors)
 
 
-def log_marginal_likelihood(model: FidelityModel, observations: Sequence[Observation]) -> float:
-    observations = list(observations)
-    n = len(observations)
+def log_marginal_likelihood(model: FidelityModel, X, fids, y) -> float:
+    """log p(y) of values y observed at points X of fidelities fids."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    n = y.shape[0]
     if n == 0:
         return 0.0
-    X = np.array([o.action.x for o in observations])
-    fids = np.array([o.action.fidelity for o in observations], dtype=np.int64)
-    y = np.array([o.y for o in observations])
     K = _joint_sym(model, X, fids)
     L, _ = chol_factor(K)
     resid = y - model.target_prior.mean_at(X)
@@ -602,20 +543,21 @@ def log_marginal_likelihood(model: FidelityModel, observations: Sequence[Observa
     )
 
 
-def fit_hyperparameters(history: History, grid: HyperGrid) -> FidelityModel:
-    """Pick the grid model with the best joint log marginal likelihood.
+def fit_hyperparameters(state: CovState, y, grid: Sequence[FidelityModel]) -> FidelityModel:
+    """Pick the grid model with the best joint log marginal likelihood of
+    the values y observed at state's points.
 
     Ties break to the earliest grid index; grid points whose covariance
-    cannot be factorized are skipped; if every point fails, the current
-    model is kept and a warning is issued.
+    cannot be factorized are skipped; if every point fails, or the grid
+    is empty, state's model is kept and a warning is issued.
     """
     best = None
     best_lml = -np.inf
-    for cand in grid.models:
-        if cand.m != history.model.m or cand.dim != history.model.dim:
-            raise ValueError("grid model shape does not match history model")
+    for cand in grid:
+        if cand.m != state.model.m or cand.dim != state.model.dim:
+            raise ValueError("grid model shape does not match the state's model")
         try:
-            lml = log_marginal_likelihood(cand, history.observations)
+            lml = log_marginal_likelihood(cand, state.X, state.fids, y)
         except NumericalError:
             continue
         if lml > best_lml:
@@ -623,5 +565,5 @@ def fit_hyperparameters(history: History, grid: HyperGrid) -> FidelityModel:
             best = cand
     if best is None:
         warnings.warn("hyperparameter grid search failed at every grid point")
-        return history.model
+        return state.model
     return best

@@ -15,10 +15,11 @@ so the budget is never overdrawn. Episode bookkeeping retains exploration
 cost, certified exploration information gain and the exploration threshold
 beta for later regret accounting.
 
-A run keeps one CandidateGains over its candidate set. Explore-LF and the
-target query append to it, the History adopts its covariance state (each
-observation extends the factors once), and the target choice and the
-recommendation read the latent posterior from it. A model refit resets it.
+A run's state is one CandidateGains over its candidate set plus the values
+it has observed, in query order. Explore-LF and the target query append to
+it (each observation extends the factors once), and the target choice and
+the recommendation read the latent posterior from it and those values. A
+model refit resets it to a fresh factorization at the same points.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .gp import NumericalError
 from .model import (
     Action,
     CandidateGains,
+    CovState,
     FidelityModel,
-    History,
     Observation,
     default_hyper_grid,
     fit_hyperparameters,
@@ -190,8 +191,8 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
     alpha_mi = cfg.alpha_mi if cfg.alpha_mi is not None else float(np.log(2.0 / cfg.delta))
     grid = None
 
-    history = History.empty(model)
-    cands = CandidateGains(history.cov, candidates.points)
+    cands = CandidateGains(CovState.empty(model), candidates.points)
+    y: list[float] = []           # observed values, in query order
     episodes: list[Episode] = []
     spent = 0.0
     gamma_mi = 0.0
@@ -207,25 +208,25 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
                 cfg.hyperfit_every
                 and t > 1
                 and (t - 1) % cfg.hyperfit_every == 0
-                and len(history) >= 2
+                and len(y) >= 2
             ):
                 if grid is None:
                     grid = default_hyper_grid(problem.model)
-                refit = fit_hyperparameters(history, grid)
+                refit = fit_hyperparameters(cands.state, y, grid)
                 if refit is not model:
                     model = refit
-                    history = History.from_observations(model, history.observations)
-                    cands.reset(history.cov)
+                    cands.reset(CovState.build(model, cands.state.X, cands.state.fids))
 
             low_obs: list[Observation] = []
             result = None
             if explore == "each" or (explore == "once" and not explored_once):
+                before = cands.state
                 result = explore_lf(budget - spent, cfg.alpha_exponent, cands)
                 explored_once = True
                 low_obs = [Observation(a, problem.evaluate(a, noise_rng)) for a in result.selected]
-                history = history.adopt(low_obs, cands.state)
+                y += [o.y for o in low_obs]
 
-            mean, var = cands.posterior(history)
+            mean, var = cands.posterior(y)
             if cfg.subroutine == "gp_ucb":
                 idx = gp_ucb_select(mean, var, schedule, t)
             else:
@@ -233,7 +234,7 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
             target_action = Action(x=candidates.points[idx], fidelity=m)
             target_obs = Observation(target_action, problem.evaluate(target_action, noise_rng))
             cands.append(target_action)
-            history = history.adopt((target_obs,), cands.state)
+            y.append(target_obs.y)
 
             ep_explore_cost = result.cost if result is not None else 0.0
             episode = Episode(
@@ -253,11 +254,11 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
         except NumericalError as exc:
             failed = True
             error = "%s: %s" % (type(exc).__name__, exc)
-            if cands.state is not history.cov:  # an append failed partway
-                cands = CandidateGains(history.cov, candidates.points)
+            if cands.state.n != len(y):  # Explore-LF failed after some picks
+                cands = CandidateGains(before, candidates.points)
             break
 
-    mean, _ = cands.posterior(history)
+    mean, _ = cands.posterior(y)
     ridx = int(np.argmax(mean))
     return Trace(
         problem_name=getattr(problem, "name", "unknown"),

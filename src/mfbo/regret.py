@@ -93,12 +93,10 @@ class RegretCurve:
         return float(self.values[idx])
 
 
-def simple_regret_curve(trace: Trace, f_star: float | None = None) -> RegretCurve:
-    """Running best target value after each episode, as regret if f* given."""
+def simple_regret_curve(trace: Trace, f_star: float) -> RegretCurve:
+    """f* minus the running best target value after each episode."""
     costs = np.cumsum([ep.cost for ep in trace.episodes])
     best = np.maximum.accumulate(trace.rewards())
-    if f_star is None:
-        return RegretCurve("simple_reward", costs, best)
     return RegretCurve("simple_regret", costs, f_star - best)
 
 

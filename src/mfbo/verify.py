@@ -25,14 +25,7 @@ from .benchmarks import BenchmarkProblem, make_problem, single_fidelity_problem
 from .explore import alpha_budget, explore_lf
 from .gp import GpPrior, SquaredExpKernel, posterior
 from .harness import ExperimentConfig, run_experiment, summarize, checkpoint_costs
-from .model import (
-    Action,
-    CandidateGains,
-    FidelityModel,
-    History,
-    Observation,
-    info_gain_set,
-)
+from .model import Action, CandidateGains, CovState, FidelityModel, info_gain_set
 from .policy import PolicyConfig, mf_mi_greedy, sf_only, trace_records
 from .regret import cumulative_regret_at, decompose_regret
 from .submodular import GroundSet, KS_GUARANTEE, brute_force_knapsack, check_ratio_monotone, gamma_max_bound, greedy_knapsack
@@ -133,12 +126,13 @@ def _random_model(rng, m: int, d: int) -> FidelityModel:
     )
 
 
-def _random_history(rng, model: FidelityModel, n: int) -> History:
-    hist = History.empty(model)
+def _random_state(rng, model: FidelityModel, n: int) -> CovState:
+    state = CovState.empty(model)
     for _ in range(n):
         a = Action(x=rng.uniform(-1.0, 1.0, size=model.dim), fidelity=int(rng.integers(1, model.m + 1)))
-        hist = hist.update(Observation(a, float(rng.standard_normal())))
-    return hist
+        rng.standard_normal()  # a value gains never read; the draw fixes later instances
+        state = state.append(a)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -183,9 +177,9 @@ def criterion_gp_oracle():
     return ok, "max abs err %.3g (tol 1e-8), %.2fs (limit 5s)" % (worst, elapsed)
 
 
-def _single_gain(hist: History, a: Action) -> float:
+def _single_gain(state: CovState, a: Action) -> float:
     """The gain Explore-LF ranks a by: CandidateGains at one point."""
-    return float(CandidateGains(hist.cov, a.x[None, :]).gains()[a.fidelity][0])
+    return float(CandidateGains(state, a.x[None, :]).gains()[a.fidelity][0])
 
 
 def criterion_chain_rule():
@@ -203,14 +197,13 @@ def criterion_chain_rule():
         m = int(rng.integers(1, 4))
         d = int(rng.integers(1, 3))
         model = _random_model(rng, m, d)
-        hist = _random_history(rng, model, int(rng.integers(0, 5)))
+        state = _random_state(rng, model, int(rng.integers(0, 5)))
         a = Action(x=rng.uniform(-1.0, 1.0, size=d), fidelity=int(rng.integers(1, m + 1)))
         b = Action(x=rng.uniform(-1.0, 1.0, size=d), fidelity=int(rng.integers(1, m + 1)))
 
-        joint = info_gain_set(hist, (a, b))
-        g_a = _single_gain(hist, a)
-        hist_a = hist.update(Observation(a, 0.0))  # gains ignore the value
-        g_b = _single_gain(hist_a, b)
+        joint = info_gain_set(state, (a, b))
+        g_a = _single_gain(state, a)
+        g_b = _single_gain(state.append(a), b)
 
         worst = max(worst, abs(joint - (g_a + g_b)))
         min_gain = min(min_gain, joint, g_a, g_b)
@@ -237,12 +230,12 @@ def criterion_additive_consistency():
         n = int(rng.integers(0, 9))
         X = rng.uniform(-1.0, 1.0, size=(n, d))
         y = rng.standard_normal(n)
-        hist = History.empty(model)
+        state = CovState.empty(model)
         for i in range(n):
-            hist = hist.update(Observation(Action(x=X[i], fidelity=1), float(y[i])))
+            state = state.append(Action(x=X[i], fidelity=1))
         Xq = rng.uniform(-1.0, 1.0, size=(int(rng.integers(1, 6)), d))
 
-        mean1, var1 = CandidateGains(hist.cov, Xq).posterior(hist)
+        mean1, var1 = CandidateGains(state, Xq).posterior(y)
         mean0, cov0 = posterior(prior, X, y, Xq)
         worst = max(worst, float(np.max(np.abs(mean1 - mean0))),
                     float(np.max(np.abs(var1 - np.diag(cov0)))))
@@ -293,18 +286,19 @@ def criterion_explore_certificate():
     rng = np.random.default_rng(20240605)
     nonempty = 0
     for i in range(50):
-        hist = History.empty(model)
+        state = CovState.empty(model)
         for _ in range(int(rng.integers(0, 7))):
             a = Action(x=rng.uniform(0.0, 1.0, size=1), fidelity=int(rng.integers(1, 3)))
-            hist = hist.update(Observation(a, prob.evaluate(a, rng)))
+            prob.evaluate(a, rng)  # a value gains never read; the draw fixes later instances
+            state = state.append(a)
         budget = float(rng.uniform(1.0, 30.0))
         cand = make_candidates(prob.bounds, 64, seed=1000 + i)
-        cands = CandidateGains(hist.cov, cand.points)
+        cands = CandidateGains(state, cand.points)
         res = explore_lf(budget, PolicyConfig.alpha_exponent, cands)
         if not res.selected:
             continue
         nonempty += 1
-        gain = info_gain_set(hist, res.selected)
+        gain = info_gain_set(state, res.selected)
         if abs(gain - res.cumulative_info_gain) > 1e-10:
             return False, "call %d: stored gain %.12g != joint gain %.12g" % (
                 i, res.cumulative_info_gain, gain)

@@ -8,7 +8,6 @@ from mfbo.model import (
     Action,
     CovState,
     FidelityModel,
-    History,
     _joint_cross,
 )
 
@@ -28,10 +27,9 @@ def pytest_terminal_summary(terminalreporter):
 
 
 # scalar oracle for CandidateGains.gains: one action at a time, no vectorization
-def info_gain_single(history: History, action: Action, state: CovState | None = None) -> float:
+def info_gain_single(state: CovState, action: Action) -> float:
     """Information gain of one fresh observation about the latent f."""
-    cov = state if state is not None else history.cov
-    model = cov.model
+    model = state.model
     model._check_fidelity(action.fidelity)
     kf = model.target_prior.kernel
     sv = kf.signal_variance
@@ -40,22 +38,22 @@ def info_gain_single(history: History, action: Action, state: CovState | None = 
     x1 = action.x[None, :]
     lev = action.fidelity
     prior1 = model.prior_variance(lev)
-    if cov.n:
-        base = kf.cross(cov.X, x1)[:, 0]
-        wf = solve_triangular(cov.L, base, lower=True, check_finite=False)
+    if state.n:
+        base = kf.cross(state.X, x1)[:, 0]
+        wf = solve_triangular(state.L, base, lower=True, check_finite=False)
         if sv - wf @ wf < DEGENERATE_VAR:
             return 0.0
         f1 = np.array([lev], dtype=np.int64)
-        cross = _joint_cross(model, cov.X, cov.fids, x1, f1)[:, 0]
-        w1 = solve_triangular(cov.L, cross, lower=True, check_finite=False)
+        cross = _joint_cross(model, state.X, state.fids, x1, f1)[:, 0]
+        w1 = solve_triangular(state.L, cross, lower=True, check_finite=False)
         v1 = prior1 - w1 @ w1
     else:
         v1 = prior1
     if lev < model.m:
         v0 = model.error_kernel(lev).signal_variance + model.noise_variance(lev)
-        ef = cov.err.get(lev)
+        ef = state.err.get(lev)
         if ef is not None:
-            ce = model.error_kernel(lev).cross(cov.X[ef.idx], x1)[:, 0]
+            ce = model.error_kernel(lev).cross(state.X[ef.idx], x1)[:, 0]
             we = solve_triangular(ef.L, ce, lower=True, check_finite=False)
             v0 = v0 - we @ we
     else:
@@ -65,19 +63,23 @@ def info_gain_single(history: History, action: Action, state: CovState | None = 
 
 
 # from-scratch oracle for CandidateGains.posterior: the latent posterior at
-# Xq from one fresh solve, K_c built in one block
-def predict_latent_diag(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
-    """Posterior mean and pointwise variance of f at Xq (no cross terms)."""
-    model = history.model
+# Xq from fresh solves, K_c built in one block
+def predict_latent_diag(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]:
+    """Posterior mean and pointwise variance of f at Xq (no cross terms)
+    given the values y observed at state's points."""
+    model = state.model
     Xq = np.asarray(Xq, dtype=np.float64).reshape(-1, model.dim)
     kf = model.target_prior.kernel
     prior_mean = model.target_prior.mean_at(Xq)
     sv = kf.signal_variance
-    if len(history) == 0:
+    if state.n == 0:
         return prior_mean, np.full(Xq.shape[0], sv)
-    Kc = kf.cross(history.cov.X, Xq)
-    mean = prior_mean + Kc.T @ history.alpha
-    W = solve_triangular(history.cov.L, Kc, lower=True, check_finite=False)
+    resid = np.asarray(y, dtype=np.float64) - model.target_prior.mean_at(state.X)
+    a = solve_triangular(state.L, resid, lower=True, check_finite=False)
+    alpha = solve_triangular(state.L.T, a, lower=False, check_finite=False)
+    Kc = kf.cross(state.X, Xq)
+    mean = prior_mean + Kc.T @ alpha
+    W = solve_triangular(state.L, Kc, lower=True, check_finite=False)
     var = np.maximum(sv - np.einsum("ij,ij->j", W, W), 0.0)
     return mean, var
 

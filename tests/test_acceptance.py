@@ -51,8 +51,8 @@ def test_criterion(number):
 def test_additive_consistency_fails_on_an_offset_posterior(monkeypatch):
     real = CandidateGains.posterior
 
-    def offset(self, history):
-        mean, var = real(self, history)
+    def offset(self, y):
+        mean, var = real(self, y)
         return mean + 1e-9, var
 
     monkeypatch.setattr(CandidateGains, "posterior", offset)

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from scipy.linalg import solve_triangular
+from scipy.linalg import cho_solve, solve_triangular
 
 from conftest import info_gain_single, predict_latent_diag
 from mfbo.benchmarks import make_problem
@@ -13,9 +13,6 @@ from mfbo.model import (
     CandidateGains,
     CovState,
     FidelityModel,
-    History,
-    HyperGrid,
-    Observation,
     _joint_cross,
     _joint_sym,
     default_hyper_grid,
@@ -51,33 +48,39 @@ def joint_cov(model: FidelityModel, a: Action, b: Action, same_obs: bool = False
     return v
 
 
-def predict_observable(history: History, action: Action) -> tuple[float, float]:
-    """Posterior mean and variance of a fresh observation at the action."""
-    model = history.model
+def predict_observable(state: CovState, y, action: Action) -> tuple[float, float]:
+    """Posterior mean and variance of a fresh observation at the action,
+    given the values y observed at state's points."""
+    model = state.model
     model._check_fidelity(action.fidelity)
     prior_var = model.prior_variance(action.fidelity)
     x1 = action.x[None, :]
     mean_prior = float(model.target_prior.mean_at(x1)[0])
-    if len(history) == 0:
+    if state.n == 0:
         return mean_prior, prior_var
     f1 = np.array([action.fidelity], dtype=np.int64)
-    cross = _joint_cross(model, history.cov.X, history.cov.fids, x1, f1)[:, 0]
-    mean = mean_prior + cross @ history.alpha
-    w = solve_triangular(history.cov.L, cross, lower=True, check_finite=False)
+    cross = _joint_cross(model, state.X, state.fids, x1, f1)[:, 0]
+    resid = y - model.target_prior.mean_at(state.X)
+    mean = mean_prior + cross @ cho_solve((state.L, True), resid)
+    w = solve_triangular(state.L, cross, lower=True, check_finite=False)
     var = prior_var - w @ w
     # independent noise can never be conditioned away
     return float(mean), float(max(var, model.noise_variance(action.fidelity)))
 
 
-def dense_latent_posterior(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
+def actions_of(state: CovState) -> list[Action]:
+    return [Action(x=x, fidelity=f) for x, f in zip(state.X, state.fids)]
+
+
+def dense_latent_posterior(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Mean and variance of f at each row of Xq, by conditioning the dense
-    joint Gaussian of (f(xq), y_hist) built entry by entry from joint_cov."""
-    model = history.model
-    acts = [o.action for o in history.observations]
+    joint Gaussian of (f(xq), y) built entry by entry from joint_cov."""
+    model = state.model
+    acts = actions_of(state)
     K = np.array([[joint_cov(model, a, b, same_obs=(i == j)) for j, b in enumerate(acts)]
                   for i, a in enumerate(acts)])
     mu = model.target_prior.mean
-    resid = np.array([o.y for o in history.observations]) - mu
+    resid = np.asarray(y) - mu
     kf = model.target_prior.kernel
     means, variances = [], []
     for xq in Xq:
@@ -87,22 +90,24 @@ def dense_latent_posterior(history: History, Xq) -> tuple[np.ndarray, np.ndarray
     return np.array(means), np.array(variances)
 
 
-def latent_posterior(history: History, Xq) -> tuple[np.ndarray, np.ndarray]:
-    """CandidateGains.posterior at Xq, from a fresh object at history's state."""
-    return CandidateGains(history.cov, Xq).posterior(history)
+def latent_posterior(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]:
+    """CandidateGains.posterior at Xq, from a fresh object at state."""
+    return CandidateGains(state, Xq).posterior(y)
 
 
-def obs(x, fid, y=0.0):
-    return Observation(Action(x=np.atleast_1d(np.asarray(x, dtype=float)), fidelity=fid), y)
+def act(x, fid):
+    return Action(x=np.atleast_1d(np.asarray(x, dtype=float)), fidelity=fid)
 
 
-def random_history(rng, model, n, spread=1.0):
-    h = History.empty(model)
+def random_observations(rng, model, n, spread=1.0) -> tuple[CovState, np.ndarray]:
+    """n random actions appended one at a time, and a value for each."""
+    state, y = CovState.empty(model), []
     for _ in range(n):
         a = Action(x=rng.uniform(-spread, spread, size=model.dim),
                    fidelity=int(rng.integers(1, model.m + 1)))
-        h = h.update(Observation(a, float(rng.standard_normal())))
-    return h
+        y.append(float(rng.standard_normal()))
+        state = state.append(a)
+    return state, np.array(y)
 
 
 class TestActionObservation:
@@ -162,16 +167,15 @@ class TestPredictLatent:
     """The latent posterior at candidates, CandidateGains.posterior."""
 
     def test_empty_history_is_prior(self, two_fid_model, rng):
-        h = History.empty(two_fid_model)
         Xq = rng.uniform(-1, 1, size=(4, 1))
-        mean, var = latent_posterior(h, Xq)
+        mean, var = latent_posterior(CovState.empty(two_fid_model), [], Xq)
         assert np.array_equal(mean, np.zeros(4))
         assert np.array_equal(var, np.full(4, two_fid_model.target_prior.kernel.signal_variance))
 
     def test_target_observation_matches_plain_gp(self, two_fid_model, rng):
-        h = History.empty(two_fid_model).update(obs(0.4, 2, 1.1))
+        state = CovState.empty(two_fid_model).append(act(0.4, 2))
         Xq = rng.uniform(-1, 1, size=(5, 1))
-        mean, var = latent_posterior(h, Xq)
+        mean, var = latent_posterior(state, [1.1], Xq)
         mean0, cov0 = posterior(two_fid_model.target_prior, np.array([[0.4]]),
                                 np.array([1.1]), Xq)
         assert np.max(np.abs(mean - mean0)) < 1e-10
@@ -182,72 +186,71 @@ class TestPredictLatent:
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 0.0)
         e = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 0.0)
         model = FidelityModel(target_prior=t, error_priors=(e,), costs=np.array([1.0, 2.0]))
-        h = History.empty(model).update(obs(0.0, 1, 0.7))
-        _, var = latent_posterior(h, np.array([[0.0]]))
+        state = CovState.empty(model).append(act(0.0, 1))
+        _, var = latent_posterior(state, [0.7], np.array([[0.0]]))
         assert var[0] == pytest.approx(0.5, abs=1e-10)
 
     def test_diag_matches_full(self, three_fid_model, rng):
         # the run's posterior and the test oracle against the full joint
         # Gaussian over every fidelity's observations
-        h = random_history(rng, three_fid_model, 6)
+        state, y = random_observations(rng, three_fid_model, 6)
         for lev in (1, 2, 3):
-            h = h.update(Observation(Action(x=rng.uniform(-1, 1, size=2), fidelity=lev),
-                                     float(rng.standard_normal())))
+            state = state.append(Action(x=rng.uniform(-1, 1, size=2), fidelity=lev))
+            y = np.append(y, rng.standard_normal())
         Xq = rng.uniform(-1, 1, size=(7, 2))
-        mean0, var0 = dense_latent_posterior(h, Xq)
-        for mean, var in (latent_posterior(h, Xq), predict_latent_diag(h, Xq)):
+        mean0, var0 = dense_latent_posterior(state, y, Xq)
+        for mean, var in (latent_posterior(state, y, Xq), predict_latent_diag(state, y, Xq)):
             assert np.max(np.abs(mean - mean0)) < 1e-10
             assert np.max(np.abs(var - var0)) < 1e-10
 
     def test_every_fidelity_informs_the_target(self, three_fid_model):
-        h0 = History.empty(three_fid_model)
+        empty = CovState.empty(three_fid_model)
         x = np.array([[0.2, -0.1]])
-        _, v0 = latent_posterior(h0, x)
+        _, v0 = latent_posterior(empty, [], x)
         for lev in (1, 2, 3):
-            _, v1 = latent_posterior(h0.update(obs(x[0], lev, 0.5)), x)
+            _, v1 = latent_posterior(empty.append(act(x[0], lev)), [0.5], x)
             assert v1[0] < v0[0]
 
 
 class TestPredictObservable:
     def test_empty_history_target(self, two_fid_model):
         a = Action(x=np.array([0.1]), fidelity=2)
-        mean, var = predict_observable(History.empty(two_fid_model), a)
+        mean, var = predict_observable(CovState.empty(two_fid_model), [], a)
         assert mean == pytest.approx(0.0, abs=1e-12)
         assert var == pytest.approx(1.0 + 0.05, abs=1e-12)
 
     def test_empty_history_low(self, two_fid_model):
         a = Action(x=np.array([0.1]), fidelity=1)
-        _, var = predict_observable(History.empty(two_fid_model), a)
+        _, var = predict_observable(CovState.empty(two_fid_model), [], a)
         assert var == pytest.approx(1.0 + 0.25 + 0.02, abs=1e-12)
 
     def test_variance_floor_is_noise(self, two_fid_model, rng):
-        h = random_history(rng, two_fid_model, 10, spread=0.3)
+        state, y = random_observations(rng, two_fid_model, 10, spread=0.3)
         a = Action(x=np.array([0.0]), fidelity=2)
-        _, var = predict_observable(h, a)
+        _, var = predict_observable(state, y, a)
         assert var >= 0.05 - 1e-12
 
     def test_zero_noise_interpolation(self):
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.5])), 0.0)
         model = FidelityModel(target_prior=t, error_priors=(), costs=np.array([1.0]))
-        h = History.empty(model).update(obs(0.3, 1, 0.9))
-        mean, _ = predict_observable(h, Action(x=np.array([0.3]), fidelity=1))
+        state = CovState.empty(model).append(act(0.3, 1))
+        mean, _ = predict_observable(state, [0.9], Action(x=np.array([0.3]), fidelity=1))
         assert mean == pytest.approx(0.9, abs=1e-8)
 
     def test_observable_decomposes_into_latent_plus_error(self, two_fid_model, rng):
         # joint-oracle check: condition the dense joint Gaussian of
         # (y_new, y_hist) directly and compare mean/var
-        h = random_history(rng, two_fid_model, 6)
+        state, y = random_observations(rng, two_fid_model, 6)
         model = two_fid_model
         a = Action(x=np.array([0.25]), fidelity=1)
-        mean, var = predict_observable(h, a)
+        mean, var = predict_observable(state, y, a)
 
-        acts = [o.action for o in h.observations] + [a]
+        acts = actions_of(state) + [a]
         n = len(acts)
         K = np.zeros((n, n))
         for i in range(n):
             for j in range(n):
                 K[i, j] = joint_cov(model, acts[i], acts[j], same_obs=(i == j))
-        y = np.array([o.y for o in h.observations])
         prior_mean = np.array([model.target_prior.mean_at(x.x[None, :])[0] for x in acts])
         Khh = K[:-1, :-1]
         kh = K[:-1, -1]
@@ -262,7 +265,7 @@ class TestInfoGain:
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 1.0)
         model = FidelityModel(target_prior=t, error_priors=(), costs=np.array([1.0]))
         a = Action(x=np.array([0.0]), fidelity=1)
-        g = info_gain_single(History.empty(model), a)
+        g = info_gain_single(CovState.empty(model), a)
         assert g == pytest.approx(0.5 * np.log(2.0), abs=1e-12)
 
     def test_perfect_proxy_equals_target_gain(self):
@@ -270,31 +273,31 @@ class TestInfoGain:
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 1.0)
         e = GpPrior(SquaredExpKernel(signal_variance=1e-14, lengthscales=np.array([1.0])), 1.0)
         model = FidelityModel(target_prior=t, error_priors=(e,), costs=np.array([1.0, 2.0]))
-        h = History.empty(model)
-        g_low = info_gain_single(h, Action(x=np.array([0.0]), fidelity=1))
-        g_tgt = info_gain_single(h, Action(x=np.array([0.0]), fidelity=2))
+        empty = CovState.empty(model)
+        g_low = info_gain_single(empty, Action(x=np.array([0.0]), fidelity=1))
+        g_tgt = info_gain_single(empty, Action(x=np.array([0.0]), fidelity=2))
         assert g_low == pytest.approx(g_tgt, abs=1e-7)
 
     def test_known_value_gains_nothing(self):
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 0.0)
         model = FidelityModel(target_prior=t, error_priors=(), costs=np.array([1.0]))
-        h = History.empty(model).update(obs(0.0, 1, 0.4))
-        g = info_gain_single(h, Action(x=np.array([0.0]), fidelity=1))
+        state = CovState.empty(model).append(act(0.0, 1))
+        g = info_gain_single(state, Action(x=np.array([0.0]), fidelity=1))
         assert g == 0.0
 
     def test_set_of_one_equals_single(self, three_fid_model, rng):
-        h = random_history(rng, three_fid_model, 4)
+        state, _ = random_observations(rng, three_fid_model, 4)
         for fid in (1, 2, 3):
             a = Action(x=rng.uniform(-1, 1, size=2), fidelity=fid)
-            assert info_gain_set(h, (a,)) == pytest.approx(
-                info_gain_single(h, a), abs=1e-10)
+            assert info_gain_set(state, (a,)) == pytest.approx(
+                info_gain_single(state, a), abs=1e-10)
 
     def test_far_apart_points_add(self, two_fid_model):
-        h = History.empty(two_fid_model)
+        empty = CovState.empty(two_fid_model)
         a = Action(x=np.array([-40.0]), fidelity=1)
         b = Action(x=np.array([40.0]), fidelity=2)
-        joint = info_gain_set(h, (a, b))
-        singles = info_gain_single(h, a) + info_gain_single(h, b)
+        joint = info_gain_set(empty, (a, b))
+        singles = info_gain_single(empty, a) + info_gain_single(empty, b)
         assert joint == pytest.approx(singles, abs=1e-6)
 
     def test_chain_rule(self, rng):
@@ -310,64 +313,64 @@ class TestInfoGain:
                 for _ in range(m - 1))
             model = FidelityModel(target_prior=t, error_priors=errs,
                                   costs=np.arange(1.0, m + 1.0))
-            h = random_history(rng, model, int(rng.integers(0, 4)))
+            state, _ = random_observations(rng, model, int(rng.integers(0, 4)))
             a = Action(x=rng.uniform(-1, 1, size=1), fidelity=int(rng.integers(1, m + 1)))
             b = Action(x=rng.uniform(-1, 1, size=1), fidelity=int(rng.integers(1, m + 1)))
-            joint = info_gain_set(h, (a, b))
-            split = info_gain_single(h, a) + info_gain_single(h.update(Observation(a, 0.0)), b)
+            joint = info_gain_set(state, (a, b))
+            split = info_gain_single(state, a) + info_gain_single(state.append(a), b)
             assert joint == pytest.approx(split, abs=1e-8)
 
     def test_gains_nonnegative(self, two_fid_model, rng):
         for _ in range(25):
-            h = random_history(rng, two_fid_model, int(rng.integers(0, 6)))
+            state, _ = random_observations(rng, two_fid_model, int(rng.integers(0, 6)))
             probe = Action(x=rng.uniform(-1, 1, size=1), fidelity=int(rng.integers(1, 3)))
-            assert info_gain_single(h, probe) >= -1e-10
+            assert info_gain_single(state, probe) >= -1e-10
 
     def test_target_probe_diminishing_returns(self, two_fid_model, rng):
         # given f the target observation is independent of everything else,
         # so conditioning on more data can only shrink its gain
         for _ in range(30):
-            h_small = random_history(rng, two_fid_model, int(rng.integers(0, 4)))
-            h_big = h_small
+            small, _ = random_observations(rng, two_fid_model, int(rng.integers(0, 4)))
+            big = small
             for _ in range(int(rng.integers(1, 4))):
                 a = Action(x=rng.uniform(-1, 1, size=1), fidelity=int(rng.integers(1, 3)))
-                h_big = h_big.update(Observation(a, float(rng.standard_normal())))
+                big = big.append(a)
             probe = Action(x=rng.uniform(-1, 1, size=1), fidelity=2)
-            assert info_gain_single(h_big, probe) <= info_gain_single(h_small, probe) + 1e-8
+            assert info_gain_single(big, probe) <= info_gain_single(small, probe) + 1e-8
 
     def test_low_fidelity_probe_gain_can_increase(self, two_fid_model):
         # diminishing returns does NOT hold blanket for low-fidelity probes:
         # extra data can pin down the error process near the probe, turning a
         # fresh low query into a cleaner measurement of f
-        def hist(pairs):
-            h = History.empty(two_fid_model)
+        def at(pairs):
+            state = CovState.empty(two_fid_model)
             for x, fid in pairs:
-                h = h.update(obs(x, fid))
-            return h
+                state = state.append(act(x, fid))
+            return state
 
         probe = Action(x=np.array([0.0]), fidelity=1)
-        g_small = info_gain_single(hist([(-1.0, 1)]), probe)
-        g_big = info_gain_single(hist([(-1.0, 1), (-0.5, 1), (-1.0, 2)]), probe)
+        g_small = info_gain_single(at([(-1.0, 1)]), probe)
+        g_big = info_gain_single(at([(-1.0, 1), (-0.5, 1), (-1.0, 2)]), probe)
         assert g_small == pytest.approx(0.7980513968499996, abs=1e-9)
         assert g_big == pytest.approx(0.9478287114479189, abs=1e-9)
         assert g_big > g_small + 0.1
 
     def test_set_monotone_in_actions(self, two_fid_model, rng):
-        h = random_history(rng, two_fid_model, 3)
+        state, _ = random_observations(rng, two_fid_model, 3)
         actions = [Action(x=rng.uniform(-1, 1, size=1), fidelity=1) for _ in range(4)]
         for k in range(1, 4):
-            small = info_gain_set(h, actions[:k])
-            big = info_gain_set(h, actions[: k + 1])
+            small = info_gain_set(state, actions[:k])
+            big = info_gain_set(state, actions[: k + 1])
             assert big >= small - 1e-8
 
-    @pytest.mark.parametrize("n_hist", [5, 30])
-    def test_batch_matches_singles(self, three_fid_model, rng, n_hist):
-        h = random_history(rng, three_fid_model, n_hist)
+    @pytest.mark.parametrize("n_obs", [5, 30])
+    def test_batch_matches_singles(self, three_fid_model, rng, n_obs):
+        state, _ = random_observations(rng, three_fid_model, n_obs)
         Xc = rng.uniform(-1, 1, size=(9, 2))
-        gains = CandidateGains(h.cov, Xc).gains()
+        gains = CandidateGains(state, Xc).gains()
         for fid in (1, 2, 3):
             for i in range(9):
-                expect = info_gain_single(h, Action(x=Xc[i], fidelity=fid))
+                expect = info_gain_single(state, Action(x=Xc[i], fidelity=fid))
                 assert gains[fid][i] == pytest.approx(expect, abs=1e-9)
 
 
@@ -448,6 +451,14 @@ class TestCandidateGains:
         assert seen == {(JOINT_FAILED, 3), (FIRST_POINT, 1), (ERROR_FAILED, 1),
                         (FIRST_POINT, 2)}
 
+    def test_posterior_needs_one_value_per_point(self, two_fid_model, rng):
+        state, y = random_observations(rng, two_fid_model, 4)
+        gains = CandidateGains(state, rng.uniform(-1, 1, size=(5, 1)))
+        gains.posterior(y)
+        for wrong in (y[:-1], np.append(y, 0.0)):
+            with pytest.raises(ValueError, match="values for 4 observed points"):
+                gains.posterior(wrong)
+
 class TestLongRunDrift:
     """Factors are extended row by row for a whole run and never rebuilt
     on a step count; this bounds the rounding that accumulates meanwhile."""
@@ -460,100 +471,79 @@ class TestLongRunDrift:
         rng = np.random.default_rng(7)
         Xc = rng.uniform(problem.bounds[:, 0], problem.bounds[:, 1], size=(200, model.dim))
         gains = CandidateGains(CovState.empty(model), Xc)
-        history = History.empty(model)
+        y = []
         for t in range(1, 801):
             g = gains.gains()
             lev = max(g, key=lambda l: g[l].max() / model.costs[l - 1])
             a = Action(x=Xc[int(np.argmax(g[lev]))], fidelity=lev)
             gains.append(a)
-            history = history.adopt((Observation(a, problem.evaluate(a, rng)),), gains.state)
+            y.append(problem.evaluate(a, rng))
             if t not in (200, 400, 800):
                 continue
             # measured: 2e-15 (L), 2e-14 (gains), 2e-16 (variance), 7e-15
-            # (against a rebuilt history), so each tolerance leaves 100x
+            # (against a rebuilt state), so each tolerance leaves 100x
             state = gains.state
             L, _ = chol_factor(_joint_sym(model, state.X, state.fids))
             assert np.max(np.abs(state.L - L)) < 1e-12
             got, want = gains.gains(), CandidateGains(state, Xc).gains()
             for lev in want:
                 assert np.max(np.abs(got[lev] - want[lev])) < 1e-10
-            mean, var = gains.posterior(history)
-            mean_o, var_o = predict_latent_diag(history, Xc)
+            mean, var = gains.posterior(y)
+            mean_o, var_o = predict_latent_diag(state, y, Xc)
             assert np.array_equal(mean, mean_o)
             assert np.max(np.abs(var - var_o)) < 1e-10
-            fresh = History.from_observations(model, history.observations)
-            mean_f, var_f = predict_latent_diag(fresh, Xc)
+            fresh = CovState.build(model, state.X, state.fids)
+            mean_f, var_f = predict_latent_diag(fresh, y, Xc)
             assert np.max(np.abs(mean - mean_f)) < 1e-10
             assert np.max(np.abs(var - var_f)) < 1e-10
         assert gains.recomputes[JOINT_FAILED] == gains.recomputes[ERROR_FAILED] == 0
 
 
-class TestHistory:
-    def test_lengths(self, two_fid_model):
-        h = History.empty(two_fid_model)
-        assert len(h) == 0
-        h = h.update(obs(0.1, 1, 0.2))
-        assert len(h) == 1
-
+class TestCovState:
     def test_incremental_matches_rebuild(self, three_fid_model, rng):
-        h = random_history(rng, three_fid_model, 30)  # extended row by row
-        rebuilt = History.from_observations(three_fid_model, h.observations)
-        def logdet(cov):
-            return 2.0 * float(np.sum(np.log(np.diag(cov.L))))
+        state, y = random_observations(rng, three_fid_model, 30)  # extended row by row
+        rebuilt = CovState.build(three_fid_model, state.X, state.fids)
+        def logdet(s):
+            return 2.0 * float(np.sum(np.log(np.diag(s.L))))
 
-        assert logdet(h.cov) == pytest.approx(logdet(rebuilt.cov), abs=1e-10)
+        assert logdet(state) == pytest.approx(logdet(rebuilt), abs=1e-10)
         Xq = rng.uniform(-1, 1, size=(4, 2))
-        m1, v1 = predict_latent_diag(h, Xq)
-        m2, v2 = predict_latent_diag(rebuilt, Xq)
+        m1, v1 = predict_latent_diag(state, y, Xq)
+        m2, v2 = predict_latent_diag(rebuilt, y, Xq)
         assert np.allclose(m1, m2, atol=1e-8)
         assert np.allclose(v1, v2, atol=1e-8)
 
-    def test_adopt_takes_the_extended_state(self, two_fid_model, rng):
-        h = random_history(rng, two_fid_model, 4)
-        new = [obs(0.3, 1, 0.5), obs(-0.2, 2, 1.5)]
-        gains = CandidateGains(h.cov, rng.uniform(-1, 1, size=(5, 1)))
-        for o in new:
-            gains.append(o.action)
-        adopted = h.adopt(new, gains.state)
-        updated = h.update(new[0]).update(new[1])
-        assert adopted.cov is gains.state
-        assert adopted.observations == updated.observations
-        assert np.array_equal(adopted.alpha, updated.alpha)
-        with pytest.raises(ValueError, match="6 points for 5 observations"):
-            h.adopt(new[:1], gains.state)
-        with pytest.raises(ValueError, match="covariance state"):
-            gains.posterior(updated)
-
     def test_order_invariance(self, two_fid_model, rng):
-        observations = [
-            Observation(Action(x=rng.uniform(-1, 1, size=1),
-                               fidelity=int(rng.integers(1, 3))),
-                        float(rng.standard_normal()))
-            for _ in range(6)
-        ]
-        h1 = History.from_observations(two_fid_model, observations)
-        perm = [observations[i] for i in rng.permutation(6)]
-        h2 = History.from_observations(two_fid_model, perm)
+        X = rng.uniform(-1, 1, size=(6, 1))
+        fids = rng.integers(1, 3, size=6)
+        y = rng.standard_normal(6)
+        perm = rng.permutation(6)
+        s1 = CovState.build(two_fid_model, X, fids)
+        s2 = CovState.build(two_fid_model, X[perm], fids[perm])
         Xq = rng.uniform(-1, 1, size=(5, 1))
-        m1, v1 = predict_latent_diag(h1, Xq)
-        m2, v2 = predict_latent_diag(h2, Xq)
+        m1, v1 = predict_latent_diag(s1, y, Xq)
+        m2, v2 = predict_latent_diag(s2, y[perm], Xq)
         assert np.allclose(m1, m2, atol=1e-8)
         assert np.allclose(v1, v2, atol=1e-8)
 
 
 class TestHyperFit:
     def test_grid_of_one_returns_it(self, two_fid_model, rng):
-        h = random_history(rng, two_fid_model, 3)
-        grid = HyperGrid(models=(two_fid_model,))
-        assert fit_hyperparameters(h, grid) is two_fid_model
+        state, y = random_observations(rng, two_fid_model, 3)
+        assert fit_hyperparameters(state, y, (two_fid_model,)) is two_fid_model
+
+    def test_empty_grid_keeps_the_model(self, two_fid_model, rng):
+        state, y = random_observations(rng, two_fid_model, 3)
+        with pytest.warns(UserWarning, match="failed at every grid point"):
+            assert fit_hyperparameters(state, y, ()) is two_fid_model
 
     def test_argmax_property(self, two_fid_model, rng):
-        h = random_history(rng, two_fid_model, 5)
+        state, y = random_observations(rng, two_fid_model, 5)
         grid = default_hyper_grid(two_fid_model)
-        best = fit_hyperparameters(h, grid)
-        best_lml = log_marginal_likelihood(best, h.observations)
-        for m in grid.models:
-            assert best_lml >= log_marginal_likelihood(m, h.observations) - 1e-9
+        best = fit_hyperparameters(state, y, grid)
+        best_lml = log_marginal_likelihood(best, state.X, state.fids, y)
+        for m in grid:
+            assert best_lml >= log_marginal_likelihood(m, state.X, state.fids, y) - 1e-9
 
     def test_recovers_generating_gridpoint(self):
         # self-consistency: near-noiseless data drawn from one grid model
@@ -563,17 +553,15 @@ class TestHyperFit:
         e = GpPrior(SquaredExpKernel(signal_variance=0.25, lengthscales=np.array([0.6])), 1e-6)
         base = FidelityModel(target_prior=t, error_priors=(e,), costs=np.array([1.0, 3.0]))
         grid = default_hyper_grid(base)
-        gen = grid.models[7]
+        gen = grid[7]
         kern = gen.target_prior.kernel
         X = rng.uniform(-1, 1, size=(50, 1))
         K = kern.cross(X, X) + 1e-6 * np.eye(50)
         y = np.linalg.cholesky(K) @ rng.standard_normal(50)
-        observations = [Observation(Action(x=X[i], fidelity=2), float(y[i]))
-                        for i in range(50)]
-        h = History.from_observations(gen, observations)
-        best = fit_hyperparameters(h, grid)
+        state = CovState.build(gen, X, np.full(50, 2))
+        best = fit_hyperparameters(state, y, grid)
         assert best is gen
 
     def test_default_grid_size(self, two_fid_model):
         grid = default_hyper_grid(two_fid_model)
-        assert len(grid.models) == 25
+        assert len(grid) == 25

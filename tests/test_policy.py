@@ -6,6 +6,7 @@ import pytest
 from conftest import predict_latent_diag
 from mfbo import model as model_module
 from mfbo import policy
+from mfbo.acquisition import make_candidates
 from mfbo.benchmarks import BenchmarkProblem, make_problem, single_fidelity_problem
 from mfbo.explore import alpha_budget
 from mfbo.gp import GpPrior, SquaredExpKernel, chol_factor
@@ -16,7 +17,6 @@ from mfbo.model import (
     CandidateGains,
     CovState,
     FidelityModel,
-    History,
     info_gain_set,
 )
 from mfbo.policy import (
@@ -111,7 +111,7 @@ class TestGoldenTrace:
 
 class TestStoredCertificate:
     """Explore-LF stores the running sum of its picks' gains; by the chain
-    rule it is their joint gain about f given the history before the
+    rule it is their joint gain about f given the observations before the
     episode, which info_gain_set computes from joint entropies."""
 
     @pytest.mark.parametrize("run", ["golden", "currin2"])
@@ -122,14 +122,15 @@ class TestStoredCertificate:
             problem = make_problem("currin2", seed=0)
             trace = mf_mi_greedy(problem, 100 * problem.model.target_cost,
                                  PolicyConfig(n_candidates=200), seed=1)
-        before, exploring = [], 0
+        before, exploring = [], 0  # the actions of earlier episodes
         for ep in trace.episodes:
             if ep.low_observations:
                 exploring += 1
-                history = History.from_observations(ep.model, before)
-                want = info_gain_set(history, [o.action for o in ep.low_observations])
+                state = CovState.build(ep.model, [a.x for a in before],
+                                       [a.fidelity for a in before])
+                want = info_gain_set(state, [o.action for o in ep.low_observations])
                 assert abs(ep.explore_info_gain - want) <= 1e-10, (ep.index, want)
-            before += ep.low_observations + (ep.target_observation,)
+            before += [o.action for o in ep.low_observations + (ep.target_observation,)]
         assert exploring >= 1
 
 
@@ -315,9 +316,9 @@ class TestRunLongPosterior:
                 super().__init__(*args)
                 made.append(self)
 
-            def posterior(self, history):
-                mean, var = super().posterior(history)
-                mean_o, var_o = predict_latent_diag(history, self.Xc)
+            def posterior(self, y):
+                mean, var = super().posterior(y)
+                mean_o, var_o = predict_latent_diag(self.state, y, self.Xc)
                 assert np.array_equal(mean, mean_o)
                 assert np.max(np.abs(var - var_o)) <= 1e-10
                 return mean, var
@@ -331,35 +332,65 @@ class TestRunLongPosterior:
         assert any(ep.low_observations for ep in trace.episodes)
 
         # the run's observations again, one at a time, with the same refits
-        history = History.empty(problem.model)
-        replay = Checked(history.cov, gains.Xc)
+        replay, y = Checked(CovState.empty(problem.model), gains.Xc), []
         for ep in trace.episodes:
-            if ep.model is not history.model:
-                history = History.from_observations(ep.model, history.observations)
-                replay.reset(history.cov)
+            if ep.model is not replay.state.model:
+                replay.reset(CovState.build(ep.model, replay.state.X, replay.state.fids))
             for obs in ep.low_observations + (ep.target_observation,):
                 replay.append(obs.action)
-                history = history.adopt((obs,), replay.state)
-                replay.posterior(history)
+                y.append(obs.y)
+                replay.posterior(y)
         assert replay.recomputes[JOINT_FAILED] >= 1
 
     def test_failure_inside_exploration_leaves_a_usable_recommendation(self, toy, monkeypatch):
         # the fifth append fails inside the first Explore-LF call, after
-        # four picks the history never received
-        real = CovState.append
-        calls = []
-
-        def failing_fifth(self, action):
-            calls.append(1)
-            if len(calls) == 5:
-                chol_factor(-np.eye(3))  # raises the real NumericalError
-            return real(self, action)
-
-        monkeypatch.setattr(CovState, "append", failing_fifth)
+        # four picks that were never observed
+        monkeypatch.setattr(CovState, "append", failing_append(5))
         trace = mf_mi_greedy(toy, 21.0, PolicyConfig(n_candidates=16, hyperfit_every=0), seed=2718)
         assert trace.failed and trace.n_episodes == 0
         assert trace.error.startswith("NumericalError: Cholesky failed")
         assert trace.recommendation_value == toy.model.target_prior.mean
+
+    def test_failure_in_a_later_exploration_recommends_from_earlier_episodes(
+            self, monkeypatch):
+        # the second pick of a later episode's Explore-LF fails; the run
+        # recommends the argmax of a fresh posterior at the observations of
+        # the episodes it completed
+        problem = noiseless_target_toy()
+        cfg = PolicyConfig(n_candidates=8, hyperfit_every=0, candidate_seed=11)
+        full = mf_mi_greedy(problem, 8000.0, cfg, seed=0)
+        k = next(i for i, ep in enumerate(full.episodes) if i and len(ep.low_observations) >= 2)
+        done = [o for ep in full.episodes[:k]
+                for o in ep.low_observations + (ep.target_observation,)]
+
+        monkeypatch.setattr(CovState, "append", failing_append(len(done) + 2))
+        trace = mf_mi_greedy(problem, 8000.0, cfg, seed=0)
+        monkeypatch.undo()
+        assert trace.failed and trace.n_episodes == k >= 1
+        assert trace_records(trace) == trace_records(full)[: len(done)]
+
+        state = CovState.empty(problem.model)
+        for o in done:
+            state = state.append(o.action)
+        Xc = make_candidates(problem.bounds, cfg.n_candidates, cfg.candidate_seed).points
+        mean, _ = predict_latent_diag(state, [o.y for o in done], Xc)
+        best = int(np.argmax(mean))
+        assert np.array_equal(trace.recommendation, Xc[best])
+        assert trace.recommendation_value == mean[best]
+
+
+def failing_append(n):
+    """CovState.append whose n-th call raises the real NumericalError."""
+    real = CovState.append
+    calls = []
+
+    def append(self, action):
+        calls.append(action)
+        if len(calls) == n:
+            chol_factor(-np.eye(3))
+        return real(self, action)
+
+    return append
 
 
 class TestRecomputeCount:

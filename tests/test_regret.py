@@ -142,13 +142,6 @@ class TestCurves:
         assert np.allclose(curve.values, [1.5, 0.6, 0.6, 0.6, 0.0])
         assert np.all(np.diff(curve.values) <= 1e-12)
 
-    def test_simple_reward_when_f_star_unknown(self):
-        eps = [make_episode(1, 0.3), make_episode(2, 0.1)]
-        curve = simple_regret_curve(make_trace(eps, 4.0))
-        assert curve.kind == "simple_reward"
-        assert np.allclose(curve.values, [0.3, 0.3])
-        assert np.all(np.diff(curve.values) >= -1e-12)
-
     def test_first_query_at_argmax_stays_flat_zero(self):
         eps = [make_episode(1, 2.0), make_episode(2, 1.0), make_episode(3, 0.0)]
         curve = simple_regret_curve(make_trace(eps, 6.0), f_star=2.0)

@@ -6,14 +6,7 @@ import pytest
 from conftest import info_gain_single
 from mfbo.acquisition import CandidateSet
 from mfbo.gp import GpPrior, SquaredExpKernel
-from mfbo.model import (
-    Action,
-    CandidateGains,
-    FidelityModel,
-    History,
-    Observation,
-    info_gain_set,
-)
+from mfbo.model import Action, CandidateGains, CovState, FidelityModel, info_gain_set
 from mfbo.submodular import (
     KS_GUARANTEE,
     GroundSet,
@@ -46,7 +39,7 @@ def gamma_oracle(model, candidates, budget, beta):
     low = range(1, model.m)
     costs = model.costs
     c_max = float(max(costs[lev - 1] for lev in low))
-    empty = History.empty(model)
+    empty = CovState.empty(model)
     pairs = [(lev, i) for lev in low for i in range(candidates.n)]
 
     def gain(h, pair):
@@ -66,8 +59,7 @@ def gamma_oracle(model, candidates, budget, beta):
         lev, i = scored[0][1]
         picked.append((lev, i))
         cost2 += float(costs[lev - 1])
-        action = Action(x=candidates.points[i], fidelity=lev)
-        h = h.update(Observation(action, 0.0))
+        h = h.append(Action(x=candidates.points[i], fidelity=lev))
         actions = [Action(x=candidates.points[j], fidelity=f) for f, j in picked]
         gamma = max(i_single, info_gain_set(empty, actions)) / KS_GUARANTEE
         if cost2 > c_max and gamma / (cost2 - c_max) < beta:
@@ -195,8 +187,8 @@ class TestGammaMaxBound:
     def test_single_candidate_value(self, two_fid_model):
         cand = CandidateSet(points=np.array([[0.2]]))
         bound = gamma_max_bound(two_fid_model, cand, budget=50.0, beta=1e-6)
-        h = History.empty(two_fid_model)
-        gain = info_gain_single(h, Action(x=np.array([0.2]), fidelity=1))
+        empty = CovState.empty(two_fid_model)
+        gain = info_gain_single(empty, Action(x=np.array([0.2]), fidelity=1))
         assert bound == pytest.approx(gain / KS_GUARANTEE, abs=1e-12)
 
     def test_nonincreasing_in_beta(self, two_fid_model):
@@ -212,12 +204,12 @@ class TestGammaMaxBound:
         cand = CandidateSet(points=np.linspace(-1, 1, 6)[:, None])
         bound = gamma_max_bound(two_fid_model, cand, 40.0, beta=np.inf)
 
-        h = History.empty(two_fid_model)
+        h = CovState.empty(two_fid_model)
         gains = np.array([info_gain_single(h, Action(x=p, fidelity=1))
                           for p in cand.points])
         i0 = int(np.argmax(gains))
         first = Action(x=cand.points[i0], fidelity=1)
-        h1 = h.update(Observation(first, 0.0))
+        h1 = h.append(first)
         cond = np.array([info_gain_single(h1, Action(x=p, fidelity=1))
                          for p in cand.points])
         cond[i0] = -np.inf  # set semantics: the taken pair is out

@@ -1,0 +1,29 @@
+"""The benchmark's traced mode still hooks the library: a signature change
+that breaks a counter hook in perfbench/layers.py fails here."""
+
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+
+import layers  # noqa: E402
+from tracer import Tracer  # noqa: E402
+from mfbo.harness import ExperimentConfig, run_experiment  # noqa: E402
+
+
+def test_traced_currin2_run_counts_refits(tmp_path):
+    cfg = ExperimentConfig(
+        problem="currin2", budget_mult=12.0, n_seeds=1, master_seed=3,
+        policies=("mf_mi_greedy", "sf_only"), hyperfit_every=2, out_dir=str(tmp_path),
+    )
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        result = run_experiment(cfg)
+    finally:
+        tracer.restore()
+    assert [o.policy for o in result.outcomes] == ["mf_mi_greedy", "sf_only"]
+    assert all(o.trace is not None and not o.trace.failed for o in result.outcomes)
+    metrics = layers.layer_metrics(tracer, result.outcomes, 1.0, 0.0, 0, {})
+    assert metrics["model.fit_hyperparameters.calls"] > 0
+    assert metrics["explore.explore_lf.calls"] > 0
