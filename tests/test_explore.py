@@ -160,6 +160,18 @@ class TestCallerGains:
         assert np.array_equal(cands.state.X, [a.x for a in res.selected])
         assert list(cands.state.fids) == [a.fidelity for a in res.selected]
 
+    def test_rejects_an_object_at_another_state(self, two_fid_model):
+        # explore_lf reads only cands and appends its picks there; values
+        # recorded for another state do not match its points and are refused
+        state = CovState.empty(two_fid_model).append(Action(x=np.array([0.2]), fidelity=1))
+        cands = CandidateGains(state, POINTS3)
+        res = explore_lf(40.0, EXPONENT, cands)
+        assert len(res.selected) >= 1
+        assert cands.state.n == 1 + len(res.selected)
+        with pytest.raises(ValueError, match="1 values for %d observed points" % cands.state.n):
+            cands.posterior(np.zeros(1))
+        cands.posterior(np.zeros(cands.state.n))
+
 
 class TestConfig:
     def test_alpha_exponent_range(self):

@@ -527,6 +527,32 @@ class TestCovState:
         assert np.allclose(v1, v2, atol=1e-8)
 
 
+class TestHistory:
+    """A run's history is its CandidateGains state plus the values observed
+    there, in query order."""
+
+    def test_adopt_takes_the_extended_state(self, two_fid_model, rng):
+        state, y = random_observations(rng, two_fid_model, 4)
+        new = [Action(x=np.array([0.3]), fidelity=1), Action(x=np.array([-0.2]), fidelity=2)]
+        y_new = np.append(y, [0.5, 1.5])
+        Xc = rng.uniform(-1, 1, size=(5, 1))
+        gains = CandidateGains(state, Xc)
+        for a in new:
+            gains.append(a)
+        updated = state.append(new[0]).append(new[1])
+        assert np.array_equal(gains.state.X, updated.X)
+        assert np.array_equal(gains.state.fids, updated.fids)
+        assert np.array_equal(gains.state.L, updated.L)
+        mean, var = gains.posterior(y_new)
+        mean_u, var_u = predict_latent_diag(updated, y_new, Xc)
+        assert np.allclose(mean, mean_u, atol=1e-10)
+        assert np.allclose(var, var_u, atol=1e-10)
+        with pytest.raises(ValueError, match="5 values for 6 observed points"):
+            gains.posterior(y_new[:5])
+        with pytest.raises(ValueError, match="4 values for 6 observed points"):
+            gains.posterior(y)
+
+
 class TestHyperFit:
     def test_grid_of_one_returns_it(self, two_fid_model, rng):
         state, y = random_observations(rng, two_fid_model, 3)
