@@ -31,6 +31,7 @@ from typing import Sequence
 import numpy as np
 from scipy.linalg import solve_triangular
 
+from . import covops
 from .gp import (
     LOG_2PI_E,
     GpPrior,
@@ -164,17 +165,41 @@ class FidelityModel:
 # --------------------------------------------------------------------------
 # dense joint covariance builders
 
-def _joint_sym(model: FidelityModel, X: np.ndarray, fids: np.ndarray) -> np.ndarray:
-    """Joint covariance of n distinct observations (noise on the diagonal)."""
-    K = model.target_prior.kernel.sym(X)
+def _joint_sym(model: FidelityModel, X: np.ndarray, fids: np.ndarray, memo=None) -> np.ndarray:
+    """Joint covariance of n distinct observations (noise on the diagonal).
+
+    Each kernel block is its signal variance times the unit block
+    exp(-0.5 d2) of its lengthscales, which is bitwise what kernel.sym
+    returns. memo, a dict one caller keeps for one point set, holds the
+    latest unit block per kernel (key 0 the target's, l fidelity l's error
+    kernel) and hands it back while that kernel's lengthscales are
+    unchanged, so a grid that varies only signal variances computes each
+    block once.
+    """
+    model._check_fidelity(int(fids.min(initial=1)))
+    model._check_fidelity(int(fids.max(initial=1)))
+    tk = model.target_prior.kernel
+    K = tk.signal_variance * _unit_sym(memo, 0, X, tk.lengthscales)
     for lev in range(1, model.m):
         idx = np.flatnonzero(fids == lev)
         if idx.size:
-            K[np.ix_(idx, idx)] += model.error_kernel(lev).sym(X[idx])
-    K[np.diag_indices_from(K)] += np.array(
-        [model.noise_variance(int(f)) for f in fids]
-    )
+            ek = model.error_kernel(lev)
+            unit = _unit_sym(memo, lev, X[idx], ek.lengthscales)
+            K[np.ix_(idx, idx)] += ek.signal_variance * unit
+    noise = np.array([model.noise_variance(lev) for lev in range(1, model.m + 1)])
+    K.reshape(-1)[:: K.shape[0] + 1] += noise[fids - 1]  # the diagonal, as a view
     return K
+
+
+def _unit_sym(memo, key, X, lengthscales) -> np.ndarray:
+    """exp(-0.5 d2) over X, memo[key]'s block if it has these lengthscales."""
+    ls = lengthscales.tobytes()
+    if memo is not None and key in memo and memo[key][0] == ls:
+        return memo[key][1]
+    block = covops.se_sym(X, lengthscales, 1.0)
+    if memo is not None:
+        memo[key] = (ls, block)
+    return block
 
 
 def _joint_cross(model, Xa, fida, Xb, fidb) -> np.ndarray:
@@ -522,19 +547,30 @@ class CandidateGains:
 def default_hyper_grid(model: FidelityModel) -> tuple[FidelityModel, ...]:
     """5x5 grid of (lengthscale, signal-variance) multipliers around model.
 
-    The same multipliers apply to the target and every error process.
+    The same multipliers apply to the target and every error process. The
+    lengthscale multiplier is the outer loop, so each run of 5 consecutive
+    models shares its kernels' unit blocks in fit_hyperparameters.
     """
     factors = np.logspace(np.log10(0.25), np.log10(4.0), 5)
     return tuple(model.scaled(a, b) for a in factors for b in factors)
 
 
-def log_marginal_likelihood(model: FidelityModel, X, fids, y) -> float:
-    """log p(y) of values y observed at points X of fidelities fids."""
+def log_marginal_likelihood(model: FidelityModel, X, fids, y, memo=None) -> float:
+    """log p(y) of values y observed at points X of fidelities fids.
+
+    memo is passed to _joint_sym: fit_hyperparameters keeps one for the
+    whole grid, so grid models that share a kernel's lengthscales share its
+    unit block, and the value is bitwise the one computed without it.
+    """
+    X = np.asarray(X, dtype=np.float64).reshape(-1, model.dim)
+    fids = np.asarray(fids, dtype=np.int64).reshape(-1)
     y = np.asarray(y, dtype=np.float64).reshape(-1)
-    n = y.shape[0]
+    n = X.shape[0]
+    if y.shape[0] != n:
+        raise ValueError("%d values for %d observed points" % (y.shape[0], n))
     if n == 0:
         return 0.0
-    K = _joint_sym(model, X, fids)
+    K = _joint_sym(model, X, fids, memo)
     L, _ = chol_factor(K)
     resid = y - model.target_prior.mean_at(X)
     a = solve_triangular(L, resid, lower=True, check_finite=False)
@@ -547,17 +583,26 @@ def fit_hyperparameters(state: CovState, y, grid: Sequence[FidelityModel]) -> Fi
     """Pick the grid model with the best joint log marginal likelihood of
     the values y observed at state's points.
 
-    Ties break to the earliest grid index; grid points whose covariance
-    cannot be factorized are skipped; if every point fails, or the grid
-    is empty, state's model is kept and a warning is issued.
+    Each grid model is scored by one log_marginal_likelihood call; one
+    memo spans the grid, so a kernel's unit block is computed once per run
+    of consecutive models with its lengthscales (default_hyper_grid varies
+    the lengthscales in its outer loop) and every score equals the
+    memo-free one. Ties break to the earliest grid index; grid points whose
+    covariance cannot be factorized are skipped; if every point fails, or
+    the grid is empty, state's model is kept and a warning is issued.
+    Raises ValueError unless y holds one value per point.
     """
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if y.shape[0] != state.n:
+        raise ValueError("%d values for %d observed points" % (y.shape[0], state.n))
     best = None
     best_lml = -np.inf
+    memo = {}
     for cand in grid:
         if cand.m != state.model.m or cand.dim != state.model.dim:
             raise ValueError("grid model shape does not match the state's model")
         try:
-            lml = log_marginal_likelihood(cand, state.X, state.fids, y)
+            lml = log_marginal_likelihood(cand, state.X, state.fids, y, memo)
         except NumericalError:
             continue
         if lml > best_lml:

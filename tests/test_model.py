@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
 from conftest import info_gain_single, predict_latent_diag
 from mfbo.benchmarks import make_problem
-from mfbo.gp import GpPrior, SquaredExpKernel, chol_factor, posterior
+from mfbo.gp import GpPrior, NumericalError, SquaredExpKernel, chol_factor, posterior
 from mfbo.model import (
     ERROR_FAILED,
     FIRST_POINT,
@@ -587,6 +589,67 @@ class TestHyperFit:
         state = CovState.build(gen, X, np.full(50, 2))
         best = fit_hyperparameters(state, y, grid)
         assert best is gen
+
+    def test_rejects_a_wrong_number_of_values(self, two_fid_model, rng):
+        state, y = random_observations(rng, two_fid_model, 5)
+        with pytest.raises(ValueError, match="1 values for 5 observed points"):
+            log_marginal_likelihood(two_fid_model, state.X, state.fids, [0.3])
+        with pytest.raises(ValueError, match="1 values for 5 observed points"):
+            fit_hyperparameters(state, [0.3], default_hyper_grid(two_fid_model))
+
+    def test_rejects_no_values_at_observed_points(self, two_fid_model, rng):
+        state, _ = random_observations(rng, two_fid_model, 5)
+        with pytest.raises(ValueError, match="0 values for 5 observed points"):
+            fit_hyperparameters(state, [], default_hyper_grid(two_fid_model))
+
+    def test_skips_a_grid_point_that_cannot_be_factorized(self):
+        # a repeated noiseless point makes K singular; at signal variance
+        # 1e20 the largest jitter is lost to rounding and Cholesky fails
+        def target_only(sv):
+            prior = GpPrior(SquaredExpKernel(sv, np.array([0.5])), noise_variance=0.0)
+            return FidelityModel(target_prior=prior, error_priors=(), costs=np.array([1.0]))
+
+        grid = tuple(target_only(sv) for sv in (1.0, 1e20, 0.5, 2.0))
+        X, fids, y = np.array([[0.1], [0.1], [0.6]]), np.ones(3, dtype=np.int64), [0.2, 0.2, -0.4]
+        state = CovState.build(grid[0], X, fids)
+        with pytest.raises(NumericalError):
+            log_marginal_likelihood(grid[1], X, fids, y)
+        rest = [0, 2, 3]
+        best = max(rest, key=lambda i: log_marginal_likelihood(grid[i], X, fids, y))
+        assert best != 0
+        assert fit_hyperparameters(state, y, grid) is grid[best]
+        with pytest.warns(UserWarning, match="failed at every grid point"):
+            assert fit_hyperparameters(state, y, grid[1:2]) is grid[0]
+
+    @pytest.mark.parametrize("grid_kind", ["default", "reversed", "one_error_lengthscale"])
+    def test_shared_blocks_give_the_memo_free_pick(self, three_fid_model, grid_kind):
+        rng = np.random.default_rng(11)
+        X = rng.uniform(-1, 1, size=(12, 2))
+        fids = np.tile([1, 2, 3], 4)
+        y = rng.standard_normal(12)
+        state = CovState.build(three_fid_model, X, fids)
+        if grid_kind == "one_error_lengthscale":
+            errs = three_fid_model.error_priors
+            grid = tuple(
+                replace(three_fid_model, error_priors=(
+                    errs[0],
+                    replace(errs[1], kernel=errs[1].kernel.scaled(f, 1.0)),
+                ))
+                for f in (0.3, 0.6, 1.0, 1.7, 3.0)
+            )
+        else:
+            grid = default_hyper_grid(three_fid_model)
+            if grid_kind == "reversed":
+                grid = grid[::-1]
+        memo = {}
+        for m in grid:
+            assert np.array_equal(_joint_sym(m, X, fids, memo), _joint_sym(m, X, fids))
+        memo = {}
+        shared = [log_marginal_likelihood(m, X, fids, y, memo) for m in grid]
+        alone = [log_marginal_likelihood(m, X, fids, y) for m in grid]
+        assert shared == alone
+        assert len(set(alone)) == len(grid)
+        assert fit_hyperparameters(state, y, grid) is grid[int(np.argmax(alone))]
 
     def test_default_grid_size(self, two_fid_model):
         grid = default_hyper_grid(two_fid_model)

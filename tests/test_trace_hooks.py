@@ -26,4 +26,7 @@ def test_traced_currin2_run_counts_refits(tmp_path):
     assert all(o.trace is not None and not o.trace.failed for o in result.outcomes)
     metrics = layers.layer_metrics(tracer, result.outcomes, 1.0, 0.0, 0, {})
     assert metrics["model.fit_hyperparameters.calls"] > 0
+    # one traced log marginal likelihood per model of the 25-model grid
+    assert (metrics["model.log_marginal_likelihood.calls"]
+            == 25 * metrics["model.fit_hyperparameters.calls"])
     assert metrics["explore.explore_lf.calls"] > 0
