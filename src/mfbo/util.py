@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.stats import qmc
 
 _M64 = (1 << 64) - 1
 
@@ -38,10 +39,50 @@ def mix64(*parts) -> int:
     return h
 
 
+def _first_primes(d: int) -> list[int]:
+    primes: list[int] = []
+    k = 2
+    while len(primes) < d:
+        if all(k % p for p in primes):
+            primes.append(k)
+        k += 1
+    return primes
+
+
 def halton_points(bounds: np.ndarray, n: int, seed: int) -> np.ndarray:
-    """n quasi-uniform points in the box given by bounds (d, 2)."""
+    """n points of the scrambled Halton sequence in the box bounds (d, 2).
+
+    This is Owen's randomized Halton (arXiv 1706.02808), bitwise equal to
+    scipy.stats.qmc.Halton(d, scramble=True, seed=seed).random(n) scaled to
+    the box, in the same (column-major) memory layout. Coordinate k uses
+    the k-th prime as its base b and ceil(54 / log2(b)) - 1 digit
+    permutations, each a shuffle of arange(b) drawn in turn from
+    default_rng(seed). Point i's coordinate is the sum of
+    perm_j[digit_j(i)] / b**(j+1) over the digits j, added from the lowest
+    digit up; that order is what makes it bitwise.
+    """
     bounds = np.asarray(bounds, dtype=np.float64)
+    if bounds.ndim != 2 or bounds.shape[0] < 1 or bounds.shape[1] != 2:
+        raise ValueError("bounds must be a (d, 2) array with d >= 1, got shape %s"
+                         % (bounds.shape,))
+    if n < 0:
+        raise ValueError("point count must be >= 0, got %d" % n)
     d = bounds.shape[0]
-    sampler = qmc.Halton(d=d, scramble=True, seed=seed)
-    unit = sampler.random(n)
-    return bounds[:, 0] + unit * (bounds[:, 1] - bounds[:, 0])
+    rng = np.random.default_rng(seed)
+    unit = np.zeros((d, n))
+    for k, base in enumerate(_first_primes(d)):
+        perms = np.repeat(np.arange(base)[None], math.ceil(54 / math.log2(base)) - 1, axis=0)
+        for perm in perms:
+            rng.shuffle(perm)
+        s = unit[k]
+        q = np.arange(n, dtype=np.int64)
+        b2r = 1.0 / base
+        for perm in perms:
+            # q is nondecreasing, so once its last entry is 0 every digit left is 0
+            if n and q[-1]:
+                q, digit = np.divmod(q, base)
+                s += perm[digit] * b2r
+            else:
+                s += perm[0] * b2r
+            b2r /= base
+    return bounds[:, 0] + unit.T * (bounds[:, 1] - bounds[:, 0])
