@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 
 from . import covops
 
@@ -115,6 +115,31 @@ def _cond_estimate(mat) -> float:
         return float("inf")
 
 
+def solve_triangular(L, b, trans=0, overwrite_b=False) -> np.ndarray:
+    """Solve L x = b (trans=0) or L^T x = b (trans=1) for lower triangular L.
+
+    Calls LAPACK's dtrtrs directly, with the arguments scipy's
+    solve_triangular passes for L's memory layout, so the result is bitwise
+    scipy's without its per-call validation. That makes L and b float64
+    and finite the caller's promise. A C-ordered L is solved as its
+    Fortran-ordered transpose, the upper factor L^T; overwrite_b lets an
+    owned Fortran-ordered b hold the result. Raises LinAlgError at a zero
+    pivot, as scipy does.
+    """
+    if np.size(b) == 0:
+        return np.empty_like(b, dtype=np.float64)
+    if L.flags.f_contiguous:
+        x, info = dtrtrs(L, b, lower=1, trans=trans, overwrite_b=overwrite_b)
+    else:
+        x, info = dtrtrs(L.T, b, lower=0, trans=1 - trans, overwrite_b=overwrite_b)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            "singular matrix: resolution failed at diagonal %d" % (info - 1))
+    if info < 0:
+        raise ValueError("illegal value in %d-th argument of internal trtrs" % -info)
+    return x
+
+
 def chol_logdet(mat: np.ndarray) -> float:
     """log det(mat) via Cholesky, escalating jitter on failure."""
     L, _ = chol_factor(mat)
@@ -146,6 +171,9 @@ def posterior(prior: GpPrior, X, y, Xq) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if X.shape[0] != y.shape[0]:
         raise ValueError("X and y lengths differ: %d vs %d" % (X.shape[0], y.shape[0]))
+    for name, a in (("X", X), ("y", y), ("Xq", Xq)):
+        if not np.all(np.isfinite(a)):
+            raise ValueError("%s must be finite" % name)
     k = prior.kernel
     prior_cov = k.sym(Xq)
     prior_mean = prior.mean_at(Xq)
@@ -154,8 +182,8 @@ def posterior(prior: GpPrior, X, y, Xq) -> tuple[np.ndarray, np.ndarray]:
     K = k.sym(X)
     K[np.diag_indices_from(K)] += prior.noise_variance
     L, _ = chol_factor(K)
-    W = solve_triangular(L, k.cross(X, Xq), lower=True)
-    a = solve_triangular(L, y - prior.mean_at(X), lower=True)
+    W = solve_triangular(L, k.cross(X, Xq))
+    a = solve_triangular(L, y - prior.mean_at(X))
     mean = prior_mean + W.T @ a
     cov = prior_cov - W.T @ W
     cov = 0.5 * (cov + cov.T)

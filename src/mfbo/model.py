@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import covops
 from .gp import (
@@ -39,6 +38,7 @@ from .gp import (
     SquaredExpKernel,
     chol_factor,
     gaussian_entropy,
+    solve_triangular,
 )
 
 # Below this latent variance a query point is treated as already known and
@@ -279,22 +279,26 @@ class CovState:
         model._check_fidelity(action.fidelity)
         if action.x.shape[0] != model.dim:
             raise ValueError("action dimension mismatch")
+        lev = action.fidelity
         x1 = action.x[None, :]
         Xn = np.vstack([self.X, x1])
-        fn = np.append(self.fids, action.fidelity)
-        col = _joint_cross(model, self.X, self.fids, x1, fn[-1:])[:, 0]
-        L = _extend_chol(self.L, col, model.prior_variance(action.fidelity) + self.jit)
+        fn = np.append(self.fids, lev)
+        # the joint column is k_f(X, x) plus k_eps_l(X_l, x) at fidelity l's
+        # rows, as _joint_cross builds it; the error factor reuses k_eps_l
+        col = model.target_prior.kernel.cross(self.X, x1)[:, 0]
+        if lev < model.m:
+            ker = model.error_kernel(lev)
+            old = self.err.get(lev, _ErrFactor(np.zeros(0, dtype=np.int64), np.zeros((0, 0)), 0.0))
+            ecol = ker.cross(self.X[old.idx], x1)[:, 0]
+            col[old.idx] += ecol
+        L = _extend_chol(self.L, col, model.prior_variance(lev) + self.jit)
         if L is None:
             return CovState.build(model, Xn, fn, JOINT_FAILED)
         err = dict(self.err)
         rebuilt = None
-        lev = action.fidelity
         if lev < model.m:
-            ker = model.error_kernel(lev)
-            old = err.get(lev, _ErrFactor(np.zeros(0, dtype=np.int64), np.zeros((0, 0)), 0.0))
             idx = np.append(old.idx, self.n)
-            col = ker.cross(self.X[old.idx], x1)[:, 0]
-            Le = _extend_chol(old.L, col, ker.signal_variance + model.noise_variance(lev) + old.jit)
+            Le = _extend_chol(old.L, ecol, ker.signal_variance + model.noise_variance(lev) + old.jit)
             if Le is None:
                 err[lev] = self._build_err(model, Xn, idx, lev)
                 rebuilt = ERROR_FAILED
@@ -311,7 +315,7 @@ def _extend_chol(L, col, diag) -> np.ndarray | None:
         if diag <= 0:
             return None
         return np.array([[np.sqrt(diag)]])
-    w = solve_triangular(L, col, lower=True, check_finite=False)
+    w = solve_triangular(L, col)
     d2 = diag - w @ w
     if not np.isfinite(d2) or d2 <= max(1e-12 * diag, 0.0):
         return None
@@ -344,7 +348,7 @@ def info_gain_set(state: CovState, actions: Sequence[Action]) -> float:
     See = _joint_sym(model, Xe, fe)
     if state.n:
         Cse = _joint_cross(model, state.X, state.fids, Xe, fe)
-        W = solve_triangular(state.L, Cse, lower=True, check_finite=False)
+        W = solve_triangular(state.L, Cse)
         cond1 = See - W.T @ W
         cond1 = 0.5 * (cond1 + cond1.T)
     else:
@@ -360,9 +364,7 @@ def info_gain_set(state: CovState, actions: Sequence[Action]) -> float:
         Ke[np.diag_indices_from(Ke)] += model.noise_variance(lev)
         ef = state.err.get(lev)
         if ef is not None:
-            We = solve_triangular(
-                ef.L, ker.cross(state.X[ef.idx], Xe[idx]), lower=True, check_finite=False
-            )
+            We = solve_triangular(ef.L, ker.cross(state.X[ef.idx], Xe[idx]))
             Ke = Ke - We.T @ We
             Ke = 0.5 * (Ke + Ke.T)
         h0 += gaussian_entropy(Ke)
@@ -404,7 +406,7 @@ class _Rows:
 
     def __init__(self, L, C):
         # C is Fortran-ordered and owned here, so the solve runs in place
-        self.head = solve_triangular(L, C, lower=True, overwrite_b=True, check_finite=False)
+        self.head = solve_triangular(L, C, overwrite_b=True)
         self.sq = np.einsum("ij,ij->j", self.head, self.head)
         self.tail = _Grow(np.empty((0, C.shape[1])))
 
@@ -442,7 +444,8 @@ class CandidateGains:
     """
 
     def __init__(self, state: CovState, Xc):
-        self.Xc = np.asarray(Xc, dtype=np.float64).reshape(-1, state.model.dim)
+        # row-major, so a kernel row against it needs no copy of it
+        self.Xc = np.ascontiguousarray(Xc, dtype=np.float64).reshape(-1, state.model.dim)
         self.recomputes = dict.fromkeys((FIRST_POINT, JOINT_FAILED, ERROR_FAILED, NEW_MODEL), 0)
         self.reset(state, None)
 
@@ -501,23 +504,29 @@ class CandidateGains:
         if self._wf is None:
             self._recompute()
         model = self.state.model
-        nc = self.Xc.shape[0]
         sv = model.target_prior.kernel.signal_variance
         qf = self._wf.sq
         degenerate = (sv - qf < DEGENERATE_VAR) | (sv < DEGENERATE_VAR)
         out = {}
         for lev in range(1, model.m + 1):
-            v1 = model.prior_variance(lev) - (self._wl[lev].sq if lev in self._wl else qf)
+            # 0.5 log(v1 / v0), each variance floored at 1e-300, in place on
+            # v1; v0 stays a scalar while it is the same at every candidate
+            g = model.prior_variance(lev) - (self._wl[lev].sq if lev in self._wl else qf)
+            np.maximum(g, 1e-300, out=g)
             if lev < model.m:
-                ker = model.error_kernel(lev)
-                v0 = np.full(nc, ker.signal_variance + model.noise_variance(lev))
-                if lev in self._we:
-                    v0 = v0 - self._we[lev].sq
+                v0 = model.error_kernel(lev).signal_variance + model.noise_variance(lev)
             else:
-                v0 = np.full(nc, model.noise_variance(model.m))
-            gains = 0.5 * np.log(np.maximum(v1, 1e-300) / np.maximum(v0, 1e-300))
-            gains[degenerate] = 0.0
-            out[lev] = gains
+                v0 = model.noise_variance(lev)
+            if lev in self._we:
+                v0 = v0 - self._we[lev].sq
+                np.maximum(v0, 1e-300, out=v0)
+            else:
+                v0 = max(v0, 1e-300)
+            np.divide(g, v0, out=g)
+            np.log(g, out=g)
+            g *= 0.5
+            g[degenerate] = 0.0
+            out[lev] = g
         return out
 
     def posterior(self, y) -> tuple[np.ndarray, np.ndarray]:
@@ -535,8 +544,8 @@ class CandidateGains:
         alpha = np.zeros(0)
         if state.n:
             resid = y - prior.mean_at(state.X)
-            a = solve_triangular(state.L, resid, lower=True, check_finite=False)
-            alpha = solve_triangular(state.L.T, a, lower=False, check_finite=False)
+            a = solve_triangular(state.L, resid)
+            alpha = solve_triangular(state.L, a, trans=1)
         mean = prior.mean_at(self.Xc) + self._kc.rows.T @ alpha
         return mean, np.maximum(prior.kernel.signal_variance - self._wf.sq, 0.0)
 
@@ -573,7 +582,7 @@ def log_marginal_likelihood(model: FidelityModel, X, fids, y, memo=None) -> floa
     K = _joint_sym(model, X, fids, memo)
     L, _ = chol_factor(K)
     resid = y - model.target_prior.mean_at(X)
-    a = solve_triangular(L, resid, lower=True, check_finite=False)
+    a = solve_triangular(L, resid)
     return float(
         -0.5 * (a @ a) - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi)
     )

@@ -62,6 +62,31 @@ def info_gain_single(state: CovState, action: Action) -> float:
     return 0.5 * float(np.log(max(v1, 1e-300) / max(v0, 1e-300)))
 
 
+# CandidateGains.gains as first written, one full-length array operation at
+# a time: the oracle for its in-place form, which must match it bit for bit.
+# It reads the projections cands holds, so cands.gains() must run first.
+def gains_formula(cands) -> dict[int, np.ndarray]:
+    model = cands.state.model
+    nc = cands.Xc.shape[0]
+    sv = model.target_prior.kernel.signal_variance
+    qf = cands._wf.sq
+    degenerate = (sv - qf < DEGENERATE_VAR) | (sv < DEGENERATE_VAR)
+    out = {}
+    for lev in range(1, model.m + 1):
+        v1 = model.prior_variance(lev) - (cands._wl[lev].sq if lev in cands._wl else qf)
+        if lev < model.m:
+            ker = model.error_kernel(lev)
+            v0 = np.full(nc, ker.signal_variance + model.noise_variance(lev))
+            if lev in cands._we:
+                v0 = v0 - cands._we[lev].sq
+        else:
+            v0 = np.full(nc, model.noise_variance(model.m))
+        gains = 0.5 * np.log(np.maximum(v1, 1e-300) / np.maximum(v0, 1e-300))
+        gains[degenerate] = 0.0
+        out[lev] = gains
+    return out
+
+
 # from-scratch oracle for CandidateGains.posterior: the latent posterior at
 # Xq from fresh solves, K_c built in one block
 def predict_latent_diag(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]:

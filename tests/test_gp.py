@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from mfbo.gp import (
     GpPrior,
@@ -9,6 +10,7 @@ from mfbo.gp import (
     chol_logdet,
     gaussian_entropy,
     posterior,
+    solve_triangular,
 )
 
 
@@ -177,3 +179,60 @@ class TestPosterior:
         prior = GpPrior(kern, noise_variance=0.1)
         with pytest.raises(ValueError):
             posterior(prior, np.zeros((2, 1)), np.zeros(3), np.zeros((1, 1)))
+
+    def test_non_finite_inputs_raise(self):
+        kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
+        prior = GpPrior(kern, noise_variance=0.1)
+        X, y, Xq = np.zeros((2, 1)), np.zeros(2), np.zeros((1, 1))
+        for args in ((X, np.array([0.0, np.nan]), Xq), (X + np.inf, y, Xq), (X, y, Xq - np.inf)):
+            with pytest.raises(ValueError, match="must be finite"):
+                posterior(prior, *args)
+
+
+class TestSolveTriangular:
+    """The direct LAPACK solve against scipy.linalg.solve_triangular, which
+    it must match bit for bit."""
+
+    @staticmethod
+    def _factor(rng, n):
+        A = rng.standard_normal((n, n))
+        return np.linalg.cholesky(A @ A.T + n * np.eye(n))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("rhs", [(), (1,), (7,)])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_bitwise_scipy(self, rng, order, rhs, trans):
+        for n in (1, 2, 9, 40):
+            L = np.asarray(self._factor(rng, n), order=order)
+            b = rng.standard_normal((n,) + rhs)
+            if trans:
+                want = scipy.linalg.solve_triangular(L.T, b, lower=False, check_finite=False)
+            else:
+                want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+            got = solve_triangular(L, b, trans=trans)
+            assert got.shape == b.shape
+            assert np.array_equal(got, want)
+
+    def test_overwrite_b_on_an_owned_fortran_block(self, rng):
+        L = self._factor(rng, 12)
+        b = np.asfortranarray(rng.standard_normal((12, 30)))
+        want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+        got = solve_triangular(L, b, overwrite_b=True)
+        assert np.array_equal(got, want)
+        assert np.shares_memory(got, b)  # solved in place
+
+    def test_zero_rows(self):
+        for b in (np.zeros((0, 5), order="F"), np.zeros(0)):
+            want = scipy.linalg.solve_triangular(np.zeros((0, 0)), b, lower=True)
+            got = solve_triangular(np.zeros((0, 0)), b, overwrite_b=True)
+            assert got.shape == want.shape and got.dtype == want.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_zero_pivot_raises(self, order):
+        L = np.asarray([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.3, 1.0]], order=order)
+        b = np.ones(3)
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+            scipy.linalg.solve_triangular(L, b, lower=True)
+        with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
+            solve_triangular(L, b)

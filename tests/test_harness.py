@@ -1,8 +1,13 @@
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mfbo
 from mfbo import policy
 from mfbo.cli import _build_parser, _config_from_args, main as cli_main
 from mfbo.harness import (
@@ -230,6 +235,29 @@ class TestRunExperiment:
         for name in ("traces.csv", "curves.csv", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name).read_bytes()
+
+    def test_thread_count_leaves_outputs_unchanged(self, tmp_path):
+        # OpenBLAS's default thread count, then one thread: a BLAS kernel
+        # that splits its sums by thread would change bits of the CSVs
+        src = str(Path(mfbo.__file__).resolve().parent.parent)
+        outs = []
+        for threads in (None, "1"):
+            env = dict(os.environ)
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+            out = tmp_path / ("threads-%s" % (threads or "default"))
+            subprocess.run(
+                [sys.executable, "-m", "mfbo", "bench", "--problem", "currin2",
+                 "--budget-mult", "100", "--seeds", "1", "--policies", "mf_mi_greedy",
+                 "--hyperfit-every", "10", "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=300,
+            )
+            outs.append(out)
+        assert len((outs[0] / "traces.csv").read_text().splitlines()) > 100
+        for name in ("traces.csv", "curves.csv", "summary.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_budget_mult_one_gives_single_episode(self, tmp_path):
         cfg = tiny_config(tmp_path / "one", budget_mult=1.0, n_seeds=1)

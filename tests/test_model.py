@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
-from conftest import info_gain_single, predict_latent_diag
+from conftest import gains_formula, info_gain_single, predict_latent_diag
 from mfbo.benchmarks import make_problem
 from mfbo.gp import GpPrior, NumericalError, SquaredExpKernel, chol_factor, posterior
 from mfbo.model import (
@@ -15,6 +15,8 @@ from mfbo.model import (
     CandidateGains,
     CovState,
     FidelityModel,
+    _ErrFactor,
+    _extend_chol,
     _joint_cross,
     _joint_sym,
     default_hyper_grid,
@@ -376,6 +378,52 @@ class TestInfoGain:
                 assert gains[fid][i] == pytest.approx(expect, abs=1e-9)
 
 
+def failing_model(three_fid_model) -> FidelityModel:
+    """Noiseless target and fidelity 1, unit prior variances: a repeated
+    point makes the Cholesky pivot exactly 0, so extending the joint factor
+    fails; once the joint factor carries jitter and the error factor does
+    not, a repeated fidelity-1 point fails only the latter."""
+    unit = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.5, 0.8]))
+    return FidelityModel(
+        target_prior=GpPrior(unit, noise_variance=0.0),
+        error_priors=(GpPrior(unit.scaled(1.4, 1.0), noise_variance=0.0),
+                      three_fid_model.error_priors[1]),
+        costs=three_fid_model.costs,
+    )
+
+
+# the repeated points that make failing_model's extensions fail, in order
+XA, XB = np.array([1.5, -1.5]), np.array([-1.5, 1.5])
+FAILING = [(XA, 3), (XA, 3), (XB, 1), (XB, 1)]
+
+
+def append_via_joint_cross(state: CovState, action: Action) -> CovState:
+    """CovState.append with its joint column from _joint_cross and the
+    error factor's column computed apart: the oracle for the one shared
+    error column the library computes."""
+    model = state.model
+    lev = action.fidelity
+    x1 = action.x[None, :]
+    Xn, fn = np.vstack([state.X, x1]), np.append(state.fids, lev)
+    col = _joint_cross(model, state.X, state.fids, x1, fn[-1:])[:, 0]
+    L = _extend_chol(state.L, col, model.prior_variance(lev) + state.jit)
+    if L is None:
+        return CovState.build(model, Xn, fn, JOINT_FAILED)
+    err, rebuilt = dict(state.err), None
+    if lev < model.m:
+        ker = model.error_kernel(lev)
+        old = err.get(lev, _ErrFactor(np.zeros(0, dtype=np.int64), np.zeros((0, 0)), 0.0))
+        idx = np.append(old.idx, state.n)
+        ecol = ker.cross(state.X[old.idx], x1)[:, 0]
+        Le = _extend_chol(old.L, ecol, ker.signal_variance + model.noise_variance(lev) + old.jit)
+        if Le is None:
+            err[lev], rebuilt = CovState._build_err(model, Xn, idx, lev), ERROR_FAILED
+        else:
+            err[lev] = _ErrFactor(idx, Le, old.jit)
+            rebuilt = None if lev in state.err else FIRST_POINT
+    return CovState(model, Xn, fn, L, state.jit, err, rebuilt)
+
+
 class TestCandidateGains:
     """Incremental gains against a fresh CandidateGains after every append."""
 
@@ -390,9 +438,11 @@ class TestCandidateGains:
             if gains.state.rebuilt is not None:
                 seen.append((gains.state.rebuilt, action.fidelity))
             got = gains.gains()
+            formula = gains_formula(gains)
             want = CandidateGains(gains.state, Xc).gains()
-            assert sorted(got) == sorted(want)
+            assert sorted(got) == sorted(want) == sorted(formula)
             for lev in want:
+                assert np.array_equal(got[lev], formula[lev]), (t, lev)
                 assert np.allclose(got[lev], want[lev], rtol=0, atol=1e-10), (t, lev)
         # gains() follows every append, so each cause costs one recompute
         assert gains.recomputes == {cause: sum(c == cause for c, _ in seen)
@@ -426,25 +476,13 @@ class TestCandidateGains:
                         (FIRST_POINT, 3), (ERROR_FAILED, 3)}
 
     def test_failed_extensions(self, three_fid_model, rng):
-        # noiseless target and fidelity 1, unit prior variances: a repeated
-        # point makes the Cholesky pivot exactly 0, so extending the joint
-        # factor fails; once the joint factor carries jitter and the error
-        # factor does not, a repeated fidelity-1 point fails only the latter
-        unit = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.5, 0.8]))
-        model = FidelityModel(
-            target_prior=GpPrior(unit, noise_variance=0.0),
-            error_priors=(GpPrior(unit.scaled(1.4, 1.0), noise_variance=0.0),
-                          three_fid_model.error_priors[1]),
-            costs=three_fid_model.costs,
-        )
-        xa, xb = np.array([1.5, -1.5]), np.array([-1.5, 1.5])
+        model = failing_model(three_fid_model)
         # candidates near the repeated points feel the jitter a rebuild adds
-        Xc = np.vstack([rng.uniform(-1, 1, size=(40, 2)), xa + 0.03, xb + 0.03])
-        forced = [(xa, 3), (xa, 3), (xb, 1), (xb, 1)]
+        Xc = np.vstack([rng.uniform(-1, 1, size=(40, 2)), XA + 0.03, XB + 0.03])
 
         def choose(t, gains):
-            if t < len(forced):
-                return Action(x=forced[t][0], fidelity=forced[t][1])
+            if t < len(FAILING):
+                return Action(x=FAILING[t][0], fidelity=FAILING[t][1])
             # fidelity 2 is noisy: a noiseless pick inside Xc would leave
             # candidates whose v1 and v0 are both rounding-level
             return Action(x=Xc[int(np.argmax(gains[2]))], fidelity=2)
@@ -452,6 +490,54 @@ class TestCandidateGains:
         seen = self._run(model, Xc, choose, 12)
         assert seen == {(JOINT_FAILED, 3), (FIRST_POINT, 1), (ERROR_FAILED, 1),
                         (FIRST_POINT, 2)}
+
+    def test_candidate_layout_does_not_change_results(self, three_fid_model, rng):
+        # Halton candidate sets are Fortran-ordered; gains and posteriors
+        # are the same bits from either layout
+        Xc = rng.uniform(-1, 1, size=(60, 2))
+        model = three_fid_model
+        by_order = {o: CandidateGains(CovState.empty(model), np.asarray(Xc, order=o))
+                    for o in "CF"}
+        y = []
+        for t in range(24):
+            got = {o: c.gains() for o, c in by_order.items()}
+            for lev in got["C"]:
+                assert np.array_equal(got["C"][lev], got["F"][lev]), (t, lev)
+            if t:
+                (mc, vc), (mf, vf) = (c.posterior(y) for c in by_order.values())
+                assert np.array_equal(mc, mf) and np.array_equal(vc, vf)
+            lev = t % model.m + 1
+            action = Action(x=Xc[int(np.argmax(got["C"][lev]))], fidelity=lev)
+            for c in by_order.values():
+                c.append(action)
+            y.append(float(rng.standard_normal()))
+
+    def test_a_known_candidate_gains_zero_as_in_the_formula(self, three_fid_model, rng):
+        model = failing_model(three_fid_model)  # noiseless target
+        gains = CandidateGains(CovState.empty(model), np.vstack([rng.uniform(-1, 1, (10, 2)), XA]))
+        gains.gains()
+        gains.append(Action(x=XA, fidelity=3))
+        got, want = gains.gains(), gains_formula(gains)
+        for lev in want:
+            assert got[lev][-1] == 0.0 and np.all(got[lev][:-1] > 0.0)
+            assert np.array_equal(got[lev], want[lev])
+
+    def test_gains_match_the_formula_on_a_hartmann6_chain(self):
+        # each pick is the best gain at the next fidelity in turn, so every
+        # projection grows (Explore-LF's gain per cost picks only fidelity 1)
+        problem = make_problem("hartmann6", seed=0)
+        model = problem.model
+        rng = np.random.default_rng(11)
+        Xc = rng.uniform(problem.bounds[:, 0], problem.bounds[:, 1], size=(300, model.dim))
+        gains = CandidateGains(CovState.empty(model), Xc)
+        for t in range(150):
+            g = gains.gains()
+            want = gains_formula(gains)
+            for lev in want:
+                assert np.array_equal(g[lev], want[lev]), (t, lev)
+            lev = t % model.m + 1
+            gains.append(Action(x=Xc[int(np.argmax(g[lev]))], fidelity=lev))
+        assert gains.recomputes[FIRST_POINT] == model.m - 1
 
     def test_posterior_needs_one_value_per_point(self, two_fid_model, rng):
         state, y = random_observations(rng, two_fid_model, 4)
@@ -502,6 +588,31 @@ class TestLongRunDrift:
 
 
 class TestCovState:
+    def test_append_matches_the_joint_cross_column(self, three_fid_model, rng):
+        # failing_model's chain: the first point, a failed joint extension,
+        # a fidelity's first point, a failed error extension, then points
+        # at every fidelity
+        model = failing_model(three_fid_model)
+        chain = [Action(x=x, fidelity=f) for x, f in FAILING]
+        chain += [Action(x=rng.uniform(-1, 1, size=2), fidelity=t % model.m + 1)
+                  for t in range(18)]
+        state = want = CovState.empty(model)
+        seen = []
+        for action in chain:
+            state, want = state.append(action), append_via_joint_cross(want, action)
+            seen.append((state.rebuilt, action.fidelity))
+            assert state.rebuilt == want.rebuilt
+            assert np.array_equal(state.X, want.X) and np.array_equal(state.fids, want.fids)
+            assert np.array_equal(state.L, want.L) and state.jit == want.jit
+            assert sorted(state.err) == sorted(want.err)
+            for lev, ef in want.err.items():
+                got = state.err[lev]
+                assert np.array_equal(got.idx, ef.idx)
+                assert np.array_equal(got.L, ef.L) and got.jit == ef.jit
+        assert seen[:4] == [(None, 3), (JOINT_FAILED, 3), (FIRST_POINT, 1), (ERROR_FAILED, 1)]
+        assert (FIRST_POINT, 2) in seen
+        assert set(state.fids.tolist()) == {1, 2, 3}
+
     def test_incremental_matches_rebuild(self, three_fid_model, rng):
         state, y = random_observations(rng, three_fid_model, 30)  # extended row by row
         rebuilt = CovState.build(three_fid_model, state.X, state.fids)

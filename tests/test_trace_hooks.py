@@ -30,3 +30,7 @@ def test_traced_currin2_run_counts_refits(tmp_path):
     assert (metrics["model.log_marginal_likelihood.calls"]
             == 25 * metrics["model.fit_hyperparameters.calls"])
     assert metrics["explore.explore_lf.calls"] > 0
+    # the hot path's names: a renamed or aliased helper would read 0 here
+    assert metrics["model.solve_triangular.calls"] > 0
+    assert metrics["model.CovState.append.calls"] > 0
+    assert metrics["covops.se_cross.calls"] > 0
