@@ -4,9 +4,9 @@ Core pieces: an additive multi-output GP over fidelities (mfbo.model), an
 information-per-cost greedy exploration routine (mfbo.explore), budgeted
 optimization policies built on single-fidelity GP maximizers
 (mfbo.policy, mfbo.acquisition), regret accounting (mfbo.regret),
-submodular knapsack bounds (mfbo.submodular), synthetic benchmark
-problems (mfbo.benchmarks) and an experiment harness with a CLI
-(mfbo.harness, mfbo.cli).
+the bound on one exploration episode's information (mfbo.submodular),
+synthetic benchmark problems (mfbo.benchmarks) and an experiment harness
+with a CLI (mfbo.harness, mfbo.cli).
 """
 
 __version__ = "0.1.0"

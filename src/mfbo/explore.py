@@ -18,7 +18,8 @@ is the joint gain of E about f; it is the sum the stop test compares, so
 the certificate holds exactly as stored.
 
 The scores come from the caller's CandidateGains (the policy keeps one for
-a whole run), and the model is the one of its covariance state. Each pick
+a whole run), whose pick() is the greedy step over the feasible
+fidelities, and the model is the one of its covariance state. Each pick
 is appended to it and adds one row to each candidate projection it
 enters, so a step costs O(n nc) for n observations and nc candidates.
 """
@@ -77,16 +78,7 @@ def explore_lf(budget: float, alpha_exponent: float, cands: CandidateGains) -> E
         if not feasible:
             reason = BUDGET_EXHAUSTED
             break
-        gains = cands.gains()
-        best_score = -np.inf
-        best = None  # (fidelity, candidate index, raw gain)
-        for lev in feasible:
-            arr = gains[lev] / model.costs[lev - 1]
-            i = int(np.argmax(arr))
-            if arr[i] > best_score:
-                best_score = arr[i]
-                best = (lev, i, float(gains[lev][i]))
-        lev, idx, raw_gain = best
+        lev, idx, raw_gain = cands.pick(feasible)
         if lev == m:
             reason = TARGET_BETTER
             break

@@ -422,7 +422,8 @@ class CandidateGains:
     """Per-candidate information gains and the latent posterior at a fixed
     candidate matrix Xc, kept current as observations are appended one at
     a time. This is the library's one source of both: Explore-LF and
-    gamma_max_bound rank by gains(), and the policies read posterior().
+    gamma_max_bound rank by pick(), the greedy step, which computes the
+    same per-fidelity gains as gains(); the policies read posterior().
 
     gains()[l][i] = I(y_(Xc[i], l); f | state) = 0.5 * log(v1 / v0), where
     v1 is a fresh observation's variance given the state's observations and
@@ -499,35 +500,59 @@ class CandidateGains:
             ef = new.err[lev]
             self._we[lev].append(ke_row, ef.L[-1, :-1], ef.L[-1, -1])
 
-    def gains(self) -> dict[int, np.ndarray]:
-        """{fidelity: gains} of one fresh observation at each candidate."""
+    def _degenerate(self) -> np.ndarray:
+        """Candidates whose latent variance is below DEGENERATE_VAR."""
         if self._wf is None:
             self._recompute()
+        sv = self.state.model.target_prior.kernel.signal_variance
+        return (sv - self._wf.sq < DEGENERATE_VAR) | (sv < DEGENERATE_VAR)
+
+    def _gain(self, lev: int, degenerate) -> np.ndarray:
+        """gains()[lev], as a fresh array."""
         model = self.state.model
-        sv = model.target_prior.kernel.signal_variance
-        qf = self._wf.sq
-        degenerate = (sv - qf < DEGENERATE_VAR) | (sv < DEGENERATE_VAR)
-        out = {}
-        for lev in range(1, model.m + 1):
-            # 0.5 log(v1 / v0), each variance floored at 1e-300, in place on
-            # v1; v0 stays a scalar while it is the same at every candidate
-            g = model.prior_variance(lev) - (self._wl[lev].sq if lev in self._wl else qf)
-            np.maximum(g, 1e-300, out=g)
-            if lev < model.m:
-                v0 = model.error_kernel(lev).signal_variance + model.noise_variance(lev)
-            else:
-                v0 = model.noise_variance(lev)
-            if lev in self._we:
-                v0 = v0 - self._we[lev].sq
-                np.maximum(v0, 1e-300, out=v0)
-            else:
-                v0 = max(v0, 1e-300)
-            np.divide(g, v0, out=g)
-            np.log(g, out=g)
-            g *= 0.5
-            g[degenerate] = 0.0
-            out[lev] = g
-        return out
+        # 0.5 log(v1 / v0), each variance floored at 1e-300, in place on
+        # v1; v0 stays a scalar while it is the same at every candidate
+        g = model.prior_variance(lev) - (self._wl[lev].sq if lev in self._wl else self._wf.sq)
+        np.maximum(g, 1e-300, out=g)
+        if lev < model.m:
+            v0 = model.error_kernel(lev).signal_variance + model.noise_variance(lev)
+        else:
+            v0 = model.noise_variance(lev)
+        if lev in self._we:
+            v0 = v0 - self._we[lev].sq
+            np.maximum(v0, 1e-300, out=v0)
+        else:
+            v0 = max(v0, 1e-300)
+        np.divide(g, v0, out=g)
+        np.log(g, out=g)
+        g *= 0.5
+        g[degenerate] = 0.0
+        return g
+
+    def gains(self) -> dict[int, np.ndarray]:
+        """{fidelity: gains} of one fresh observation at each candidate."""
+        degenerate = self._degenerate()
+        return {lev: self._gain(lev, degenerate) for lev in range(1, self.state.model.m + 1)}
+
+    def pick(self, fidelities, taken=None) -> tuple[int, int, float] | None:
+        """The greedy step: the (fidelity, candidate index, gain) with the
+        largest gain per cost over fidelities, or None if every pair is
+        taken. taken maps a fidelity to a boolean mask of candidates to
+        skip. Ties break to the fidelity listed first, then the lowest
+        candidate index. Only the listed fidelities' gains are computed.
+        """
+        degenerate = self._degenerate()
+        costs = self.state.model.costs
+        best, best_ratio = None, -np.inf
+        for lev in fidelities:
+            g = self._gain(lev, degenerate)
+            ratio = g / costs[lev - 1]
+            if taken is not None:
+                ratio[taken[lev]] = -np.inf
+            i = int(np.argmax(ratio))
+            if ratio[i] > best_ratio:
+                best, best_ratio = (lev, i, float(g[i])), ratio[i]
+        return best
 
     def posterior(self, y) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean, prior + K_c^T alpha with alpha = K^-1 (y - mu),

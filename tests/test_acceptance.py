@@ -12,10 +12,12 @@ import tempfile
 import pytest
 
 from mfbo.model import CandidateGains
+from mfbo.submodular import KS_GUARANTEE, gamma_max_bound
 from mfbo.verify import (
     CRITERIA,
     criterion_additive_consistency,
     criterion_chain_rule,
+    criterion_submodular,
     format_result,
     run_criterion,
 )
@@ -61,11 +63,21 @@ def test_additive_consistency_fails_on_an_offset_posterior(monkeypatch):
 
 
 def test_chain_rule_fails_on_offset_gains(monkeypatch):
-    real = CandidateGains.gains
+    # the offset goes into the per-fidelity formula that gains() and the
+    # greedy step Explore-LF and gamma_max_bound rank by share
+    real = CandidateGains._gain
 
-    def offset(self):
-        return {lev: g + 1e-7 for lev, g in real(self).items()}
+    def offset(self, lev, degenerate):
+        return real(self, lev, degenerate) + 1e-7
 
-    monkeypatch.setattr(CandidateGains, "gains", offset)
+    monkeypatch.setattr(CandidateGains, "_gain", offset)
     passed, detail = criterion_chain_rule()
+    assert not passed, detail
+
+
+def test_submodular_fails_without_the_guarantee_factor(monkeypatch):
+    # the bound with its 1/KS factor dropped: the greedy set's value alone
+    monkeypatch.setattr("mfbo.verify.gamma_max_bound",
+                        lambda *args: KS_GUARANTEE * gamma_max_bound(*args))
+    passed, detail = criterion_submodular()
     assert not passed, detail

@@ -539,6 +539,42 @@ class TestCandidateGains:
             gains.append(Action(x=Xc[int(np.argmax(g[lev]))], fidelity=lev))
         assert gains.recomputes[FIRST_POINT] == model.m - 1
 
+    def test_pick_is_the_best_gain_per_cost_in_gains(self, three_fid_model, rng, monkeypatch):
+        # duplicate candidates tie, and the lowest index must win
+        Xc = np.vstack([rng.uniform(-1, 1, size=(20, 2))] * 2)
+        gains = CandidateGains(CovState.empty(three_fid_model), Xc)
+        costs = three_fid_model.costs
+        scored = []
+        real = CandidateGains._gain
+
+        def recording(self, lev, degenerate):
+            scored.append(lev)
+            return real(self, lev, degenerate)
+
+        monkeypatch.setattr(CandidateGains, "_gain", recording)
+        for t, fids in enumerate([(1, 2, 3), (2,), (3, 1), (1, 3)] * 3):
+            g = gains.gains()
+            want, best = None, -np.inf
+            for lev in fids:
+                for i in range(Xc.shape[0]):
+                    if g[lev][i] / costs[lev - 1] > best:
+                        want, best = (lev, i, float(g[lev][i])), g[lev][i] / costs[lev - 1]
+            del scored[:]
+            assert gains.pick(fids) == want, t
+            assert scored == list(fids), t
+            gains.append(Action(x=Xc[want[1]], fidelity=want[0]))
+
+    def test_pick_skips_taken_pairs(self, two_fid_model, rng):
+        Xc = rng.uniform(-1, 1, size=(6, 1))
+        gains = CandidateGains(CovState.empty(two_fid_model), Xc)
+        g = gains.gains()[1]
+        taken = {1: np.zeros(6, dtype=bool)}
+        order = np.argsort(-g, kind="stable")
+        for i in order:
+            assert gains.pick((1,), taken) == (1, int(i), float(g[i]))
+            taken[1][i] = True
+        assert gains.pick((1,), taken) is None
+
     def test_posterior_needs_one_value_per_point(self, two_fid_model, rng):
         state, y = random_observations(rng, two_fid_model, 4)
         gains = CandidateGains(state, rng.uniform(-1, 1, size=(5, 1)))

@@ -4,31 +4,13 @@ import numpy as np
 import pytest
 
 from conftest import info_gain_single
-from mfbo.acquisition import CandidateSet
+from mfbo.acquisition import CandidateSet, make_candidates
+from mfbo.benchmarks import make_problem
 from mfbo.gp import GpPrior, SquaredExpKernel
 from mfbo.model import Action, CandidateGains, CovState, FidelityModel, info_gain_set
-from mfbo.submodular import (
-    KS_GUARANTEE,
-    GroundSet,
-    brute_force_knapsack,
-    check_ratio_monotone,
-    gamma_max_bound,
-    greedy_knapsack,
-)
-
-
-def coverage_instance(rng, n, universe):
-    """Random weighted-coverage utility: monotone submodular, f(empty)=0."""
-    weights = rng.uniform(0.1, 1.0, size=universe)
-    sets = [set(rng.choice(universe, size=rng.integers(1, universe // 2 + 2),
-                           replace=False).tolist()) for _ in range(n)]
-
-    def f(items):
-        covered = set().union(*(sets[v] for v in items)) if items else set()
-        return float(sum(weights[u] for u in covered))
-
-    costs = rng.uniform(0.5, 2.0, size=n)
-    return GroundSet(costs=costs, utility=f)
+from mfbo.policy import PolicyConfig, mf_mi_greedy
+from mfbo.submodular import KS_GUARANTEE, gamma_max_bound
+from mfbo.verify import EXHAUSTIVE_MAX, exhaustive_opt
 
 
 def gamma_oracle(model, candidates, budget, beta):
@@ -65,122 +47,6 @@ def gamma_oracle(model, candidates, budget, beta):
         if cost2 > c_max and gamma / (cost2 - c_max) < beta:
             break
     return picked, gamma
-
-
-class TestGroundSet:
-    def test_costs_positive(self):
-        with pytest.raises(ValueError):
-            GroundSet(costs=np.array([1.0, 0.0]), utility=lambda s: float(len(s)))
-
-    def test_nonempty(self):
-        with pytest.raises(ValueError):
-            GroundSet(costs=np.array([]), utility=lambda s: 0.0)
-
-
-class TestGreedyKnapsack:
-    def test_budget_below_min_cost(self):
-        g = GroundSet(costs=np.array([2.0, 3.0]), utility=lambda s: float(len(s)))
-        items, value = greedy_knapsack(g, 1.0)
-        assert items == () and value == 0.0
-
-    def test_modular_equal_costs_picks_top_k(self):
-        weights = np.array([0.3, 0.9, 0.1, 0.7, 0.5])
-        g = GroundSet(costs=np.ones(5),
-                      utility=lambda s: float(sum(weights[v] for v in s)))
-        items, value = greedy_knapsack(g, 3.0)
-        assert set(items) == {1, 3, 4}
-        assert value == pytest.approx(0.9 + 0.7 + 0.5)
-
-    def test_guarantee_on_random_coverage(self):
-        rng = np.random.default_rng(42)
-        for _ in range(30):
-            g = coverage_instance(rng, n=8, universe=10)
-            budget = float(rng.uniform(1.0, 6.0))
-            _, greedy_val = greedy_knapsack(g, budget)
-            _, opt = brute_force_knapsack(g, budget)
-            assert greedy_val >= KS_GUARANTEE * opt - 1e-12
-
-    def test_negative_budget_rejected(self):
-        g = GroundSet(costs=np.ones(2), utility=lambda s: float(len(s)))
-        with pytest.raises(ValueError):
-            greedy_knapsack(g, -1.0)
-
-    def test_singleton_track_can_win(self):
-        # one huge item the ratio greedy skips at first: value 10 at cost 3
-        # vs three cost-1 items worth 1.2 each; greedy-by-ratio fills up on
-        # the cheap ones, the singleton track must rescue the answer
-        vals = {0: 10.0, 1: 1.2, 2: 1.2, 3: 1.2}
-
-        def f(items):
-            return float(sum(vals[v] for v in items))
-
-        g = GroundSet(costs=np.array([3.0, 1.0, 1.0, 1.0]), utility=f)
-        items, value = greedy_knapsack(g, 3.0)
-        assert items == (0,) and value == pytest.approx(10.0)
-
-
-class TestBruteForce:
-    def test_unbounded_budget_returns_full_set(self):
-        g = GroundSet(costs=np.ones(4), utility=lambda s: float(len(s)))
-        items, value = brute_force_knapsack(g, np.inf)
-        assert items == (0, 1, 2, 3) and value == 4.0
-
-    def test_single_item_iff_affordable(self):
-        g = GroundSet(costs=np.array([2.0]), utility=lambda s: float(len(s)))
-        assert brute_force_knapsack(g, 2.0)[0] == (0,)
-        assert brute_force_knapsack(g, 1.9)[0] == ()
-
-    def test_dominates_greedy(self):
-        rng = np.random.default_rng(77)
-        for _ in range(20):
-            g = coverage_instance(rng, n=7, universe=9)
-            budget = float(rng.uniform(0.5, 8.0))
-            _, gv = greedy_knapsack(g, budget)
-            _, bv = brute_force_knapsack(g, budget)
-            assert bv >= gv - 1e-12
-
-    def test_size_guard(self):
-        g = GroundSet(costs=np.ones(21), utility=lambda s: float(len(s)))
-        with pytest.raises(ValueError):
-            brute_force_knapsack(g, 5.0)
-
-    def test_exact_against_itertools(self):
-        rng = np.random.default_rng(5)
-        g = coverage_instance(rng, n=6, universe=8)
-        budget = 4.0
-        best = 0.0
-        for r in range(7):
-            for combo in itertools.combinations(range(6), r):
-                if sum(g.costs[v] for v in combo) <= budget:
-                    best = max(best, g.utility(frozenset(combo)))
-        _, bv = brute_force_knapsack(g, budget)
-        assert bv == pytest.approx(best, abs=1e-12)
-
-
-class TestRatioMonotone:
-    def test_equal_budgets(self):
-        g = GroundSet(costs=np.ones(4), utility=lambda s: float(len(s)))
-        assert check_ratio_monotone(g, 2.0, 2.0)
-
-    def test_modular_unit_costs_direct(self):
-        weights = np.array([3.0, 2.0, 1.0])
-        g = GroundSet(costs=np.ones(3),
-                      utility=lambda s: float(sum(weights[v] for v in s)))
-        # g(1 + 1)/1 = 5 >= g(3)/3 = 2
-        assert check_ratio_monotone(g, 1.0, 3.0)
-
-    def test_random_sweep(self):
-        rng = np.random.default_rng(2024)
-        for _ in range(60):
-            g = coverage_instance(rng, n=int(rng.integers(3, 8)), universe=8)
-            b1 = float(rng.uniform(0.5, 5.0))
-            b2 = b1 + float(rng.uniform(0.0, 5.0))
-            assert check_ratio_monotone(g, b1, b2)
-
-    def test_budget_order_enforced(self):
-        g = GroundSet(costs=np.ones(2), utility=lambda s: float(len(s)))
-        with pytest.raises(ValueError):
-            check_ratio_monotone(g, 3.0, 2.0)
 
 
 class TestGammaMaxBound:
@@ -249,3 +115,67 @@ class TestGammaMaxBound:
         cand = CandidateSet(points=np.array([[0.0]]))
         with pytest.raises(ValueError):
             gamma_max_bound(two_fid_model, cand, 0.0, 0.5)
+
+    @pytest.mark.parametrize("beta", [np.nan, -0.1, -np.inf])
+    def test_beta_nonnegative(self, two_fid_model, beta):
+        # a NaN or negative beta never ends the loop on the ratio rule
+        cand = CandidateSet(points=np.array([[0.0]]))
+        with pytest.raises(ValueError, match="beta"):
+            gamma_max_bound(two_fid_model, cand, 10.0, beta)
+
+    def test_dominates_episodes_that_repeat_pairs(self):
+        # the bound ranges over sets, but Explore-LF may take one (point,
+        # fidelity) pair twice in an episode, as this currin2 run does
+        problem = make_problem("currin2", noise=0.05, seed=0)
+        cfg = PolicyConfig(hyperfit_every=0, candidate_seed=1000)
+        budget = 100.0 * problem.model.target_cost
+        trace = mf_mi_greedy(problem, budget, cfg, seed=0)
+        repeats = 0
+        for ep in trace.episodes:
+            pairs = [(o.action.fidelity, o.action.x.tobytes()) for o in ep.low_observations]
+            repeats += len(pairs) - len(set(pairs))
+        assert repeats > 0
+        cand = make_candidates(problem.bounds, cfg.n_candidates, cfg.candidate_seed)
+        beta = min(ep.explore_beta for ep in trace.episodes if ep.explore_beta is not None)
+        bound = gamma_max_bound(problem.model, cand, budget, beta)
+        assert all(bound >= ep.explore_info_gain for ep in trace.episodes)
+
+
+class TestExhaustiveOpt:
+    def _instance(self, three_fid_model, rng, n_points):
+        state = CovState.empty(three_fid_model).append(
+            Action(x=rng.uniform(-1, 1, size=2), fidelity=3))
+        points = rng.uniform(-1, 1, size=(n_points, 2))
+        actions = [Action(x=x, fidelity=lev) for lev in (1, 2) for x in points]
+        return state, actions
+
+    def test_matches_itertools(self, three_fid_model, rng):
+        state, actions = self._instance(three_fid_model, rng, 3)
+        costs = three_fid_model.costs
+        rates = [info_gain_set(state, (a,)) / costs[a.fidelity - 1] for a in actions]
+        for budget, beta in [(4.0, 0.3 * max(rates)), (np.inf, 0.0), (2.5, 0.9 * max(rates))]:
+            want = 0.0
+            for r in range(1, len(actions) + 1):
+                for subset in itertools.combinations(actions, r):
+                    cost = sum(costs[a.fidelity - 1] for a in subset)
+                    gain = info_gain_set(state, subset)
+                    if cost <= budget and gain / cost >= beta:
+                        want = max(want, gain)
+            assert want > 0.0
+            got = exhaustive_opt(state, actions, budget, beta)
+            assert got == pytest.approx(want, rel=0, abs=1e-12)
+
+    def test_zero_when_no_set_clears_beta(self, three_fid_model, rng):
+        state, actions = self._instance(three_fid_model, rng, 3)
+        costs = three_fid_model.costs
+        # beta above every set's gain per cost, then a budget below every cost
+        top = max(info_gain_set(state, s) / sum(costs[a.fidelity - 1] for a in s)
+                  for r in range(1, len(actions) + 1)
+                  for s in itertools.combinations(actions, r))
+        assert exhaustive_opt(state, actions, np.inf, 1.01 * top) == 0.0
+        assert exhaustive_opt(state, actions, 0.5 * min(costs), 0.0) == 0.0
+
+    def test_size_guard(self, three_fid_model, rng):
+        state, actions = self._instance(three_fid_model, rng, EXHAUSTIVE_MAX // 2 + 1)
+        with pytest.raises(ValueError, match="exhaustive"):
+            exhaustive_opt(state, actions, 10.0, 0.0)
