@@ -1,8 +1,8 @@
 """Exact Gaussian-process inference on finite point sets.
 
-Squared-exponential kernels, Cholesky-based posteriors, Gaussian entropies
-and log-determinants. Everything here is plain conditioning of a joint
-Gaussian; the multi-fidelity structure lives one layer up in mfbo.model.
+Squared-exponential kernels, Cholesky factors, triangular solves, Gaussian
+entropies and log-determinants. The multi-fidelity structure, and the one
+posterior conditioned with these, live one layer up in mfbo.model.
 
 Conventions: covariances are dense float64 arrays, entropies are in nats,
 and every factorization runs through the same escalating-jitter ladder so
@@ -155,36 +155,3 @@ def gaussian_entropy(cov: np.ndarray) -> float:
     if n == 0:
         return 0.0
     return 0.5 * (n * LOG_2PI_E + chol_logdet(cov))
-
-
-def posterior(prior: GpPrior, X, y, Xq) -> tuple[np.ndarray, np.ndarray]:
-    """Exact GP posterior mean and covariance at query points.
-
-    mean_S(x)  = m(x) + k_S(x)' K_S^-1 (y - m(X))
-    cov_S(x,x') = k(x,x') - k_S(x)' K_S^-1 k_S(x')
-    with K_S = K(X, X) + noise_variance * I. Empty X returns the prior.
-    """
-    Xq = np.asarray(Xq, dtype=np.float64)
-    if Xq.ndim != 2:
-        raise ValueError("Xq must be (q, d)")
-    X = np.asarray(X, dtype=np.float64).reshape(-1, Xq.shape[1])
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if X.shape[0] != y.shape[0]:
-        raise ValueError("X and y lengths differ: %d vs %d" % (X.shape[0], y.shape[0]))
-    for name, a in (("X", X), ("y", y), ("Xq", Xq)):
-        if not np.all(np.isfinite(a)):
-            raise ValueError("%s must be finite" % name)
-    k = prior.kernel
-    prior_cov = k.sym(Xq)
-    prior_mean = prior.mean_at(Xq)
-    if X.shape[0] == 0:
-        return prior_mean, prior_cov
-    K = k.sym(X)
-    K[np.diag_indices_from(K)] += prior.noise_variance
-    L, _ = chol_factor(K)
-    W = solve_triangular(L, k.cross(X, Xq))
-    a = solve_triangular(L, y - prior.mean_at(X))
-    mean = prior_mean + W.T @ a
-    cov = prior_cov - W.T @ W
-    cov = 0.5 * (cov + cov.T)
-    return mean, cov

@@ -440,8 +440,8 @@ class CandidateGains:
     C-ordered n x nc block. append(action) advances the CovState and adds
     one row to K_c and to each projection the point enters, r = (c(x, Xc)
     - w^T W) / d for the factor's new last row [w, d], at O(n nc) cost.
-    After an append with a `rebuilt` state, or reset(), all is computed
-    afresh at the next use; recomputes counts these computes by cause.
+    An append with a `rebuilt` state, or reset(), computes all afresh at
+    once; recomputes counts these computes by cause.
     """
 
     def __init__(self, state: CovState, Xc):
@@ -451,16 +451,16 @@ class CandidateGains:
         self.reset(state, None)
 
     def reset(self, state: CovState, cause=NEW_MODEL) -> None:
-        """Drop every projection, to compute afresh at state on next use
+        """Compute every projection afresh at state, counted under cause
         (by default the state of a new model, after a refit)."""
-        self.state, self._cause = state, cause
-        self._wf = self._kc = None
-        self._wl: dict[int, _Rows] = {}
-        self._we: dict[int, _Rows] = {}
+        if cause is not None:
+            self.recomputes[cause] += 1
+        self.state = state
+        # free the old projections first, so old and new never coexist
+        self._wf = self._kc = self._wl = self._we = None
+        self._recompute()
 
     def _recompute(self) -> None:
-        if self._cause is not None:
-            self.recomputes[self._cause] += 1
         state = self.state
         model = state.model
         kc = model.target_prior.kernel.cross(state.X, self.Xc)
@@ -482,8 +482,6 @@ class CandidateGains:
     def append(self, action: Action) -> None:
         """Condition on one more observation at action."""
         self.state = new = self.state.append(action)
-        if self._wf is None:
-            return
         if new.rebuilt is not None:
             return self.reset(new, new.rebuilt)
         lev = action.fidelity
@@ -502,8 +500,6 @@ class CandidateGains:
 
     def _degenerate(self) -> np.ndarray:
         """Candidates whose latent variance is below DEGENERATE_VAR."""
-        if self._wf is None:
-            self._recompute()
         sv = self.state.model.target_prior.kernel.signal_variance
         return (sv - self._wf.sq < DEGENERATE_VAR) | (sv < DEGENERATE_VAR)
 
@@ -558,13 +554,14 @@ class CandidateGains:
         """Posterior mean, prior + K_c^T alpha with alpha = K^-1 (y - mu),
         and pointwise variance, sv - (W_f column sums of squares) floored
         at 0, of f at Xc given the values y observed at the state's
-        points, in the order they were appended."""
+        points, in the order they were appended. Raises ValueError unless
+        y holds one finite value per point."""
         state = self.state
         y = np.asarray(y, dtype=np.float64).reshape(-1)
         if y.shape[0] != state.n:
             raise ValueError("%d values for %d observed points" % (y.shape[0], state.n))
-        if self._wf is None:
-            self._recompute()
+        if not np.all(np.isfinite(y)):
+            raise ValueError("observed values must be finite")
         prior = state.model.target_prior
         alpha = np.zeros(0)
         if state.n:
@@ -595,6 +592,7 @@ def log_marginal_likelihood(model: FidelityModel, X, fids, y, memo=None) -> floa
     memo is passed to _joint_sym: fit_hyperparameters keeps one for the
     whole grid, so grid models that share a kernel's lengthscales share its
     unit block, and the value is bitwise the one computed without it.
+    Raises ValueError unless y holds one finite value per point.
     """
     X = np.asarray(X, dtype=np.float64).reshape(-1, model.dim)
     fids = np.asarray(fids, dtype=np.int64).reshape(-1)
@@ -602,6 +600,8 @@ def log_marginal_likelihood(model: FidelityModel, X, fids, y, memo=None) -> floa
     n = X.shape[0]
     if y.shape[0] != n:
         raise ValueError("%d values for %d observed points" % (y.shape[0], n))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observed values must be finite")
     if n == 0:
         return 0.0
     K = _joint_sym(model, X, fids, memo)
@@ -624,7 +624,8 @@ def fit_hyperparameters(state: CovState, y, grid: Sequence[FidelityModel]) -> Fi
     memo-free one. Ties break to the earliest grid index; grid points whose
     covariance cannot be factorized are skipped; if every point fails, or
     the grid is empty, state's model is kept and a warning is issued.
-    Raises ValueError unless y holds one value per point.
+    Raises ValueError unless y holds one value per point, and a grid
+    model's score raises it if a value is not finite.
     """
     y = np.asarray(y, dtype=np.float64).reshape(-1)
     if y.shape[0] != state.n:

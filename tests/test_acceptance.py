@@ -17,6 +17,7 @@ from mfbo.verify import (
     CRITERIA,
     criterion_additive_consistency,
     criterion_chain_rule,
+    criterion_gp_oracle,
     criterion_submodular,
     format_result,
     run_criterion,
@@ -49,6 +50,18 @@ def test_criterion(number):
 
 # The criteria that check library identities must catch a fault in the
 # function they check: each offset below is 10x the criterion's tolerance.
+
+def test_gp_oracle_fails_on_an_offset_posterior(monkeypatch):
+    real = CandidateGains.posterior
+
+    def offset(self, y):
+        mean, var = real(self, y)
+        return mean + 1e-7, var
+
+    monkeypatch.setattr(CandidateGains, "posterior", offset)
+    passed, detail = criterion_gp_oracle()
+    assert not passed, detail
+
 
 def test_additive_consistency_fails_on_an_offset_posterior(monkeypatch):
     real = CandidateGains.posterior

@@ -3,20 +3,13 @@ import pytest
 import scipy.linalg
 
 from mfbo.gp import (
-    GpPrior,
     NumericalError,
     SquaredExpKernel,
     chol_factor,
     chol_logdet,
     gaussian_entropy,
-    posterior,
     solve_triangular,
 )
-
-
-def dense_se(kern, Xa, Xb):
-    diff = Xa[:, None, :] - Xb[None, :, :]
-    return kern.signal_variance * np.exp(-0.5 * np.sum((diff / kern.lengthscales) ** 2, axis=2))
 
 
 class TestKernel:
@@ -100,93 +93,6 @@ class TestEntropy:
         ha = gaussian_entropy(np.array([[0.7]]))
         hb = gaussian_entropy(np.array([[2.5]]))
         assert h == pytest.approx(ha + hb, abs=1e-10)
-
-
-class TestPosterior:
-    def test_empty_conditioning_returns_prior(self, rng):
-        kern = SquaredExpKernel(signal_variance=1.5, lengthscales=np.array([0.7]))
-        prior = GpPrior(kern, noise_variance=0.1, mean=2.0)
-        Xq = rng.uniform(-1, 1, size=(4, 1))
-        mean, cov = posterior(prior, np.zeros((0, 1)), np.zeros(0), Xq)
-        assert np.allclose(mean, 2.0)
-        assert np.allclose(cov, dense_se(kern, Xq, Xq), atol=1e-12)
-
-    def test_single_point_hand_oracle(self):
-        # k(x,x)=1, noise 0.25: mean = y/1.25, var = 1 - 1/1.25
-        kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
-        prior = GpPrior(kern, noise_variance=0.25)
-        X = np.array([[0.3]])
-        for y0 in (2.0, -1.0, 0.0):
-            mean, cov = posterior(prior, X, np.array([y0]), X)
-            assert mean[0] == pytest.approx(0.8 * y0, abs=1e-12)
-            assert cov[0, 0] == pytest.approx(0.2, abs=1e-12)
-
-    def test_duplicated_query_points_give_identical_rows(self, rng):
-        kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.5]))
-        prior = GpPrior(kern, noise_variance=0.1)
-        X = rng.uniform(-1, 1, size=(3, 1))
-        y = rng.standard_normal(3)
-        Xq = np.array([[0.2], [0.2], [0.7]])
-        mean, cov = posterior(prior, X, y, Xq)
-        assert mean[0] == mean[1]
-        assert np.allclose(cov[0], cov[1], atol=1e-12)
-        assert np.allclose(cov[:, 0], cov[:, 1], atol=1e-12)
-
-    def test_matches_dense_inverse_oracle(self, rng):
-        for _ in range(25):
-            d = int(rng.integers(1, 4))
-            n = int(rng.integers(1, 9))
-            kern = SquaredExpKernel(
-                signal_variance=float(rng.uniform(0.3, 3.0)),
-                lengthscales=rng.uniform(0.3, 2.0, size=d),
-            )
-            prior = GpPrior(kern, noise_variance=float(rng.uniform(1e-4, 0.5)),
-                            mean=float(rng.uniform(-1, 1)))
-            X = rng.uniform(-1, 1, size=(n, d))
-            y = rng.standard_normal(n)
-            Xq = rng.uniform(-1, 1, size=(5, d))
-            mean, cov = posterior(prior, X, y, Xq)
-            K = dense_se(kern, X, X) + prior.noise_variance * np.eye(n)
-            Ks = dense_se(kern, Xq, X)
-            Kinv = np.linalg.inv(K)
-            mean0 = prior.mean_at(Xq) + Ks @ Kinv @ (y - prior.mean_at(X))
-            cov0 = dense_se(kern, Xq, Xq) - Ks @ Kinv @ Ks.T
-            assert np.max(np.abs(mean - mean0)) < 1e-8
-            assert np.max(np.abs(cov - cov0)) < 1e-8
-
-    def test_variance_monotone_under_more_data(self, rng):
-        kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.6]))
-        prior = GpPrior(kern, noise_variance=0.05)
-        X = rng.uniform(-1, 1, size=(8, 1))
-        y = rng.standard_normal(8)
-        Xq = rng.uniform(-1, 1, size=(6, 1))
-        for k in range(8):
-            _, cov_small = posterior(prior, X[:k], y[:k], Xq)
-            _, cov_big = posterior(prior, X[: k + 1], y[: k + 1], Xq)
-            assert np.all(np.diag(cov_big) <= np.diag(cov_small) + 1e-9)
-
-    def test_zero_noise_interpolates(self, rng):
-        kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.8]))
-        prior = GpPrior(kern, noise_variance=0.0)
-        X = rng.uniform(-1, 1, size=(5, 1))
-        y = rng.standard_normal(5)
-        mean, cov = posterior(prior, X, y, X)
-        assert np.max(np.abs(mean - y)) < 1e-8
-        assert np.all(np.diag(cov) <= 1e-8)
-
-    def test_mismatched_lengths_raise(self):
-        kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
-        prior = GpPrior(kern, noise_variance=0.1)
-        with pytest.raises(ValueError):
-            posterior(prior, np.zeros((2, 1)), np.zeros(3), np.zeros((1, 1)))
-
-    def test_non_finite_inputs_raise(self):
-        kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
-        prior = GpPrior(kern, noise_variance=0.1)
-        X, y, Xq = np.zeros((2, 1)), np.zeros(2), np.zeros((1, 1))
-        for args in ((X, np.array([0.0, np.nan]), Xq), (X + np.inf, y, Xq), (X, y, Xq - np.inf)):
-            with pytest.raises(ValueError, match="must be finite"):
-                posterior(prior, *args)
 
 
 class TestSolveTriangular:

@@ -21,6 +21,7 @@ from mfbo.harness import (
     run_seed,
     summarize,
 )
+from mfbo.benchmarks import BenchmarkProblem
 from mfbo.gp import chol_factor
 from mfbo.policy import POLICY_NAMES, PolicyConfig, sf_only
 from mfbo.verify import make_toy_problem
@@ -328,6 +329,23 @@ class TestCli:
         rc = cli_main(["bench", "--problem", "currin2", "--policies", "dqn"])
         assert rc == 2
         assert "dqn" in capsys.readouterr().err
+
+    def test_non_finite_value_fails_the_run_exit_1(self, tmp_path, monkeypatch, capsys):
+        real = BenchmarkProblem.evaluate
+        calls = []
+
+        def evaluate(self, action, rng):  # the second value is NaN
+            calls.append(action)
+            return float("nan") if len(calls) == 2 else real(self, action, rng)
+
+        monkeypatch.setattr(BenchmarkProblem, "evaluate", evaluate)
+        rc = cli_main(["bench", "--problem", "currin2", "--seeds", "1", "--budget-mult", "5",
+                       "--policies", "sf_only", "--candidates", "32", "--hyperfit-every", "0",
+                       "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "failed: ValueError: observed values must be finite" in err
+        assert "error: 1 run(s) failed" in err
 
     @pytest.mark.parametrize("flag, value", [
         ("--noise", "-1"), ("--candidates", "0"), ("--policies", ","),

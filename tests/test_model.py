@@ -6,7 +6,7 @@ from scipy.linalg import cho_solve, solve_triangular
 
 from conftest import gains_formula, info_gain_single, predict_latent_diag
 from mfbo.benchmarks import make_problem
-from mfbo.gp import GpPrior, NumericalError, SquaredExpKernel, chol_factor, posterior
+from mfbo.gp import GpPrior, NumericalError, SquaredExpKernel, chol_factor
 from mfbo.model import (
     ERROR_FAILED,
     FIRST_POINT,
@@ -24,6 +24,7 @@ from mfbo.model import (
     info_gain_set,
     log_marginal_likelihood,
 )
+from mfbo.verify import dense_latent_posterior
 
 
 # --------------------------------------------------------------------------
@@ -76,22 +77,10 @@ def actions_of(state: CovState) -> list[Action]:
     return [Action(x=x, fidelity=f) for x, f in zip(state.X, state.fids)]
 
 
-def dense_latent_posterior(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and variance of f at each row of Xq, by conditioning the dense
-    joint Gaussian of (f(xq), y) built entry by entry from joint_cov."""
-    model = state.model
-    acts = actions_of(state)
-    K = np.array([[joint_cov(model, a, b, same_obs=(i == j)) for j, b in enumerate(acts)]
-                  for i, a in enumerate(acts)])
-    mu = model.target_prior.mean
-    resid = np.asarray(y) - mu
-    kf = model.target_prior.kernel
-    means, variances = [], []
-    for xq in Xq:
-        k = np.array([_se(kf, xq, a.x) for a in acts])
-        means.append(mu + k @ np.linalg.solve(K, resid))
-        variances.append(_se(kf, xq, xq) - k @ np.linalg.solve(K, k))
-    return np.array(means), np.array(variances)
+def dense_latent_diag(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]:
+    """The dense oracle's mean and variance of f at each row of Xq."""
+    mean, cov = dense_latent_posterior(state.model, state.X, state.fids, y, Xq)
+    return mean, np.diag(cov)
 
 
 def latent_posterior(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]:
@@ -101,6 +90,21 @@ def latent_posterior(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]:
 
 def act(x, fid):
     return Action(x=np.atleast_1d(np.asarray(x, dtype=float)), fidelity=fid)
+
+
+def target_only(lengthscale, noise_variance) -> FidelityModel:
+    """An m = 1 model: a unit-variance 1-d target and its noise."""
+    kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([lengthscale]))
+    prior = GpPrior(kern, noise_variance=noise_variance)
+    return FidelityModel(target_prior=prior, error_priors=(), costs=np.array([1.0]))
+
+
+def observed_at(model, X) -> CovState:
+    """The state of target-fidelity observations at the rows of X."""
+    state = CovState.empty(model)
+    for x in X:
+        state = state.append(Action(x=x, fidelity=model.m))
+    return state
 
 
 def random_observations(rng, model, n, spread=1.0) -> tuple[CovState, np.ndarray]:
@@ -180,10 +184,45 @@ class TestPredictLatent:
         state = CovState.empty(two_fid_model).append(act(0.4, 2))
         Xq = rng.uniform(-1, 1, size=(5, 1))
         mean, var = latent_posterior(state, [1.1], Xq)
-        mean0, cov0 = posterior(two_fid_model.target_prior, np.array([[0.4]]),
-                                np.array([1.1]), Xq)
+        mean0, var0 = dense_latent_diag(state, [1.1], Xq)
         assert np.max(np.abs(mean - mean0)) < 1e-10
-        assert np.max(np.abs(var - np.diag(cov0))) < 1e-10
+        assert np.max(np.abs(var - var0)) < 1e-10
+
+    def test_single_point_hand_oracle(self):
+        # k(x,x)=1, noise 0.25: mean = y/1.25, var = 1 - 1/1.25
+        X = np.array([[0.3]])
+        state = observed_at(target_only(1.0, 0.25), X)
+        for y0 in (2.0, -1.0, 0.0):
+            mean, var = latent_posterior(state, [y0], X)
+            assert mean[0] == pytest.approx(0.8 * y0, abs=1e-12)
+            assert var[0] == pytest.approx(0.2, abs=1e-12)
+
+    def test_duplicated_query_points_give_identical_rows(self, rng):
+        # duplicated candidates are separate columns of the block solves,
+        # so they agree to rounding, not bit for bit
+        state = observed_at(target_only(0.5, 0.1), rng.uniform(-1, 1, size=(3, 1)))
+        y = rng.standard_normal(3)
+        mean, var = latent_posterior(state, y, np.array([[0.2], [0.2], [0.7]]))
+        assert abs(mean[0] - mean[1]) < 1e-12
+        assert abs(var[0] - var[1]) < 1e-12
+
+    def test_variance_monotone_under_more_data(self, rng):
+        X = rng.uniform(-1, 1, size=(8, 1))
+        y = rng.standard_normal(8)
+        model = target_only(0.6, 0.05)
+        gains = CandidateGains(CovState.empty(model), rng.uniform(-1, 1, size=(6, 1)))
+        for k in range(8):
+            _, var_small = gains.posterior(y[:k])
+            gains.append(Action(x=X[k], fidelity=1))
+            _, var_big = gains.posterior(y[: k + 1])
+            assert np.all(var_big <= var_small + 1e-9)
+
+    def test_zero_noise_interpolates(self, rng):
+        X = rng.uniform(-1, 1, size=(5, 1))
+        y = rng.standard_normal(5)
+        mean, var = latent_posterior(observed_at(target_only(0.8, 0.0), X), y, X)
+        assert np.max(np.abs(mean - y)) < 1e-8
+        assert np.all(var <= 1e-8)
 
     def test_low_fidelity_half_variance_oracle(self):
         # k_f(x,x)=1, k_eps(x,x)=1, sigma^2=0: one low obs leaves var 1/2
@@ -202,7 +241,7 @@ class TestPredictLatent:
             state = state.append(Action(x=rng.uniform(-1, 1, size=2), fidelity=lev))
             y = np.append(y, rng.standard_normal())
         Xq = rng.uniform(-1, 1, size=(7, 2))
-        mean0, var0 = dense_latent_posterior(state, y, Xq)
+        mean0, var0 = dense_latent_diag(state, y, Xq)
         for mean, var in (latent_posterior(state, y, Xq), predict_latent_diag(state, y, Xq)):
             assert np.max(np.abs(mean - mean0)) < 1e-10
             assert np.max(np.abs(var - var0)) < 1e-10
@@ -583,6 +622,16 @@ class TestCandidateGains:
             with pytest.raises(ValueError, match="values for 4 observed points"):
                 gains.posterior(wrong)
 
+    def test_posterior_rejects_non_finite_values(self, two_fid_model, rng):
+        state, y = random_observations(rng, two_fid_model, 4)
+        gains = CandidateGains(state, rng.uniform(-1, 1, size=(5, 1)))
+        for bad in (np.nan, np.inf, -np.inf):
+            wrong = y.copy()
+            wrong[2] = bad
+            with pytest.raises(ValueError, match="observed values must be finite"):
+                gains.posterior(wrong)
+
+
 class TestLongRunDrift:
     """Factors are extended row by row for a whole run and never rebuilt
     on a step count; this bounds the rounding that accumulates meanwhile."""
@@ -676,11 +725,11 @@ class TestCovState:
         assert np.allclose(v1, v2, atol=1e-8)
 
 
-class TestHistory:
-    """A run's history is its CandidateGains state plus the values observed
-    there, in query order."""
+class TestAppend:
+    """Appends to a CandidateGains advance its state as CovState.append
+    does, and its posterior then needs one value per observed point."""
 
-    def test_adopt_takes_the_extended_state(self, two_fid_model, rng):
+    def test_equals_cov_state_append_and_needs_one_value_per_point(self, two_fid_model, rng):
         state, y = random_observations(rng, two_fid_model, 4)
         new = [Action(x=np.array([0.3]), fidelity=1), Action(x=np.array([-0.2]), fidelity=2)]
         y_new = np.append(y, [0.5, 1.5])
@@ -743,6 +792,17 @@ class TestHyperFit:
             log_marginal_likelihood(two_fid_model, state.X, state.fids, [0.3])
         with pytest.raises(ValueError, match="1 values for 5 observed points"):
             fit_hyperparameters(state, [0.3], default_hyper_grid(two_fid_model))
+
+    def test_rejects_non_finite_values(self, two_fid_model, rng):
+        state, y = random_observations(rng, two_fid_model, 5)
+        grid = default_hyper_grid(two_fid_model)
+        for bad in (np.nan, np.inf):
+            wrong = y.copy()
+            wrong[-1] = bad
+            with pytest.raises(ValueError, match="observed values must be finite"):
+                log_marginal_likelihood(two_fid_model, state.X, state.fids, wrong)
+            with pytest.raises(ValueError, match="observed values must be finite"):
+                fit_hyperparameters(state, wrong, grid)
 
     def test_rejects_no_values_at_observed_points(self, two_fid_model, rng):
         state, _ = random_observations(rng, two_fid_model, 5)

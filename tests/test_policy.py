@@ -393,6 +393,46 @@ def failing_append(n):
     return append
 
 
+def nan_evaluate(fidelity, k):
+    """BenchmarkProblem.evaluate whose k-th value at fidelity is NaN."""
+    real = BenchmarkProblem.evaluate
+    calls = []
+
+    def evaluate(self, action, rng):
+        value = real(self, action, rng)
+        if action.fidelity == fidelity:
+            calls.append(action)
+            if len(calls) == k:
+                return float("nan")
+        return value
+
+    return evaluate
+
+
+class TestNonFiniteValue:
+    """A NaN observation stops the run instead of steering its later
+    queries and its recommendation."""
+
+    @pytest.mark.parametrize("hyperfit_every, raised_in", [
+        (0, "posterior"), (2, "log_marginal_likelihood"),
+    ])
+    def test_sf_only_nan_target_value(self, toy, monkeypatch, hyperfit_every, raised_in):
+        # the second target value is NaN, and with refits on, the third
+        # episode refits before it reads the posterior
+        monkeypatch.setattr(BenchmarkProblem, "evaluate", nan_evaluate(2, 2))
+        cfg = PolicyConfig(n_candidates=16, hyperfit_every=hyperfit_every)
+        with pytest.raises(ValueError, match="finite") as exc:
+            sf_only(toy, 21.0, cfg, seed=2718)
+        assert exc.traceback[-1].name == raised_in
+
+    @pytest.mark.parametrize("hyperfit_every", [0, 2])
+    def test_mf_mi_greedy_nan_low_fidelity_value(self, toy, monkeypatch, hyperfit_every):
+        monkeypatch.setattr(BenchmarkProblem, "evaluate", nan_evaluate(1, 3))
+        cfg = PolicyConfig(n_candidates=16, hyperfit_every=hyperfit_every)
+        with pytest.raises(ValueError, match="finite"):
+            mf_mi_greedy(toy, 21.0, cfg, seed=2718)
+
+
 class TestRecomputeCount:
     @pytest.mark.parametrize("run", [sf_only, mf_mi_greedy])
     def test_projections_computed_once_plus_once_per_cause(self, monkeypatch, run):
