@@ -27,15 +27,13 @@ across policies: at a given index every policy sees the same candidate pool
 and the same observation-noise stream (common random numbers), so
 policy-to-policy differences come from decisions rather than noise luck.
 Runs execute one after another in (policy, seed index) order, and a failure
-is isolated to its run. No thread count is set. numpy and scipy each bundle
-an OpenBLAS (0.3.31 and 0.3.30) with its own thread pool, and
-OPENBLAS_NUM_THREADS limits both. With the default on 2 cores a run's CPU
-time is 1.7-1.9 times its wall time, and one thread
-(OPENBLAS_NUM_THREADS=1) sped up borehole8 runs but slowed hartmann6 ones
-(measured in the README, "CLI"). Output is three CSVs: traces.csv (one row
-per query), curves.csv (per-episode simple and cumulative regret) and
-summary.csv (mean simple regret at quarter-budget checkpoints). Floats are
-written with %.12g so repeated runs are byte-identical.
+is isolated to its run. No thread count is set: OPENBLAS_NUM_THREADS limits
+the thread pools of numpy's and scipy's OpenBLAS, and the README ("CLI")
+gives timings at the default and at one thread. Output is three CSVs:
+traces.csv (one row per query), curves.csv (per-episode simple and
+cumulative regret) and summary.csv (mean simple regret at quarter-budget
+checkpoints). Floats are written with %.12g so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations

@@ -75,6 +75,8 @@ class Observation:
 
     def __post_init__(self):
         object.__setattr__(self, "y", float(self.y))
+        if not np.isfinite(self.y):
+            raise ValueError("observed values must be finite")
 
 
 @dataclass(frozen=True)
@@ -376,46 +378,45 @@ def info_gain_set(state: CovState, actions: Sequence[Action]) -> float:
     return h1 - h0
 
 
-class _Grow:
-    """Rows appended one at a time to a C-ordered block whose room doubles
-    when full, so an append never copies the rows already there."""
-
-    __slots__ = ("buf", "n")
-
-    def __init__(self, rows):
-        self.buf, self.n = rows, rows.shape[0]
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self.buf[: self.n]
-
-    def append(self, r) -> None:
-        if self.n == self.buf.shape[0]:
-            buf = np.empty((max(2 * self.n, 8), self.buf.shape[1]))
-            buf[: self.n] = self.rows
-            self.buf = buf
-        self.buf[self.n] = r
-        self.n += 1
-
-
 class _Rows:
     """Rows of one projection W = L^-1 C(X, Xc), solved at once (head) or
-    appended one at a time (tail), and their column sums of squares."""
+    appended one at a time (tail), and their column sums of squares. The
+    tail lives in a C-ordered block whose room doubles when full, so an
+    append never copies the rows already there."""
 
-    __slots__ = ("head", "tail", "sq")
+    __slots__ = ("head", "buf", "n", "sq")
 
     def __init__(self, L, C):
         # C is Fortran-ordered and owned here, so the solve runs in place
         self.head = solve_triangular(L, C, overwrite_b=True)
         self.sq = np.einsum("ij,ij->j", self.head, self.head)
-        self.tail = _Grow(np.empty((0, C.shape[1])))
+        self.buf, self.n = np.empty((0, C.shape[1])), 0
+
+    @property
+    def tail(self) -> np.ndarray:
+        return self.buf[: self.n]
 
     def append(self, c, w, d) -> None:
         """Add the row for a new last row [w, d] of L and row c of C."""
         n0 = self.head.shape[0]
-        r = (c - w[:n0] @ self.head - w[n0:] @ self.tail.rows) / d
-        self.tail.append(r)
+        r = (c - w[:n0] @ self.head - w[n0:] @ self.tail) / d
+        if self.n == self.buf.shape[0]:
+            buf = np.empty((max(2 * self.n, 8), self.buf.shape[1]))
+            buf[: self.n] = self.tail
+            self.buf = buf
+        self.buf[self.n] = r
+        self.n += 1
         self.sq += r * r
+
+
+def _observed_values(y, n: int) -> np.ndarray:
+    """y as a float vector; ValueError unless it holds n finite values."""
+    y = np.asarray(y, dtype=np.float64).reshape(-1)
+    if y.shape[0] != n:
+        raise ValueError("%d values for %d observed points" % (y.shape[0], n))
+    if not np.all(np.isfinite(y)):
+        raise ValueError("observed values must be finite")
+    return y
 
 
 class CandidateGains:
@@ -436,12 +437,12 @@ class CandidateGains:
     It holds W_f = L^-1 k_f(X, Xc) over the state's joint factor L; for
     each low fidelity l with points, W_l = L^-1 (k_f + k_eps_l on l's
     rows)(X, Xc); for each error factor, W_eps_l = L_eps_l^-1 k_eps_l(X_l,
-    Xc); the column sums of squares of each; and K_c = k_f(X, Xc) as one
-    C-ordered n x nc block. append(action) advances the CovState and adds
-    one row to K_c and to each projection the point enters, r = (c(x, Xc)
-    - w^T W) / d for the factor's new last row [w, d], at O(n nc) cost.
-    An append with a `rebuilt` state, or reset(), computes all afresh at
-    once; recomputes counts these computes by cause.
+    Xc); and the column sums of squares of each. append(action) advances
+    the CovState and adds one row to each projection the point enters,
+    r = (c(x, Xc) - w^T W) / d for the factor's new last row [w, d], at
+    O(n nc) cost. An append with a `rebuilt` state, or reset(), computes
+    all afresh at once; recomputes counts these computes by cause. The
+    posterior mean, prior + W_f^T L^-1 (y - mu), is folded as values arrive.
     """
 
     def __init__(self, state: CovState, Xc):
@@ -451,29 +452,30 @@ class CandidateGains:
         self.reset(state, None)
 
     def reset(self, state: CovState, cause=NEW_MODEL) -> None:
-        """Compute every projection afresh at state, counted under cause
-        (by default the state of a new model, after a refit)."""
+        """Compute every projection afresh at state and restart the mean's
+        fold, counted under cause (by default a new model's, after a refit)."""
         if cause is not None:
             self.recomputes[cause] += 1
         self.state = state
         # free the old projections first, so old and new never coexist
-        self._wf = self._kc = self._wl = self._we = None
+        self._wf = self._wl = self._we = None
         self._recompute()
 
     def _recompute(self) -> None:
         state = self.state
         model = state.model
-        kc = model.target_prior.kernel.cross(state.X, self.Xc)
-        # solved on Fortran-ordered copies, so every solve runs in place
+        # k_f(X, Xc), Fortran-ordered as are its copies: every solve runs in place
+        kf = model.target_prior.kernel.cross(self.Xc, state.X).T
         self._wl = {}
         for lev in range(1, model.m):
             idx = np.flatnonzero(state.fids == lev)
             if idx.size:
-                cross = kc.copy(order="F")
+                cross = kf.copy(order="F")
                 cross[idx, :] += model.error_kernel(lev).cross(state.X[idx], self.Xc)
                 self._wl[lev] = _Rows(state.L, cross)
-        self._wf = _Rows(state.L, kc.copy(order="F"))
-        self._kc = _Grow(kc)
+        self._wf = _Rows(state.L, kf)
+        # the values folded into the mean, L^-1 (y - mu) and W_f^T of it
+        self._y, self._a, self._wa = np.zeros(0), np.zeros(0), np.zeros(self.Xc.shape[0])
         self._we = {
             lev: _Rows(ef.L, model.error_kernel(lev).cross(self.Xc, state.X[ef.idx]).T)
             for lev, ef in state.err.items()
@@ -489,7 +491,6 @@ class CandidateGains:
         x1 = action.x[None, :]
         w, d = new.L[-1, :-1], new.L[-1, -1]
         kf_row = model.target_prior.kernel.cross(x1, self.Xc)[0]
-        self._kc.append(kf_row)
         self._wf.append(kf_row, w, d)
         ke_row = model.error_kernel(lev).cross(x1, self.Xc)[0] if lev < model.m else None
         for l, rows in self._wl.items():
@@ -551,24 +552,30 @@ class CandidateGains:
         return best
 
     def posterior(self, y) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean, prior + K_c^T alpha with alpha = K^-1 (y - mu),
-        and pointwise variance, sv - (W_f column sums of squares) floored
-        at 0, of f at Xc given the values y observed at the state's
-        points, in the order they were appended. Raises ValueError unless
-        y holds one finite value per point."""
+        """Posterior mean, prior + W_f^T a with a = L^-1 (y - mu), and
+        pointwise variance, sv - (W_f column sums of squares) floored at 0,
+        of f at Xc given the values y observed at the state's points, in
+        the order they were appended. A call solves a and adds W_f's rows
+        only for the values past those folded so far, and folds afresh if y
+        differs from them. Raises ValueError unless y holds one finite
+        value per point."""
         state = self.state
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
-        if y.shape[0] != state.n:
-            raise ValueError("%d values for %d observed points" % (y.shape[0], state.n))
-        if not np.all(np.isfinite(y)):
-            raise ValueError("observed values must be finite")
+        y = _observed_values(y, state.n)
         prior = state.model.target_prior
-        alpha = np.zeros(0)
-        if state.n:
-            resid = y - prior.mean_at(state.X)
-            a = solve_triangular(state.L, resid)
-            alpha = solve_triangular(state.L, a, trans=1)
-        mean = prior.mean_at(self.Xc) + self._kc.rows.T @ alpha
+        k = self._y.shape[0]
+        if not np.array_equal(y[:k], self._y):
+            k, self._wa = 0, np.zeros(self.Xc.shape[0])
+        if k < state.n:
+            # rows k: of L a = y - mu, given a[:k]
+            resid = y[k:] - prior.mean_at(state.X[k:]) - state.L[k:, :k] @ self._a[:k]
+            a = solve_triangular(state.L[k:, k:], resid)
+            head, tail = self._wf.head, self._wf.tail
+            s = max(head.shape[0] - k, 0)  # the new rows the head holds
+            for rows, part in ((head[k:], a[:s]), (tail[k + s - head.shape[0]:], a[s:])):
+                if part.size:
+                    self._wa += rows.T @ part
+            self._y, self._a = y.copy(), np.concatenate([self._a[:k], a])
+        mean = prior.mean_at(self.Xc) + self._wa
         return mean, np.maximum(prior.kernel.signal_variance - self._wf.sq, 0.0)
 
 
@@ -596,12 +603,8 @@ def log_marginal_likelihood(model: FidelityModel, X, fids, y, memo=None) -> floa
     """
     X = np.asarray(X, dtype=np.float64).reshape(-1, model.dim)
     fids = np.asarray(fids, dtype=np.int64).reshape(-1)
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
     n = X.shape[0]
-    if y.shape[0] != n:
-        raise ValueError("%d values for %d observed points" % (y.shape[0], n))
-    if not np.all(np.isfinite(y)):
-        raise ValueError("observed values must be finite")
+    y = _observed_values(y, n)
     if n == 0:
         return 0.0
     K = _joint_sym(model, X, fids, memo)
@@ -617,19 +620,13 @@ def fit_hyperparameters(state: CovState, y, grid: Sequence[FidelityModel]) -> Fi
     """Pick the grid model with the best joint log marginal likelihood of
     the values y observed at state's points.
 
-    Each grid model is scored by one log_marginal_likelihood call; one
-    memo spans the grid, so a kernel's unit block is computed once per run
-    of consecutive models with its lengthscales (default_hyper_grid varies
-    the lengthscales in its outer loop) and every score equals the
-    memo-free one. Ties break to the earliest grid index; grid points whose
+    Each grid model is scored by one log_marginal_likelihood call, all
+    sharing one memo. Ties break to the earliest grid index; grid points whose
     covariance cannot be factorized are skipped; if every point fails, or
     the grid is empty, state's model is kept and a warning is issued.
-    Raises ValueError unless y holds one value per point, and a grid
-    model's score raises it if a value is not finite.
+    Raises ValueError unless y holds one finite value per point.
     """
-    y = np.asarray(y, dtype=np.float64).reshape(-1)
-    if y.shape[0] != state.n:
-        raise ValueError("%d values for %d observed points" % (y.shape[0], state.n))
+    y = _observed_values(y, state.n)
     best = None
     best_lml = -np.inf
     memo = {}

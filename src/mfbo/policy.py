@@ -102,7 +102,7 @@ class Trace:
     recommendation: Optional[np.ndarray]
     recommendation_value: float
     failed: bool = False
-    error: Optional[str] = None   # "NumericalError: ..." when failed
+    error: Optional[str] = None   # "NumericalError: ..." or "ValueError: ..." when failed
 
     @property
     def n_episodes(self) -> int:
@@ -251,10 +251,10 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
             )
             episodes.append(episode)
             spent += episode.cost
-        except NumericalError as exc:
+        except (NumericalError, ValueError) as exc:  # ValueError: a non-finite value
             failed = True
             error = "%s: %s" % (type(exc).__name__, exc)
-            if cands.state.n != len(y):  # Explore-LF failed after some picks
+            if cands.state.n != len(y):  # Explore-LF's picks were not all observed
                 cands = CandidateGains(before, candidates.points)
             break
 

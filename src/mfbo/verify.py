@@ -140,9 +140,18 @@ def _random_state(rng, model: FidelityModel, n: int) -> CovState:
     return state
 
 
-def _se(kernel: SquaredExpKernel, x, x2) -> float:
-    z = (x - x2) / kernel.lengthscales
-    return kernel.signal_variance * float(np.exp(-0.5 * np.dot(z, z)))
+def joint_entry(model: FidelityModel, x, fid, x2, fid2) -> float:
+    """k_f(x, x2) + [fid = fid2 < m] k_eps_fid(x, x2), from the model's
+    definition: the noise-free covariance of observations at (x, fid) and
+    (x2, fid2), and at fid = m the covariance of f(x) with the other."""
+    kernels = [model.target_prior.kernel]
+    if fid == fid2 < model.m:
+        kernels.append(model.error_kernel(int(fid)))
+    v = 0.0
+    for k in kernels:
+        z = (x - x2) / k.lengthscales
+        v += k.signal_variance * float(np.exp(-0.5 * np.dot(z, z)))
+    return v
 
 
 def dense_latent_posterior(model: FidelityModel, X, fids, y, Xq):
@@ -151,20 +160,16 @@ def dense_latent_posterior(model: FidelityModel, X, fids, y, Xq):
 
     The oracle of criteria 1 and 3: the joint covariance of the
     observations, k_f + [l = l' < m] k_eps_l + [same observation] s2_l, is
-    built entry by entry from the model's definition, without the
-    library's covariance code, and conditioned with an explicit inverse.
+    built entry by entry from the model's definition (joint_entry), without
+    the library's covariance code, and conditioned with an explicit inverse.
     """
-    kf = model.target_prior.kernel
-    n = len(fids)
-    K = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            K[i, j] = _se(kf, X[i], X[j])
-            if fids[i] == fids[j] < model.m:
-                K[i, j] += _se(model.error_kernel(int(fids[i])), X[i], X[j])
-        K[i, i] += model.noise_variance(int(fids[i]))
-    Ks = np.array([[_se(kf, xq, x) for x in X] for xq in Xq])
-    Kqq = np.array([[_se(kf, a, b) for b in Xq] for a in Xq])
+    m, n = model.m, len(fids)
+    K = np.array([[joint_entry(model, a, la, b, lb) for b, lb in zip(X, fids)]
+                  for a, la in zip(X, fids)]).reshape(n, n)
+    K[np.diag_indices(n)] += [model.noise_variance(int(lev)) for lev in fids]
+    Ks = np.array([[joint_entry(model, xq, m, x, lev) for x, lev in zip(X, fids)]
+                   for xq in Xq]).reshape(len(Xq), n)
+    Kqq = np.array([[joint_entry(model, a, m, b, m) for b in Xq] for a in Xq])
     Kinv = np.linalg.inv(K)
     mu = model.target_prior.mean
     mean = mu + Ks @ Kinv @ (np.asarray(y, dtype=np.float64) - mu)

@@ -88,7 +88,9 @@ def gains_formula(cands) -> dict[int, np.ndarray]:
 
 
 # from-scratch oracle for CandidateGains.posterior: the latent posterior at
-# Xq from fresh solves, K_c built in one block
+# Xq from fresh solves, K_c built in one block. Its mean, prior + K_c^T K^-1
+# (y - mu), rounds differently from the fold CandidateGains keeps, prior +
+# W_f^T L^-1 (y - mu), so tests compare the two within a measured bound.
 def predict_latent_diag(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]:
     """Posterior mean and pointwise variance of f at Xq (no cross terms)
     given the values y observed at state's points."""
