@@ -11,6 +11,10 @@ numerical failures surface as a single exception type (NumericalError).
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dtrtrs
@@ -115,8 +119,8 @@ def _cond_estimate(mat) -> float:
         return float("inf")
 
 
-def solve_triangular(L, b, trans=0, overwrite_b=False) -> np.ndarray:
-    """Solve L x = b (trans=0) or L^T x = b (trans=1) for lower triangular L.
+def solve_triangular(L, b, overwrite_b=False) -> np.ndarray:
+    """Solve L x = b for lower triangular L.
 
     Calls LAPACK's dtrtrs directly, with the arguments scipy's
     solve_triangular passes for L's memory layout, so the result is bitwise
@@ -129,15 +133,78 @@ def solve_triangular(L, b, trans=0, overwrite_b=False) -> np.ndarray:
     if np.size(b) == 0:
         return np.empty_like(b, dtype=np.float64)
     if L.flags.f_contiguous:
-        x, info = dtrtrs(L, b, lower=1, trans=trans, overwrite_b=overwrite_b)
+        x, info = dtrtrs(L, b, lower=1, overwrite_b=overwrite_b)
     else:
-        x, info = dtrtrs(L.T, b, lower=0, trans=1 - trans, overwrite_b=overwrite_b)
+        x, info = dtrtrs(L.T, b, lower=0, trans=1, overwrite_b=overwrite_b)
     if info > 0:
         raise np.linalg.LinAlgError(
             "singular matrix: resolution failed at diagonal %d" % (info - 1))
     if info < 0:
         raise ValueError("illegal value in %d-th argument of internal trtrs" % -info)
     return x
+
+
+# Thread-count functions an OpenBLAS build may export, as (get, set) names:
+# numpy's 64-bit-integer build, scipy's build, then a plain OpenBLAS.
+_OPENBLAS_THREAD_FUNCS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_controls() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS the process
+    has loaded, found once from its mapped shared objects. Empty where
+    there is no /proc/self/maps or no OpenBLAS (MKL, Accelerate)."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.split(maxsplit=5) for line in fh]
+    except OSError:
+        return ()
+    paths = sorted({f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()})
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = (), ctypes.c_int
+                put.argtypes, put.restype = (ctypes.c_int,), None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread inside the block.
+
+    mfbo's BLAS work is gemv-sized updates and triangular solves on at most
+    a few hundred rows. Threading them gains no wall time, and the idle
+    workers spin after each threaded call, so a run at the default thread
+    count burns about twice its wall time in CPU. Each library's count is
+    saved, set to 1 and restored on exit, so a nested use leaves the outer
+    state as it was. The setting is process-wide while the block runs, so
+    blocks overlapping in several threads restore whatever the last one to
+    leave found. It does nothing where no OpenBLAS is found. Also usable as
+    a decorator: @one_blas_thread().
+    """
+    controls = _blas_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
 
 
 def chol_logdet(mat: np.ndarray) -> float:

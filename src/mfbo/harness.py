@@ -27,9 +27,11 @@ across policies: at a given index every policy sees the same candidate pool
 and the same observation-noise stream (common random numbers), so
 policy-to-policy differences come from decisions rather than noise luck.
 Runs execute one after another in (policy, seed index) order, and a failure
-is isolated to its run. No thread count is set: OPENBLAS_NUM_THREADS limits
-the thread pools of numpy's and scipy's OpenBLAS, and the README ("CLI")
-gives timings at the default and at one thread. Output is three CSVs:
+is isolated to its run. Each run holds numpy's and scipy's OpenBLAS at one
+thread (gp.one_blas_thread), since threading its small BLAS calls doubles
+the CPU time and saves no wall time (README, "CLI"). The setting is
+process-wide while a run is in progress, the caller's counts come back
+after it, and it is a no-op where no OpenBLAS is found. Output is three CSVs:
 traces.csv (one row per query), curves.csv (per-episode simple and
 cumulative regret) and summary.csv (mean simple regret at quarter-budget
 checkpoints). Floats are written with %.12g so repeated runs are

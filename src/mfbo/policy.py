@@ -31,7 +31,7 @@ import numpy as np
 
 from .acquisition import UcbSchedule, gp_mi_select, gp_ucb_select, make_candidates
 from .explore import explore_lf
-from .gp import NumericalError
+from .gp import NumericalError, one_blas_thread
 from .model import (
     Action,
     CandidateGains,
@@ -172,6 +172,7 @@ POLICIES = {
 }
 
 
+@one_blas_thread()
 def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
     if cfg is None:
         cfg = PolicyConfig()

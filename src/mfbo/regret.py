@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .policy import Episode, Trace
-
-
-def episode_regret(episode: Episode, f_star: float, target_cost: float) -> float:
-    """Budget-rated regret of one episode: (cost/c_m) f* minus its reward."""
-    return (episode.cost / target_cost) * f_star - episode.target_true
+from .policy import Trace
 
 
 def cumulative_regret(trace: Trace, f_star: float) -> float:

@@ -16,12 +16,14 @@ from __future__ import annotations
 import numpy as np
 
 from .acquisition import CandidateSet
+from .gp import one_blas_thread
 from .model import Action, CandidateGains, CovState, FidelityModel
 
 # best-of-two greedy approximation factor for the submodular knapsack
 KS_GUARANTEE = 0.5 * (1.0 - float(np.exp(-1.0)))
 
 
+@one_blas_thread()
 def gamma_max_bound(
     model: FidelityModel,
     candidates: CandidateSet,

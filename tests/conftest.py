@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_triangular
 
+from mfbo import gp
 from mfbo.gp import GpPrior, SquaredExpKernel
 from mfbo.model import (
     DEGENERATE_VAR,
@@ -114,6 +115,26 @@ def predict_latent_diag(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+def blas_threads(controls) -> list[int]:
+    return [get() for get, _ in controls]
+
+
+@pytest.fixture
+def blas_at_two():
+    """The thread controls of every loaded OpenBLAS, each set to 2 threads:
+    a caller's count that gp.one_blas_thread must restore. The counts as
+    found come back after the test."""
+    controls = gp._blas_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control in this process")
+    saved = blas_threads(controls)
+    for _, put in controls:
+        put(2)
+    yield controls
+    for (_, put), count in zip(controls, saved):
+        put(count)
 
 
 @pytest.fixture

@@ -1,13 +1,18 @@
+import os
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import blas_threads
+from mfbo import gp
 from mfbo.gp import (
     NumericalError,
     SquaredExpKernel,
     chol_factor,
     chol_logdet,
     gaussian_entropy,
+    one_blas_thread,
     solve_triangular,
 )
 
@@ -106,16 +111,12 @@ class TestSolveTriangular:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("rhs", [(), (1,), (7,)])
-    @pytest.mark.parametrize("trans", [0, 1])
-    def test_bitwise_scipy(self, rng, order, rhs, trans):
+    def test_bitwise_scipy(self, rng, order, rhs):
         for n in (1, 2, 9, 40):
             L = np.asarray(self._factor(rng, n), order=order)
             b = rng.standard_normal((n,) + rhs)
-            if trans:
-                want = scipy.linalg.solve_triangular(L.T, b, lower=False, check_finite=False)
-            else:
-                want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
-            got = solve_triangular(L, b, trans=trans)
+            want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+            got = solve_triangular(L, b)
             assert got.shape == b.shape
             assert np.array_equal(got, want)
 
@@ -142,3 +143,43 @@ class TestSolveTriangular:
             scipy.linalg.solve_triangular(L, b, lower=True)
         with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
             solve_triangular(L, b)
+
+
+class TestOneBlasThread:
+    def test_controls_every_loaded_openblas(self):
+        try:
+            with open("/proc/self/maps") as fh:
+                fields = [line.split(maxsplit=5) for line in fh]
+        except OSError:
+            pytest.skip("no /proc/self/maps")
+        paths = {f[5].strip() for f in fields
+                 if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if "openblas" in blas.lower():
+            assert paths, "numpy reports %s but no OpenBLAS is mapped" % blas
+        assert len(gp._blas_controls()) == len(paths)
+
+    def test_one_thread_inside_caller_count_after(self, blas_at_two):
+        with one_blas_thread():
+            assert blas_threads(blas_at_two) == [1] * len(blas_at_two)
+        assert blas_threads(blas_at_two) == [2] * len(blas_at_two)
+
+    def test_restores_when_the_block_raises(self, blas_at_two):
+        with pytest.raises(KeyError):
+            with one_blas_thread():
+                raise KeyError("inside")
+        assert blas_threads(blas_at_two) == [2] * len(blas_at_two)
+
+    def test_nested_use_keeps_the_outer_state(self, blas_at_two):
+        one = [1] * len(blas_at_two)
+        with one_blas_thread():
+            with one_blas_thread():
+                assert blas_threads(blas_at_two) == one
+            assert blas_threads(blas_at_two) == one
+        assert blas_threads(blas_at_two) == [2] * len(blas_at_two)
+
+    def test_no_library_found_is_a_noop(self, blas_at_two, monkeypatch):
+        monkeypatch.setattr(gp, "_blas_controls", lambda: ())
+        with one_blas_thread():
+            assert blas_threads(blas_at_two) == [2] * len(blas_at_two)
+        assert blas_threads(blas_at_two) == [2] * len(blas_at_two)

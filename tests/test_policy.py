@@ -3,13 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import predict_latent_diag
+from conftest import blas_threads, predict_latent_diag
+from mfbo import gp
 from mfbo import model as model_module
-from mfbo import policy
+from mfbo import policy, submodular
 from mfbo.acquisition import make_candidates
 from mfbo.benchmarks import BenchmarkProblem, make_problem, single_fidelity_problem
 from mfbo.explore import alpha_budget
 from mfbo.gp import GpPrior, SquaredExpKernel, chol_factor
+from mfbo.harness import ExperimentConfig, run_experiment
 from mfbo.model import (
     FIRST_POINT,
     JOINT_FAILED,
@@ -507,3 +509,69 @@ class TestRecomputeCount:
         assert counted[FIRST_POINT] == len(low)
         assert len(computes) == 1 + sum(counted.values())
         assert not stray
+
+
+class TestOneBlasThread:
+    """Runs and the submodular bound hold every loaded OpenBLAS at one
+    thread, and hand the caller's counts back."""
+
+    def test_run_computes_at_one_thread(self, toy, quick_cfg, blas_at_two, monkeypatch):
+        seen = []
+        real = BenchmarkProblem.evaluate
+
+        def evaluate(self, action, rng):
+            seen.append(blas_threads(blas_at_two))
+            return real(self, action, rng)
+
+        monkeypatch.setattr(BenchmarkProblem, "evaluate", evaluate)
+        trace = mf_mi_greedy(toy, 21.0, quick_cfg, seed=2718)
+        assert not trace.failed and len(seen) == len(trace_records(trace))
+        assert seen == [[1] * len(blas_at_two)] * len(seen)
+        assert blas_threads(blas_at_two) == [2] * len(blas_at_two)
+
+    def test_run_that_raises_restores_the_counts(self, toy, quick_cfg, blas_at_two, monkeypatch):
+        def evaluate(self, action, rng):
+            raise RuntimeError("evaluation broke")
+
+        monkeypatch.setattr(BenchmarkProblem, "evaluate", evaluate)
+        with pytest.raises(RuntimeError, match="evaluation broke"):
+            mf_mi_greedy(toy, 21.0, quick_cfg, seed=2718)
+        assert blas_threads(blas_at_two) == [2] * len(blas_at_two)
+
+    def test_gamma_max_bound_computes_at_one_thread(self, toy, blas_at_two, monkeypatch):
+        seen = []
+
+        class Probed(CandidateGains):
+            def pick(self, *args, **kwargs):
+                seen.append(blas_threads(blas_at_two))
+                return super().pick(*args, **kwargs)
+
+        monkeypatch.setattr(submodular, "CandidateGains", Probed)
+        cand = make_candidates(toy.bounds, 16, seed=77)
+        submodular.gamma_max_bound(toy.model, cand, 20.0 * toy.model.target_cost, beta=0.01)
+        assert seen and seen == [[1] * len(blas_at_two)] * len(seen)
+        assert blas_threads(blas_at_two) == [2] * len(blas_at_two)
+
+    def test_outputs_do_not_depend_on_the_pin(self, tmp_path, blas_at_two, monkeypatch):
+        # unpinned (the helper finds no library) at 2 threads, then pinned:
+        # a BLAS kernel that splits its sums by thread would change bits
+        runs = {
+            "currin2": dict(budget_mult=100.0, policies=("mf_mi_greedy",), hyperfit_every=10),
+            # refits every 5 episodes, each followed by a posterior folded
+            # afresh over 5000 candidates
+            "borehole8": dict(budget_mult=20.0, policies=("mf_mi_greedy", "sf_only"),
+                              subroutine="gp_mi", hyperfit_every=5),
+        }
+        for problem, kw in runs.items():
+            outs = []
+            for pinned in (False, True):
+                with monkeypatch.context() as mp:
+                    if not pinned:
+                        mp.setattr(gp, "_blas_controls", lambda: ())
+                    out = tmp_path / problem / str(pinned)
+                    cfg = ExperimentConfig(problem=problem, n_seeds=1, out_dir=str(out), **kw)
+                    assert run_experiment(cfg).n_failed == 0
+                outs.append(out)
+            for name in ("traces.csv", "curves.csv", "summary.csv"):
+                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (
+                    problem, name)

@@ -12,12 +12,16 @@ from mfbo.regret import (
     cumulative_regret_at,
     cumulative_regret_curve,
     decompose_regret,
-    episode_regret,
     simple_regret_curve,
     write_curves_csv,
 )
 
 MODEL = make_problem("currin2", noise=0.0).model
+
+
+def episode_regret(episode: Episode, f_star: float, target_cost: float) -> float:
+    """Budget-rated regret of one episode: (cost/c_m) f* minus its reward."""
+    return (episode.cost / target_cost) * f_star - episode.target_true
 
 
 def make_episode(index, target_true, explore_cost=0.0, target_cost=2.0,

@@ -1,0 +1,177 @@
+"""Alternated parent/change pairs of the benchmark, written to BENCH_<tag>.json.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . --tag my_change \
+        --workloads currin2_compare,borehole8_target --pairs 10 --seed 211
+
+Each pair runs `perfbench/run.py --workload W --seed S --trace 0` once in
+each checkout, the parent first in even pairs and the change first in odd
+ones, so drift on a shared machine falls on both sides alike. Each checkout
+runs its own perfbench and src, and run.py writes its outputs under that
+checkout's perfbench/_out/. The record keeps every run (its end-to-end
+metrics, checks, CSV hashes, the thread and BLAS environment run.py
+reports, and the load average when it started) and, per workload and
+metric, each side's median and quartiles and the change's wins, losses
+and ties over the pairs. A gain holds when the change wins at least nine
+tenths of the pairs and the medians lie further apart than the distance
+between the parent's quartiles. Exits 1 if any run failed a check or the
+CSV hashes differ between runs of one workload.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+RUN_TIMEOUT_S = 900
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--trace", "0"]
+    if seconds is not None:
+        cmd += ["--seconds", str(seconds)]
+    load = os.getloadavg()[0]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=RUN_TIMEOUT_S)
+    lines = proc.stdout.strip().splitlines()
+    env = hashes = result = None
+    for line in lines:
+        if line.startswith("# env "):
+            env = json.loads(line[len("# env "):])
+        elif line.startswith("# csv sha256 "):
+            hashes = json.loads(line[len("# csv sha256 "):])
+    if lines:
+        try:
+            result = json.loads(lines[-1])
+        except json.JSONDecodeError:
+            pass
+    if result is None:
+        raise SystemExit("%s %s: no result (exit %d)\n%s" % (
+            checkout, workload, proc.returncode, proc.stderr[-2000:]))
+    return {
+        "exit": proc.returncode,
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {k: v["value"] for k, v in result["metrics"].items()},
+        "csv_sha256": hashes,
+        "env": env,
+        "loadavg_1m": load,
+    }
+
+
+def commit_of(checkout: Path):
+    """HEAD of the checkout if it is the top of a git work tree, else None."""
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel", "HEAD"], cwd=checkout,
+                          capture_output=True, text=True, timeout=30)
+    lines = proc.stdout.split()
+    if proc.returncode or len(lines) != 2 or Path(lines[0]).resolve() != checkout:
+        return None
+    return lines[1]
+
+
+def quartiles(values) -> dict:
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": med, "q1": q1, "q3": q3}
+
+
+def summarize(pairs, spec) -> dict:
+    out = {}
+    for m in spec["end_to_end"]:
+        name, lower = m["name"], m["better"] == "lower"
+        par = [p["parent"]["metrics"][name] for p in pairs]
+        chg = [p["change"]["metrics"][name] for p in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        ties = sum(c == p for p, c in zip(par, chg))
+        ps, cs = quartiles(par), quartiles(chg)
+        gain = (ps["median"] - cs["median"]) if lower else (cs["median"] - ps["median"])
+        out[name] = {
+            "unit": m["unit"],
+            "better": m["better"],
+            "bound": m.get("bound"),
+            "parent": ps,
+            "change": cs,
+            "change_over_parent": cs["median"] / ps["median"] if ps["median"] else None,
+            "wins": wins,
+            "losses": len(pairs) - wins - ties,
+            "ties": ties,
+            "gain_holds": wins >= 0.9 * len(pairs) and gain > ps["q3"] - ps["q1"],
+        }
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
+    ap.add_argument("--change", required=True, type=Path, help="checkout of the change")
+    ap.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
+    ap.add_argument("--workloads", required=True, help="comma-separated workload names")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, required=True)
+    ap.add_argument("--seconds", type=float, default=None,
+                    help="passed to run.py; unset: the benchmark's run_seconds")
+    ap.add_argument("--out", type=Path, default=None, help="default: BENCH_<tag>.json here")
+    args = ap.parse_args(argv)
+    if args.pairs < 10:
+        ap.error("--pairs must be at least 10")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
+    known = {w["name"] for w in spec["workloads"]}
+    workloads = [w for w in args.workloads.split(",") if w]
+    unknown = [w for w in workloads if w not in known]
+    if unknown:
+        ap.error("unknown workload(s): %s" % ", ".join(unknown))
+
+    record = {
+        "tag": args.tag,
+        "seed": args.seed,
+        "pairs": args.pairs,
+        "seconds": args.seconds if args.seconds is not None else spec["run_seconds"],
+        "checkouts": {k: {"dir": v.name, "commit": commit_of(v)} for k, v in sides.items()},
+        "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
+        "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        "workloads": {},
+    }
+    ok = True
+    for w in workloads:
+        pairs = []
+        for k in range(args.pairs):
+            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+            pair = {"first": order[0]}
+            for side in order:
+                pair[side] = run_once(sides[side], w, args.seed, args.seconds)
+                print("%s pair %d %-6s %s" % (w, k + 1, side, json.dumps(pair[side]["metrics"])),
+                      flush=True)
+            pairs.append(pair)
+        runs = [p[s] for p in pairs for s in ("parent", "change")]
+        same_csv = all(r["csv_sha256"] == runs[0]["csv_sha256"] for r in runs)
+        all_correct = all(r["correct"] and r["exit"] == 0 for r in runs)
+        ok = ok and same_csv and all_correct
+        record["workloads"][w] = {
+            "all_correct": all_correct,
+            "csv_identical": same_csv,
+            "summary": summarize(pairs, spec),
+            "runs": pairs,
+        }
+        for name, s in record["workloads"][w]["summary"].items():
+            print("# %-18s %-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  "
+                  "wins %d/%d  gain holds: %s" % (
+                      w, name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
+                      s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
+                      s["wins"], args.pairs, s["gain_holds"]), flush=True)
+    record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
+    out = args.out or Path.cwd() / ("BENCH_%s.json" % args.tag)
+    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    print("# wrote %s" % out)
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
