@@ -111,12 +111,15 @@ class TestSolveTriangular:
 
     @pytest.mark.parametrize("order", ["C", "F"])
     @pytest.mark.parametrize("rhs", [(), (1,), (7,)])
-    def test_bitwise_scipy(self, rng, order, rhs):
+    # The plain solve keeps its ids [0-rhs*-*]; overwrite_b=True must give
+    # the same bits whether or not b's layout lets dtrtrs solve in place.
+    @pytest.mark.parametrize("overwrite_b", [False, True], ids=["0", "overwrite"])
+    def test_bitwise_scipy(self, rng, order, rhs, overwrite_b):
         for n in (1, 2, 9, 40):
             L = np.asarray(self._factor(rng, n), order=order)
             b = rng.standard_normal((n,) + rhs)
             want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
-            got = solve_triangular(L, b)
+            got = solve_triangular(L, b, overwrite_b=overwrite_b)
             assert got.shape == b.shape
             assert np.array_equal(got, want)
 
