@@ -379,30 +379,29 @@ def info_gain_set(state: CovState, actions: Sequence[Action]) -> float:
 
 
 class _Rows:
-    """Rows of one projection W = L^-1 C(X, Xc), solved at once (head) or
-    appended one at a time (tail), and their column sums of squares. The
-    tail lives in a C-ordered block whose room doubles when full, so an
-    append never copies the rows already there."""
+    """Rows of one projection W = L^-1 C(X, Xc), in one C-ordered block,
+    and their column sums of squares. The block starts as a copy of the
+    rows solved at once; when an append finds it full, the rows move to a
+    block a quarter (at least 64 rows) larger."""
 
-    __slots__ = ("head", "buf", "n", "sq")
+    __slots__ = ("buf", "n", "sq")
 
     def __init__(self, L, C):
         # C is Fortran-ordered and owned here, so the solve runs in place
-        self.head = solve_triangular(L, C, overwrite_b=True)
-        self.sq = np.einsum("ij,ij->j", self.head, self.head)
-        self.buf, self.n = np.empty((0, C.shape[1])), 0
+        W = solve_triangular(L, C, overwrite_b=True)
+        self.sq = np.einsum("ij,ij->j", W, W)
+        self.buf, self.n = np.ascontiguousarray(W), W.shape[0]
 
     @property
-    def tail(self) -> np.ndarray:
+    def rows(self) -> np.ndarray:
         return self.buf[: self.n]
 
     def append(self, c, w, d) -> None:
         """Add the row for a new last row [w, d] of L and row c of C."""
-        n0 = self.head.shape[0]
-        r = (c - w[:n0] @ self.head - w[n0:] @ self.tail) / d
+        r = (c - w @ self.rows) / d
         if self.n == self.buf.shape[0]:
-            buf = np.empty((max(2 * self.n, 8), self.buf.shape[1]))
-            buf[: self.n] = self.tail
+            buf = np.empty((self.n + max(self.n // 4, 64), self.buf.shape[1]))
+            buf[: self.n] = self.rows
             self.buf = buf
         self.buf[self.n] = r
         self.n += 1
@@ -437,12 +436,12 @@ class CandidateGains:
     It holds W_f = L^-1 k_f(X, Xc) over the state's joint factor L; for
     each low fidelity l with points, W_l = L^-1 (k_f + k_eps_l on l's
     rows)(X, Xc); for each error factor, W_eps_l = L_eps_l^-1 k_eps_l(X_l,
-    Xc); and the column sums of squares of each. append(action) advances
-    the CovState and adds one row to each projection the point enters,
-    r = (c(x, Xc) - w^T W) / d for the factor's new last row [w, d], at
-    O(n nc) cost. An append with a `rebuilt` state, or reset(), computes
-    all afresh at once; recomputes counts these computes by cause. The
-    posterior mean, prior + W_f^T L^-1 (y - mu), is folded as values arrive.
+    Xc); and the column sums of squares of each, each projection's rows in
+    one C-ordered block. append(action) advances the CovState and adds one
+    row to each projection the point enters, r = (c(x, Xc) - w^T W) / d for
+    the factor's new last row [w, d], one O(n nc) product. A `rebuilt`
+    state or reset() computes all afresh; recomputes counts these by cause.
+    The posterior mean, prior + W_f^T L^-1 (y - mu), is folded as values arrive.
     """
 
     def __init__(self, state: CovState, Xc):
@@ -473,7 +472,9 @@ class CandidateGains:
                 cross = kf.copy(order="F")
                 cross[idx, :] += model.error_kernel(lev).cross(state.X[idx], self.Xc)
                 self._wl[lev] = _Rows(state.L, cross)
+                del cross  # before the next copy, so one is alive at a time
         self._wf = _Rows(state.L, kf)
+        del kf  # before the error rows are solved
         # the values folded into the mean, L^-1 (y - mu) and W_f^T of it
         self._y, self._a, self._wa = np.zeros(0), np.zeros(0), np.zeros(self.Xc.shape[0])
         self._we = {
@@ -569,11 +570,7 @@ class CandidateGains:
             # rows k: of L a = y - mu, given a[:k]
             resid = y[k:] - prior.mean_at(state.X[k:]) - state.L[k:, :k] @ self._a[:k]
             a = solve_triangular(state.L[k:, k:], resid)
-            head, tail = self._wf.head, self._wf.tail
-            s = max(head.shape[0] - k, 0)  # the new rows the head holds
-            for rows, part in ((head[k:], a[:s]), (tail[k + s - head.shape[0]:], a[s:])):
-                if part.size:
-                    self._wa += rows.T @ part
+            self._wa += self._wf.rows[k:].T @ a
             self._y, self._a = y.copy(), np.concatenate([self._a[:k], a])
         mean = prior.mean_at(self.Xc) + self._wa
         return mean, np.maximum(prior.kernel.signal_variance - self._wf.sq, 0.0)

@@ -47,3 +47,42 @@ def test_higher_is_better_counts_the_other_way():
     parent = [1.0 + 0.01 * k for k in range(10)]
     s = bench_pairs.summarize(pairs_of(parent, [2 * p for p in parent], "rate"), spec)["rate"]
     assert s["wins"] == 10 and s["gain_holds"]
+
+
+FAKE_GP = '''
+import contextlib
+
+count = [4]
+
+
+def _blas_controls():
+    return ((lambda: count[0], lambda n: count.__setitem__(0, n)),)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    saved = count[0]
+    count[0] = 1
+    try:
+        yield
+    finally:
+        count[0] = saved
+'''
+
+
+def fake_checkout(root: Path, gp_source: str) -> Path:
+    pkg = root / "src" / "mfbo"
+    pkg.mkdir(parents=True)
+    (pkg / "__init__.py").write_text("")
+    (pkg / "gp.py").write_text(gp_source)
+    return root
+
+
+def test_blas_probe_reads_the_checkouts_counts_outside_and_inside_the_pin(tmp_path):
+    checkout = fake_checkout(tmp_path / "pinned", FAKE_GP)
+    assert bench_pairs.blas_threads(checkout) == {"outside": [4], "inside": [1]}
+
+
+def test_blas_probe_without_the_pin_says_so(tmp_path):
+    checkout = fake_checkout(tmp_path / "unpinned", "import math\n")
+    assert bench_pairs.blas_threads(checkout) == "no pin"

@@ -1,13 +1,8 @@
 import dataclasses
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import mfbo
 from mfbo import policy
 from mfbo.cli import _build_parser, _config_from_args, main as cli_main
 from mfbo.harness import (
@@ -236,39 +231,6 @@ class TestRunExperiment:
         for name in ("traces.csv", "curves.csv", "summary.csv"):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name).read_bytes()
-
-    def test_thread_count_leaves_outputs_unchanged(self, tmp_path):
-        # OpenBLAS's default thread count, then one thread: a BLAS kernel
-        # that splits its sums by thread would change bits of the CSVs
-        src = str(Path(mfbo.__file__).resolve().parent.parent)
-        runs = {
-            "currin2": (["--problem", "currin2", "--budget-mult", "100",
-                         "--policies", "mf_mi_greedy", "--hyperfit-every", "10"], 100),
-            # 20 episodes per policy and a refit every 5, each refit followed
-            # by a posterior folded afresh over 5000 candidates
-            "borehole8": (["--problem", "borehole8", "--budget-mult", "20",
-                           "--policies", "mf_mi_greedy,sf_only", "--subroutine", "gp_mi",
-                           "--hyperfit-every", "5"], 40),
-        }
-        for problem, (args, min_rows) in runs.items():
-            outs = []
-            for threads in (None, "1"):
-                env = dict(os.environ)
-                env.pop("OPENBLAS_NUM_THREADS", None)
-                if threads is not None:
-                    env["OPENBLAS_NUM_THREADS"] = threads
-                env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-                out = tmp_path / problem / ("threads-%s" % (threads or "default"))
-                subprocess.run(
-                    [sys.executable, "-m", "mfbo", "bench", *args, "--seeds", "1",
-                     "--out", str(out)],
-                    env=env, check=True, capture_output=True, timeout=300,
-                )
-                outs.append(out)
-            assert len((outs[0] / "traces.csv").read_text().splitlines()) > min_rows, problem
-            for name in ("traces.csv", "curves.csv", "summary.csv"):
-                assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (
-                    problem, name)
 
     def test_budget_mult_one_gives_single_episode(self, tmp_path):
         cfg = tiny_config(tmp_path / "one", budget_mult=1.0, n_seeds=1)

@@ -11,6 +11,7 @@ from mfbo.model import (
     ERROR_FAILED,
     FIRST_POINT,
     JOINT_FAILED,
+    NEW_MODEL,
     Action,
     CandidateGains,
     CovState,
@@ -665,9 +666,14 @@ class TestPosteriorFold:
             assert_fold_matches(every, y[:t])
             if t % 5 == 0:
                 assert_fold_matches(fifth, y[:t])
-        # the last compute was at a fidelity's first point, so the single
-        # fold spans the solved head and the appended tail of W_f
-        assert 0 < once._wf.head.shape[0] < len(actions)
+        # every compute was at a low fidelity's first point; the last, at
+        # action j, solved j + 1 rows of W_f and later appends added the
+        # rest, so the single fold spans rows of both kinds
+        assert once.recomputes == {FIRST_POINT: model.m - 1, JOINT_FAILED: 0,
+                                   ERROR_FAILED: 0, NEW_MODEL: 0}
+        j = max(next(t for t, a in enumerate(actions) if a.fidelity == lev)
+                for lev in range(1, model.m))
+        assert j < len(actions) - 1
         assert_fold_matches(once, y)
 
     def test_a_call_after_a_reset_to_a_refit_model(self, three_fid_model, rng):

@@ -554,15 +554,17 @@ class TestOneBlasThread:
 
     def test_outputs_do_not_depend_on_the_pin(self, tmp_path, blas_at_two, monkeypatch):
         # unpinned (the helper finds no library) at 2 threads, then pinned:
-        # a BLAS kernel that splits its sums by thread would change bits
+        # a BLAS kernel that splits its sums by thread would change bits;
+        # each run must write more trace rows than its floor
         runs = {
-            "currin2": dict(budget_mult=100.0, policies=("mf_mi_greedy",), hyperfit_every=10),
+            "currin2": (dict(budget_mult=100.0, policies=("mf_mi_greedy",), hyperfit_every=10),
+                        100),
             # refits every 5 episodes, each followed by a posterior folded
             # afresh over 5000 candidates
-            "borehole8": dict(budget_mult=20.0, policies=("mf_mi_greedy", "sf_only"),
-                              subroutine="gp_mi", hyperfit_every=5),
+            "borehole8": (dict(budget_mult=20.0, policies=("mf_mi_greedy", "sf_only"),
+                               subroutine="gp_mi", hyperfit_every=5), 40),
         }
-        for problem, kw in runs.items():
+        for problem, (kw, min_rows) in runs.items():
             outs = []
             for pinned in (False, True):
                 with monkeypatch.context() as mp:
@@ -572,6 +574,7 @@ class TestOneBlasThread:
                     cfg = ExperimentConfig(problem=problem, n_seeds=1, out_dir=str(out), **kw)
                     assert run_experiment(cfg).n_failed == 0
                 outs.append(out)
+            assert len((outs[0] / "traces.csv").read_text().splitlines()) > min_rows, problem
             for name in ("traces.csv", "curves.csv", "summary.csv"):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (
                     problem, name)

@@ -7,7 +7,10 @@ Each pair runs `perfbench/run.py --workload W --seed S --trace 0` once in
 each checkout, the parent first in even pairs and the change first in odd
 ones, so drift on a shared machine falls on both sides alike. Each checkout
 runs its own perfbench and src, and run.py writes its outputs under that
-checkout's perfbench/_out/. The record keeps every run (its end-to-end
+checkout's perfbench/_out/. Per checkout, the record keeps the thread
+count of each OpenBLAS its mfbo finds, outside and inside its
+one_blas_thread() pin ("no pin" where mfbo.gp has none), read once in a
+fresh process. It keeps every run (its end-to-end
 metrics, checks, CSV hashes, the thread and BLAS environment run.py
 reports, and the load average when it started) and, per workload and
 metric, each side's median and quartiles and the change's wins, losses
@@ -65,6 +68,31 @@ def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
         "env": env,
         "loadavg_1m": load,
     }
+
+
+BLAS_PROBE = """
+import json, sys
+sys.path.insert(0, "src")
+try:
+    from mfbo.gp import _blas_controls, one_blas_thread
+except ImportError:
+    print(json.dumps("no pin"))
+else:
+    outside = [get() for get, _ in _blas_controls()]
+    with one_blas_thread():
+        inside = [get() for get, _ in _blas_controls()]
+    print(json.dumps({"outside": outside, "inside": inside}))
+"""
+
+
+def blas_threads(checkout: Path):
+    """Thread counts of each OpenBLAS the checkout's mfbo.gp finds, outside
+    and inside one_blas_thread(), or "no pin" if it lacks them."""
+    proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], cwd=checkout,
+                          capture_output=True, text=True, timeout=60)
+    if proc.returncode:
+        raise SystemExit("%s: BLAS probe failed\n%s" % (checkout, proc.stderr[-2000:]))
+    return json.loads(proc.stdout)
 
 
 def commit_of(checkout: Path):
@@ -134,7 +162,8 @@ def main(argv=None) -> int:
         "seed": args.seed,
         "pairs": args.pairs,
         "seconds": args.seconds if args.seconds is not None else spec["run_seconds"],
-        "checkouts": {k: {"dir": v.name, "commit": commit_of(v)} for k, v in sides.items()},
+        "checkouts": {k: {"dir": v.name, "commit": commit_of(v), "blas_threads": blas_threads(v)}
+                      for k, v in sides.items()},
         "thread_env": {k: os.environ.get(k) for k in THREAD_VARS},
         "started": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
         "workloads": {},
