@@ -10,14 +10,14 @@ runs its own perfbench and src, and run.py writes its outputs under that
 checkout's perfbench/_out/. Per checkout, the record keeps the thread
 count of each OpenBLAS its mfbo finds, outside and inside its
 one_blas_thread() pin ("no pin" where mfbo.gp has none), read once in a
-fresh process. It keeps every run (its end-to-end
-metrics, checks, CSV hashes, the thread and BLAS environment run.py
-reports, and the load average when it started) and, per workload and
-metric, each side's median and quartiles and the change's wins, losses
-and ties over the pairs. A gain holds when the change wins at least nine
-tenths of the pairs and the medians lie further apart than the distance
-between the parent's quartiles. Exits 1 if any run failed a check or the
-CSV hashes differ between runs of one workload.
+fresh process. It keeps every run (its end-to-end metrics, checks, CSV
+hashes, the thread and BLAS environment run.py reports, and the load
+average when it started) and, per workload and metric, each side's
+median and quartiles and the change's wins, losses and ties over the
+pairs. A gain holds when the change wins at least nine tenths of the
+pairs and the medians lie further apart than the distance between the
+parent's quartiles. Exits 1 if any run failed a check or the CSV hashes
+differ between runs of one workload.
 """
 
 from __future__ import annotations
