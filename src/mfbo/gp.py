@@ -93,8 +93,6 @@ def chol_factor(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """
     mat = np.asarray(mat, dtype=np.float64)
     n = mat.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), 0.0
     tried = (0.0,) + JITTER_LADDER
     for jit in tried:
         try:
@@ -218,7 +216,4 @@ def gaussian_entropy(cov: np.ndarray) -> float:
     cov = np.asarray(cov, dtype=np.float64)
     if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
         raise ValueError("cov must be square, got shape %s" % (cov.shape,))
-    n = cov.shape[0]
-    if n == 0:
-        return 0.0
-    return 0.5 * (n * LOG_2PI_E + chol_logdet(cov))
+    return 0.5 * (cov.shape[0] * LOG_2PI_E + chol_logdet(cov))

@@ -204,17 +204,6 @@ def _unit_sym(memo, key, X, lengthscales) -> np.ndarray:
     return block
 
 
-def _joint_cross(model, Xa, fida, Xb, fidb) -> np.ndarray:
-    """Cross-covariance between two sets of distinct observations."""
-    C = model.target_prior.kernel.cross(Xa, Xb)
-    for lev in range(1, model.m):
-        ia = np.flatnonzero(fida == lev)
-        ib = np.flatnonzero(fidb == lev)
-        if ia.size and ib.size:
-            C[np.ix_(ia, ib)] += model.error_kernel(lev).cross(Xa[ia], Xb[ib])
-    return C
-
-
 # --------------------------------------------------------------------------
 # incremental factorization state
 
@@ -255,8 +244,6 @@ class CovState:
     def build(cls, model: FidelityModel, X, fids, rebuilt=None) -> "CovState":
         X = np.asarray(X, dtype=np.float64).reshape(-1, model.dim)
         fids = np.asarray(fids, dtype=np.int64).reshape(-1)
-        if X.shape[0] == 0:
-            return cls.empty(model)
         L, jit = chol_factor(_joint_sym(model, X, fids))
         err = {}
         for lev in range(1, model.m):
@@ -286,7 +273,8 @@ class CovState:
         Xn = np.vstack([self.X, x1])
         fn = np.append(self.fids, lev)
         # the joint column is k_f(X, x) plus k_eps_l(X_l, x) at fidelity l's
-        # rows, as _joint_cross builds it; the error factor reuses k_eps_l
+        # rows, the last column _joint_sym builds over Xn; the error factor
+        # reuses k_eps_l
         col = model.target_prior.kernel.cross(self.X, x1)[:, 0]
         if lev < model.m:
             ker = model.error_kernel(lev)
@@ -313,10 +301,6 @@ class CovState:
 def _extend_chol(L, col, diag) -> np.ndarray | None:
     """Extend lower Cholesky L by one row/column; None if not positive."""
     n = L.shape[0]
-    if n == 0:
-        if diag <= 0:
-            return None
-        return np.array([[np.sqrt(diag)]])
     w = solve_triangular(L, col)
     d2 = diag - w @ w
     if not np.isfinite(d2) or d2 <= max(1e-12 * diag, 0.0):
@@ -343,19 +327,15 @@ def info_gain_set(state: CovState, actions: Sequence[Action]) -> float:
     if not actions:
         return 0.0
     model = state.model
+    n = state.n
     Xe = np.array([a.x for a in actions])
     fe = np.array([a.fidelity for a in actions], dtype=np.int64)
-    for f in fe:
-        model._check_fidelity(int(f))
-    See = _joint_sym(model, Xe, fe)
-    if state.n:
-        Cse = _joint_cross(model, state.X, state.fids, Xe, fe)
-        W = solve_triangular(state.L, Cse)
-        cond1 = See - W.T @ W
-        cond1 = 0.5 * (cond1 + cond1.T)
-    else:
-        cond1 = See
-    h1 = gaussian_entropy(cond1)
+    # one build over the state's points and the actions: pdist and cdist
+    # give the same bits per pair, so K[:n, n:] is the cross-covariance
+    K = _joint_sym(model, np.vstack([state.X, Xe]), np.concatenate([state.fids, fe]))
+    W = solve_triangular(state.L, K[:n, n:])
+    cond1 = K[n:, n:] - W.T @ W
+    h1 = gaussian_entropy(0.5 * (cond1 + cond1.T))
     h0 = 0.0
     for lev in range(1, model.m):
         idx = np.flatnonzero(fe == lev)
@@ -433,11 +413,12 @@ class CandidateGains:
     exactly 0. Each entry matches info_gain_set of that one action up to
     rounding.
 
-    It holds W_f = L^-1 k_f(X, Xc) over the state's joint factor L; for
-    each low fidelity l with points, W_l = L^-1 (k_f + k_eps_l on l's
-    rows)(X, Xc); for each error factor, W_eps_l = L_eps_l^-1 k_eps_l(X_l,
-    Xc); and the column sums of squares of each, each projection's rows in
-    one C-ordered block. append(action) advances the CovState and adds one
+    It holds W_f = L^-1 k_f(X, Xc) over the state's joint factor L and, for
+    each low fidelity l with points, one pair: W_l = L^-1 (k_f + k_eps_l on
+    l's rows)(X, Xc) and W_eps_l = L_eps_l^-1 k_eps_l(X_l, Xc) over its
+    error factor, both from one error block k_eps_l(X_l, Xc). Each
+    projection keeps its rows in one C-ordered block and their column sums
+    of squares. append(action) advances the CovState and adds one
     row to each projection the point enters, r = (c(x, Xc) - w^T W) / d for
     the factor's new last row [w, d], one O(n nc) product. A `rebuilt`
     state or reset() computes all afresh; recomputes counts these by cause.
@@ -457,7 +438,7 @@ class CandidateGains:
             self.recomputes[cause] += 1
         self.state = state
         # free the old projections first, so old and new never coexist
-        self._wf = self._wl = self._we = None
+        self._wf = self._low = None
         self._recompute()
 
     def _recompute(self) -> None:
@@ -465,22 +446,19 @@ class CandidateGains:
         model = state.model
         # k_f(X, Xc), Fortran-ordered as are its copies: every solve runs in place
         kf = model.target_prior.kernel.cross(self.Xc, state.X).T
-        self._wl = {}
-        for lev in range(1, model.m):
-            idx = np.flatnonzero(state.fids == lev)
-            if idx.size:
-                cross = kf.copy(order="F")
-                cross[idx, :] += model.error_kernel(lev).cross(state.X[idx], self.Xc)
-                self._wl[lev] = _Rows(state.L, cross)
-                del cross  # before the next copy, so one is alive at a time
+        # fidelity l -> (W_l, W_eps_l)
+        self._low = {}
+        for lev, ef in state.err.items():
+            ke = model.error_kernel(lev).cross(self.Xc, state.X[ef.idx]).T
+            cross = kf.copy(order="F")
+            cross[ef.idx, :] += ke
+            wl = _Rows(state.L, cross)
+            del cross  # before the next solve, so one solved copy is alive at a time
+            self._low[lev] = wl, _Rows(ef.L, ke)
+            del ke
         self._wf = _Rows(state.L, kf)
-        del kf  # before the error rows are solved
         # the values folded into the mean, L^-1 (y - mu) and W_f^T of it
         self._y, self._a, self._wa = np.zeros(0), np.zeros(0), np.zeros(self.Xc.shape[0])
-        self._we = {
-            lev: _Rows(ef.L, model.error_kernel(lev).cross(self.Xc, state.X[ef.idx]).T)
-            for lev, ef in state.err.items()
-        }
 
     def append(self, action: Action) -> None:
         """Condition on one more observation at action."""
@@ -493,12 +471,14 @@ class CandidateGains:
         w, d = new.L[-1, :-1], new.L[-1, -1]
         kf_row = model.target_prior.kernel.cross(x1, self.Xc)[0]
         self._wf.append(kf_row, w, d)
-        ke_row = model.error_kernel(lev).cross(x1, self.Xc)[0] if lev < model.m else None
-        for l, rows in self._wl.items():
-            rows.append(kf_row + ke_row if l == lev else kf_row, w, d)
-        if ke_row is not None:
-            ef = new.err[lev]
-            self._we[lev].append(ke_row, ef.L[-1, :-1], ef.L[-1, -1])
+        for l, (wl, we) in self._low.items():
+            if l == lev:
+                ke_row = model.error_kernel(lev).cross(x1, self.Xc)[0]
+                wl.append(kf_row + ke_row, w, d)
+                ef = new.err[lev]
+                we.append(ke_row, ef.L[-1, :-1], ef.L[-1, -1])
+            else:
+                wl.append(kf_row, w, d)
 
     def _degenerate(self) -> np.ndarray:
         """Candidates whose latent variance is below DEGENERATE_VAR."""
@@ -510,17 +490,18 @@ class CandidateGains:
         model = self.state.model
         # 0.5 log(v1 / v0), each variance floored at 1e-300, in place on
         # v1; v0 stays a scalar while it is the same at every candidate
-        g = model.prior_variance(lev) - (self._wl[lev].sq if lev in self._wl else self._wf.sq)
+        low = self._low.get(lev)
+        g = model.prior_variance(lev) - (self._wf.sq if low is None else low[0].sq)
         np.maximum(g, 1e-300, out=g)
         if lev < model.m:
             v0 = model.error_kernel(lev).signal_variance + model.noise_variance(lev)
         else:
             v0 = model.noise_variance(lev)
-        if lev in self._we:
-            v0 = v0 - self._we[lev].sq
-            np.maximum(v0, 1e-300, out=v0)
-        else:
+        if low is None:
             v0 = max(v0, 1e-300)
+        else:
+            v0 = v0 - low[1].sq
+            np.maximum(v0, 1e-300, out=v0)
         np.divide(g, v0, out=g)
         np.log(g, out=g)
         g *= 0.5

@@ -9,7 +9,7 @@ from mfbo.model import (
     Action,
     CovState,
     FidelityModel,
-    _joint_cross,
+    _joint_sym,
 )
 
 # pass/fail lines recorded by test_acceptance, echoed after the pytest summary
@@ -44,8 +44,7 @@ def info_gain_single(state: CovState, action: Action) -> float:
         wf = solve_triangular(state.L, base, lower=True, check_finite=False)
         if sv - wf @ wf < DEGENERATE_VAR:
             return 0.0
-        f1 = np.array([lev], dtype=np.int64)
-        cross = _joint_cross(model, state.X, state.fids, x1, f1)[:, 0]
+        cross = _joint_sym(model, np.vstack([state.X, x1]), np.append(state.fids, lev))[:-1, -1]
         w1 = solve_triangular(state.L, cross, lower=True, check_finite=False)
         v1 = prior1 - w1 @ w1
     else:
@@ -74,12 +73,13 @@ def gains_formula(cands) -> dict[int, np.ndarray]:
     degenerate = (sv - qf < DEGENERATE_VAR) | (sv < DEGENERATE_VAR)
     out = {}
     for lev in range(1, model.m + 1):
-        v1 = model.prior_variance(lev) - (cands._wl[lev].sq if lev in cands._wl else qf)
+        low = cands._low.get(lev)
+        v1 = model.prior_variance(lev) - (qf if low is None else low[0].sq)
         if lev < model.m:
             ker = model.error_kernel(lev)
             v0 = np.full(nc, ker.signal_variance + model.noise_variance(lev))
-            if lev in cands._we:
-                v0 = v0 - cands._we[lev].sq
+            if low is not None:
+                v0 = v0 - low[1].sq
         else:
             v0 = np.full(nc, model.noise_variance(model.m))
         gains = 0.5 * np.log(np.maximum(v1, 1e-300) / np.maximum(v0, 1e-300))

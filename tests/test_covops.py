@@ -57,6 +57,23 @@ def test_sym_matches_direct_formula():
         assert np.allclose(K, _direct(xa, xa, ls, sv), rtol=0.0, atol=1e-14)
 
 
+def test_sym_off_diagonal_block_is_cross_bitwise():
+    # model.info_gain_set reads its cross-covariance as the off-diagonal
+    # block of one symmetric build over the stacked points
+    rng = np.random.default_rng(31)
+    for d in range(1, 9):
+        for n, k in ((1, 1), (5, 3), (16, 9)):
+            a = rng.uniform(-2.0, 2.0, size=(n, d))
+            b = rng.uniform(-2.0, 2.0, size=(k, d))
+            b[0] = a[-1]  # a point of a repeated in b
+            a[0] = a[-1]  # and within a
+            ls = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=d))
+            sv = float(rng.uniform(0.2, 3.0))
+            K = covops.se_sym(np.vstack([a, b]), ls, sv)
+            assert np.array_equal(K[:n, n:], covops.se_cross(a, b, ls, sv)), (d, n, k)
+            assert np.array_equal(K[n:, :n], covops.se_cross(b, a, ls, sv)), (d, n, k)
+
+
 def test_empty_point_sets():
     ls = np.array([1.0, 1.0])
     assert covops.se_sym(np.zeros((0, 2)), ls, 1.0).shape == (0, 0)

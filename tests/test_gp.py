@@ -84,6 +84,10 @@ class TestCholesky:
             chol_factor(M)
         assert "2x2" in str(exc.value)
 
+    def test_empty_matrix(self):
+        L, used = chol_factor(np.zeros((0, 0)))
+        assert L.shape == (0, 0) and used == 0.0
+
 
 class TestEntropy:
     def test_scalar_unit_variance(self):
@@ -98,6 +102,9 @@ class TestEntropy:
         ha = gaussian_entropy(np.array([[0.7]]))
         hb = gaussian_entropy(np.array([[2.5]]))
         assert h == pytest.approx(ha + hb, abs=1e-10)
+
+    def test_empty_matrix(self):
+        assert gaussian_entropy(np.zeros((0, 0))) == 0.0
 
 
 class TestSolveTriangular:

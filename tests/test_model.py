@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import cho_solve, solve_triangular
 
 from conftest import gains_formula, info_gain_single, predict_latent_diag
+from mfbo import covops
 from mfbo.benchmarks import make_problem
 from mfbo.gp import GpPrior, NumericalError, SquaredExpKernel, chol_factor
 from mfbo.model import (
@@ -18,7 +19,6 @@ from mfbo.model import (
     FidelityModel,
     _ErrFactor,
     _extend_chol,
-    _joint_cross,
     _joint_sym,
     default_hyper_grid,
     fit_hyperparameters,
@@ -62,8 +62,8 @@ def predict_observable(state: CovState, y, action: Action) -> tuple[float, float
     mean_prior = float(model.target_prior.mean_at(x1)[0])
     if state.n == 0:
         return mean_prior, prior_var
-    f1 = np.array([action.fidelity], dtype=np.int64)
-    cross = _joint_cross(model, state.X, state.fids, x1, f1)[:, 0]
+    fn = np.append(state.fids, action.fidelity)
+    cross = _joint_sym(model, np.vstack([state.X, x1]), fn)[:-1, -1]
     resid = y - model.target_prior.mean_at(state.X)
     mean = mean_prior + cross @ cho_solve((state.L, True), resid)
     w = solve_triangular(state.L, cross, lower=True, check_finite=False)
@@ -436,14 +436,15 @@ FAILING = [(XA, 3), (XA, 3), (XB, 1), (XB, 1)]
 
 
 def append_via_joint_cross(state: CovState, action: Action) -> CovState:
-    """CovState.append with its joint column from _joint_cross and the
-    error factor's column computed apart: the oracle for the one shared
-    error column the library computes."""
+    """CovState.append with its joint column taken from _joint_sym over
+    the points with the new one last, and the error factor's column
+    computed apart: the oracle for the one shared error column the library
+    computes."""
     model = state.model
     lev = action.fidelity
     x1 = action.x[None, :]
     Xn, fn = np.vstack([state.X, x1]), np.append(state.fids, lev)
-    col = _joint_cross(model, state.X, state.fids, x1, fn[-1:])[:, 0]
+    col = _joint_sym(model, Xn, fn)[:-1, -1]
     L = _extend_chol(state.L, col, model.prior_variance(lev) + state.jit)
     if L is None:
         return CovState.build(model, Xn, fn, JOINT_FAILED)
@@ -528,6 +529,31 @@ class TestCandidateGains:
         seen = self._run(model, Xc, choose, 12)
         assert seen == {(JOINT_FAILED, 3), (FIRST_POINT, 1), (ERROR_FAILED, 1),
                         (FIRST_POINT, 2)}
+
+    def test_one_error_block_per_low_fidelity_and_recompute(self, three_fid_model, rng,
+                                                             monkeypatch):
+        # W_l and W_eps_l both read k_eps_l(X_l, Xc): one kernel call builds it
+        model = three_fid_model
+        state = CovState.empty(model)
+        for t in range(9):
+            state = state.append(Action(x=rng.uniform(-1, 1, size=2), fidelity=t % 3 + 1))
+        gains = CandidateGains(state, rng.uniform(-1, 1, size=(30, 2)))
+        calls = []
+        real = covops.se_cross
+
+        def se_cross(xa, xb, lengthscales, signal_variance):
+            calls.append((xa, xb, lengthscales))
+            return real(xa, xb, lengthscales, signal_variance)
+
+        monkeypatch.setattr(covops, "se_cross", se_cross)
+        gains.reset(state)
+        assert sorted(state.err) == [1, 2]
+        for lev, ef in state.err.items():
+            ls, X_l = model.error_kernel(lev).lengthscales, state.X[ef.idx]
+            blocks = [(xa, xb) for xa, xb, l in calls if np.array_equal(l, ls)
+                      and (xa is gains.Xc and np.array_equal(xb, X_l)
+                           or xb is gains.Xc and np.array_equal(xa, X_l))]
+            assert len(blocks) == 1, lev
 
     def test_candidate_layout_does_not_change_results(self, three_fid_model, rng):
         # Halton candidate sets are Fortran-ordered; gains and posteriors
@@ -768,6 +794,9 @@ class TestLongRunDrift:
 
 class TestCovState:
     def test_append_matches_the_joint_cross_column(self, three_fid_model, rng):
+        """Each append equals append_via_joint_cross bit for bit. Its joint
+        cross column is the last column of _joint_sym over the points with
+        the new one stacked last, K[:-1, -1]."""
         # failing_model's chain: the first point, a failed joint extension,
         # a fidelity's first point, a failed error extension, then points
         # at every fidelity
@@ -791,6 +820,27 @@ class TestCovState:
         assert seen[:4] == [(None, 3), (JOINT_FAILED, 3), (FIRST_POINT, 1), (ERROR_FAILED, 1)]
         assert (FIRST_POINT, 2) in seen
         assert set(state.fids.tolist()) == {1, 2, 3}
+
+    @pytest.mark.parametrize("rebuilt", [None, JOINT_FAILED])
+    def test_build_with_no_points_is_empty(self, three_fid_model, rebuilt):
+        empty = CovState.empty(three_fid_model)
+        state = CovState.build(three_fid_model, np.zeros((0, 2)), [], rebuilt)
+        assert state.X.shape == empty.X.shape == (0, 2)
+        assert state.fids.shape == empty.fids.shape == (0,)
+        assert state.L.shape == empty.L.shape == (0, 0)
+        assert state.jit == empty.jit == 0.0 and state.err == empty.err == {}
+        assert state.rebuilt is rebuilt
+        a = act([0.2, -0.4], 1)
+        assert np.array_equal(state.append(a).L, empty.append(a).L)
+
+    @pytest.mark.parametrize("diag", [0.37, 2.0, 1e-300])
+    def test_extend_an_empty_factor(self, diag):
+        L = _extend_chol(np.zeros((0, 0)), np.zeros(0), diag)
+        assert L.shape == (1, 1) and L[0, 0] == np.sqrt(diag)
+
+    @pytest.mark.parametrize("diag", [0.0, -1.0, np.nan])
+    def test_extend_an_empty_factor_refuses_a_non_positive_pivot(self, diag):
+        assert _extend_chol(np.zeros((0, 0)), np.zeros(0), diag) is None
 
     def test_incremental_matches_rebuild(self, three_fid_model, rng):
         state, y = random_observations(rng, three_fid_model, 30)  # extended row by row
