@@ -550,10 +550,11 @@ class TestCandidateGains:
         assert sorted(state.err) == [1, 2]
         for lev, ef in state.err.items():
             ls, X_l = model.error_kernel(lev).lengthscales, state.X[ef.idx]
-            blocks = [(xa, xb) for xa, xb, l in calls if np.array_equal(l, ls)
-                      and (xa is gains.Xc and np.array_equal(xb, X_l)
-                           or xb is gains.Xc and np.array_equal(xa, X_l))]
-            assert len(blocks) == 1, lev
+            blocks = sum(np.array_equal(l, ls)
+                         and (xa is gains.Xc and np.array_equal(xb, X_l)
+                              or xb is gains.Xc and np.array_equal(xa, X_l))
+                         for xa, xb, l in calls)
+            assert blocks == 1, lev
 
     def test_candidate_layout_does_not_change_results(self, three_fid_model, rng):
         # Halton candidate sets are Fortran-ordered; gains and posteriors
