@@ -17,7 +17,6 @@ import functools
 import os
 from dataclasses import dataclass
 import numpy as np
-from scipy.linalg.lapack import dtrtrs
 
 from . import covops
 
@@ -120,20 +119,18 @@ def _cond_estimate(mat) -> float:
 def solve_triangular(L, b, overwrite_b=False) -> np.ndarray:
     """Solve L x = b for lower triangular L.
 
-    Calls LAPACK's dtrtrs directly, with the arguments scipy's
-    solve_triangular passes for L's memory layout, so the result is bitwise
-    scipy's without its per-call validation. That makes L and b float64
-    and finite the caller's promise. A C-ordered L is solved as its
-    Fortran-ordered transpose, the upper factor L^T; overwrite_b lets an
-    owned Fortran-ordered b hold the result. Raises LinAlgError at a zero
-    pivot, as scipy does.
+    Calls LAPACK's dtrtrs with the arguments scipy's solve_triangular
+    passes for L's memory layout, so the result is bitwise scipy's without
+    its per-call validation. That makes L and b float64 and finite the
+    caller's promise. A Fortran-ordered L goes in as lower, untransposed;
+    any other L as its C-ordered copy, which is the Fortran-ordered upper
+    factor L^T, transposed (no copy if L is C-ordered). b is copied into
+    Fortran order unless overwrite_b lets an owned Fortran-ordered b hold
+    the result. Raises LinAlgError at a zero pivot, as scipy does.
     """
     if np.size(b) == 0:
         return np.empty_like(b, dtype=np.float64)
-    if L.flags.f_contiguous:
-        x, info = dtrtrs(L, b, lower=1, overwrite_b=overwrite_b)
-    else:
-        x, info = dtrtrs(L.T, b, lower=0, trans=1, overwrite_b=overwrite_b)
+    x, info = _dtrtrs()(L, b, overwrite_b)
     if info > 0:
         raise np.linalg.LinAlgError(
             "singular matrix: resolution failed at diagonal %d" % (info - 1))
@@ -150,12 +147,22 @@ _OPENBLAS_THREAD_FUNCS = (
     ("openblas_get_num_threads", "openblas_set_num_threads"),
 )
 
+# LAPACK's dtrtrs as an OpenBLAS build may export it, with its integer
+# type: numpy's 64-bit-integer build, a 64-bit-integer OpenBLAS, a plain one.
+_DTRTRS_SYMBOLS = (
+    ("scipy_dtrtrs_64_", ctypes.c_int64),
+    ("dtrtrs_64_", ctypes.c_int64),
+    ("dtrtrs_", ctypes.c_int),
+)
+
 
 @functools.cache
-def _blas_controls() -> tuple:
-    """The (get, set) thread-count functions of each OpenBLAS the process
-    has loaded, found once from its mapped shared objects. Empty where
-    there is no /proc/self/maps or no OpenBLAS (MKL, Accelerate)."""
+def _openblas_libs() -> tuple:
+    """Each OpenBLAS the process has loaded, found once from its mapped
+    shared objects. Empty where there is no /proc/self/maps or no OpenBLAS
+    (MKL, Accelerate). They are bound as ctypes.PyDLL, whose calls keep the
+    GIL: a small solve takes microseconds, and releasing and retaking the
+    GIL around it would add a sizeable share to that."""
     try:
         with open("/proc/self/maps") as fh:
             fields = [line.split(maxsplit=5) for line in fh]
@@ -163,12 +170,20 @@ def _blas_controls() -> tuple:
         return ()
     paths = sorted({f[5].strip() for f in fields
                     if len(f) == 6 and "openblas" in os.path.basename(f[5]).lower()})
-    controls = []
+    libs = []
     for path in paths:
         try:
-            lib = ctypes.CDLL(path)
+            libs.append(ctypes.PyDLL(path))
         except OSError:
             continue
+    return tuple(libs)
+
+
+@functools.cache
+def _blas_controls() -> tuple:
+    """The (get, set) thread-count functions of each loaded OpenBLAS."""
+    controls = []
+    for lib in _openblas_libs():
         for get_name, set_name in _OPENBLAS_THREAD_FUNCS:
             get = getattr(lib, get_name, None)
             put = getattr(lib, set_name, None)
@@ -178,6 +193,62 @@ def _blas_controls() -> tuple:
                 controls.append((get, put))
                 break
     return tuple(controls)
+
+
+@functools.cache
+def _dtrtrs():
+    """solve(L, b, overwrite_b) -> (x, info) for solve_triangular: dtrtrs
+    from the first loaded OpenBLAS that exports one of _DTRTRS_SYMBOLS, or
+    else scipy's, imported here on first use."""
+    for name, int_t in _DTRTRS_SYMBOLS:
+        for lib in _openblas_libs():
+            fn = getattr(lib, name, None)
+            if fn is not None:
+                return _openblas_dtrtrs(fn, int_t)
+    from scipy.linalg.lapack import dtrtrs
+
+    def solve(L, b, overwrite_b):
+        if L.flags.f_contiguous:
+            return dtrtrs(L, b, lower=1, overwrite_b=overwrite_b)
+        return dtrtrs(L.T, b, lower=0, trans=1, overwrite_b=overwrite_b)
+
+    return solve
+
+
+def _openblas_dtrtrs(fn, int_t):
+    """solve(L, b, overwrite_b) over fn, an OpenBLAS dtrtrs taking int_t
+    integers, passing what scipy's wrapper passes (solve_triangular).
+
+    Arrays go in through ctypes.c_double.from_buffer of C-ordered float64
+    memory, which must be writable, so a read-only L is copied too.
+    OpenBLAS's dtrtrs is its own C routine, so no Fortran character lengths
+    follow the ten arguments.
+    """
+    ints = ctypes.POINTER(int_t)
+    doubles = ctypes.POINTER(ctypes.c_double)
+    fn.argtypes = (ctypes.c_char_p,) * 3 + (ints, ints, doubles, ints, doubles, ints, ints)
+    fn.restype = None
+    one = int_t(1)  # LAPACK only reads it, so every call may share it
+
+    def solve(L, b, overwrite_b):
+        # the C-ordered memory of a Fortran-ordered L is L^T
+        lower = L.flags.f_contiguous
+        a = L.T if lower else L
+        flags = a.flags
+        if not (flags.c_contiguous and flags.writeable and a.dtype == np.float64):
+            a = np.array(a, dtype=np.float64)
+        flags = b.flags
+        if overwrite_b and flags.f_contiguous and flags.writeable and b.dtype == np.float64:
+            x = b
+        else:
+            x = np.array(b, dtype=np.float64, order="F")
+        n, info = int_t(a.shape[0]), int_t(0)
+        fn(b"L" if lower else b"U", b"N" if lower else b"T", b"N",
+           n, one if x.ndim == 1 else int_t(x.shape[1]), ctypes.c_double.from_buffer(a), n,
+           ctypes.c_double.from_buffer(x.T), n, info)
+        return x, info.value
+
+    return solve
 
 
 @contextlib.contextmanager

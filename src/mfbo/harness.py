@@ -27,8 +27,9 @@ across policies: at a given index every policy sees the same candidate pool
 and the same observation-noise stream (common random numbers), so
 policy-to-policy differences come from decisions rather than noise luck.
 Runs execute one after another in (policy, seed index) order, and a failure
-is isolated to its run. Each run holds numpy's and scipy's OpenBLAS at one
-thread (gp.one_blas_thread), since threading its small BLAS calls doubles
+is isolated to its run. Each run holds numpy's OpenBLAS, which does all of
+mfbo's BLAS and LAPACK work, at one thread (gp.one_blas_thread; any other
+OpenBLAS the process has loaded too), since threading its small calls doubles
 the CPU time and saves no wall time (README, "CLI"). The setting is
 process-wide while a run is in progress, the caller's counts come back
 after it, and it is a no-op where no OpenBLAS is found. Output is three CSVs:

@@ -330,8 +330,9 @@ def info_gain_set(state: CovState, actions: Sequence[Action]) -> float:
     n = state.n
     Xe = np.array([a.x for a in actions])
     fe = np.array([a.fidelity for a in actions], dtype=np.int64)
-    # one build over the state's points and the actions: pdist and cdist
-    # give the same bits per pair, so K[:n, n:] is the cross-covariance
+    # one build over the state's points and the actions: a pair's kernel
+    # value does not depend on the block it is built in, so K[:n, n:] is
+    # the cross-covariance
     K = _joint_sym(model, np.vstack([state.X, Xe]), np.concatenate([state.fids, fe]))
     W = solve_triangular(state.L, K[:n, n:])
     cond1 = K[n:, n:] - W.T @ W
@@ -416,9 +417,11 @@ class CandidateGains:
     It holds W_f = L^-1 k_f(X, Xc) over the state's joint factor L and, for
     each low fidelity l with points, one pair: W_l = L^-1 (k_f + k_eps_l on
     l's rows)(X, Xc) and W_eps_l = L_eps_l^-1 k_eps_l(X_l, Xc) over its
-    error factor, both from one error block k_eps_l(X_l, Xc). Each
-    projection keeps its rows in one C-ordered block and their column sums
-    of squares. append(action) advances the CovState and adds one
+    error factor, both from one error block k_eps_l(X_l, Xc). Xc is kept
+    Fortran-ordered, one contiguous row per dimension, so a kernel row
+    against it reads contiguous memory (mfbo.covops). Each projection
+    keeps its rows in one C-ordered block and their column sums of
+    squares. append(action) advances the CovState and adds one
     row to each projection the point enters, r = (c(x, Xc) - w^T W) / d for
     the factor's new last row [w, d], one O(n nc) product. A `rebuilt`
     state or reset() computes all afresh; recomputes counts these by cause.
@@ -426,8 +429,8 @@ class CandidateGains:
     """
 
     def __init__(self, state: CovState, Xc):
-        # row-major, so a kernel row against it needs no copy of it
-        self.Xc = np.ascontiguousarray(Xc, dtype=np.float64).reshape(-1, state.model.dim)
+        # dimension-major, as CandidateSet.points already is
+        self.Xc = np.asfortranarray(np.reshape(Xc, (-1, state.model.dim)), dtype=np.float64)
         self.recomputes = dict.fromkeys((FIRST_POINT, JOINT_FAILED, ERROR_FAILED, NEW_MODEL), 0)
         self.reset(state, None)
 
@@ -444,12 +447,13 @@ class CandidateGains:
     def _recompute(self) -> None:
         state = self.state
         model = state.model
-        # k_f(X, Xc), Fortran-ordered as are its copies: every solve runs in place
-        kf = model.target_prior.kernel.cross(self.Xc, state.X).T
+        # k_f(X, Xc), built row by row against the candidates, then copied
+        # into Fortran order, as are the error blocks: every solve runs in place
+        kf = np.asfortranarray(model.target_prior.kernel.cross(state.X, self.Xc))
         # fidelity l -> (W_l, W_eps_l)
         self._low = {}
         for lev, ef in state.err.items():
-            ke = model.error_kernel(lev).cross(self.Xc, state.X[ef.idx]).T
+            ke = np.asfortranarray(model.error_kernel(lev).cross(state.X[ef.idx], self.Xc))
             cross = kf.copy(order="F")
             cross[ef.idx, :] += ke
             wl = _Rows(state.L, cross)

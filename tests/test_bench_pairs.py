@@ -86,3 +86,45 @@ def test_blas_probe_reads_the_checkouts_counts_outside_and_inside_the_pin(tmp_pa
 def test_blas_probe_without_the_pin_says_so(tmp_path):
     checkout = fake_checkout(tmp_path / "unpinned", "import math\n")
     assert bench_pairs.blas_threads(checkout) == "no pin"
+
+
+FAKE_RUN = '''
+import json
+print("# perfbench fake seed=0 seconds=1 trace=0")
+print("# env " + json.dumps({"OPENBLAS_NUM_THREADS": None}))
+print("# round1   wall 0.900 s  cpu 0.800 s  runs 0.900 s")
+print("# round2   wall 0.600 s  cpu 0.550 s  runs 0.450 s  bound 284.5496 at beta 0.184202")
+print("# round3   wall 0.700 s  cpu 0.650 s  runs 0.700 s")
+print("# wall_s                                             0.7 s")
+print("# csv sha256 " + json.dumps({"traces.csv": "ab"}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"wall_s": {"value": 0.7, "unit": "s"}}}))
+'''
+
+
+def test_run_once_keeps_each_rounds_wall_and_cpu(tmp_path):
+    bench = tmp_path / "fake" / "perfbench"
+    bench.mkdir(parents=True)
+    (bench / "run.py").write_text(FAKE_RUN)
+    run = bench_pairs.run_once(tmp_path / "fake", "currin2_compare", 0, None)
+    assert run["rounds"] == [{"wall_s": 0.9, "cpu_s": 0.8}, {"wall_s": 0.6, "cpu_s": 0.55},
+                             {"wall_s": 0.7, "cpu_s": 0.65}]
+    assert run["metrics"] == {"wall_s": 0.7} and run["csv_sha256"] == {"traces.csv": "ab"}
+
+
+def rounds_of(*walls):
+    return [{"wall_s": w, "cpu_s": 2 * w} for w in walls]
+
+
+def test_round_minima_are_the_median_of_each_runs_fastest_round():
+    pairs = [
+        {"parent": {"rounds": rounds_of(1.0, 0.8, 3.0)}, "change": {"rounds": rounds_of(0.9, 0.7)}},
+        {"parent": {"rounds": rounds_of(0.9)}, "change": {"rounds": rounds_of(2.0, 0.95)}},
+        {"parent": {"rounds": rounds_of(1.2, 1.1)}, "change": {"rounds": rounds_of(1.1, 5.0)}},
+    ]
+    s = bench_pairs.round_minima(pairs)
+    # fastest rounds: parent 0.8, 0.9, 1.1; change 0.7, 0.95, 1.1
+    assert s["wall_s"]["parent"] == 0.9 and s["wall_s"]["change"] == 0.95
+    assert s["wall_s"]["change_over_parent"] == pytest.approx(0.95 / 0.9)
+    assert (s["wall_s"]["wins"], s["wall_s"]["losses"], s["wall_s"]["ties"]) == (1, 1, 1)
+    assert s["cpu_s"]["parent"] == 1.8 and s["cpu_s"]["change"] == 1.9

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist, pdist, squareform
 
 from mfbo import covops
 
@@ -72,6 +73,62 @@ def test_sym_off_diagonal_block_is_cross_bitwise():
             K = covops.se_sym(np.vstack([a, b]), ls, sv)
             assert np.array_equal(K[:n, n:], covops.se_cross(a, b, ls, sv)), (d, n, k)
             assert np.array_equal(K[n:, :n], covops.se_cross(b, a, ls, sv)), (d, n, k)
+
+
+def _scipy_cross(xa, xb, ls, sv):
+    """The kernel as weighted scipy distances, which covops must match bitwise."""
+    return sv * np.exp(-0.5 * cdist(xa, xb, "sqeuclidean", w=1.0 / ls**2))
+
+
+def _scipy_sym(xa, ls, sv):
+    return sv * np.exp(-0.5 * squareform(pdist(xa, "sqeuclidean", w=1.0 / ls**2)))
+
+
+def _points(rng, n, d, repeats):
+    x = rng.uniform(-2.0, 2.0, size=(n, d))
+    if repeats and n > 2:
+        x[1] = x[0]
+        x[-1] = x[0]
+    return x
+
+
+# 1 x n, n x 1 and n x m blocks; the last ones span several of se_cross's
+# steps, and (7282, 1) at d = 9 ends on a one-pair step
+SHAPES = ((1, 1), (1, 7), (1, 600), (9, 1), (25, 1), (6, 11), (40, 300), (300, 40))
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_cross_is_bitwise_scipy_cdist(d):
+    rng = np.random.default_rng(100 + d)
+    shapes = SHAPES + (((1, 8000), (7282, 1)) if d == 9 else ())
+    for na, nb in shapes:
+        for repeats in (False, True):
+            xa = _points(rng, na, d, repeats)
+            xb = _points(rng, nb, d, repeats)
+            if nb > 1:
+                xb[-1] = xa[-1]  # a point of xa again in xb
+            ls = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=d))
+            sv = float(rng.uniform(0.2, 3.0))
+            want = _scipy_cross(xa, xb, ls, sv)
+            for order_a in "CF":
+                for order_b in "CF":
+                    got = covops.se_cross(np.asarray(xa, order=order_a),
+                                          np.asarray(xb, order=order_b), ls, sv)
+                    assert np.array_equal(got, want), (d, na, nb, repeats, order_a, order_b)
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_sym_is_bitwise_scipy_pdist(d):
+    rng = np.random.default_rng(200 + d)
+    for n in (1, 2, 5, 30, 120):
+        for repeats in (False, True):
+            x = _points(rng, n, d, repeats)
+            ls = np.exp(rng.uniform(np.log(0.05), np.log(20.0), size=d))
+            sv = float(rng.uniform(0.2, 3.0))
+            want = _scipy_sym(x, ls, sv)
+            for order in "CF":
+                got = covops.se_sym(np.asarray(x, order=order), ls, sv)
+                assert np.array_equal(got, want), (d, n, repeats, order)
 
 
 def test_empty_point_sets():

@@ -1,4 +1,8 @@
+import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,8 @@ from mfbo.gp import (
     one_blas_thread,
     solve_triangular,
 )
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 class TestKernel:
@@ -116,14 +122,27 @@ class TestSolveTriangular:
         A = rng.standard_normal((n, n))
         return np.linalg.cholesky(A @ A.T + n * np.eye(n))
 
-    @pytest.mark.parametrize("order", ["C", "F"])
+    @staticmethod
+    def _layout(L, order):
+        """L Fortran- or C-ordered, or as "view" the trailing block of a
+        larger C-ordered factor, a strided view like the posterior fold's
+        state.L[k:, k:]."""
+        if order != "view":
+            return np.asarray(L, order=order)
+        n = L.shape[0]
+        big = np.eye(n + 3)
+        big[3:, 3:] = L
+        big[3:, :3] = 0.25
+        return big[3:, 3:]
+
+    @pytest.mark.parametrize("order", ["C", "F", "view"])
     @pytest.mark.parametrize("rhs", [(), (1,), (7,)])
     # The plain solve keeps its ids [0-rhs*-*]; overwrite_b=True must give
     # the same bits whether or not b's layout lets dtrtrs solve in place.
     @pytest.mark.parametrize("overwrite_b", [False, True], ids=["0", "overwrite"])
     def test_bitwise_scipy(self, rng, order, rhs, overwrite_b):
         for n in (1, 2, 9, 40):
-            L = np.asarray(self._factor(rng, n), order=order)
+            L = self._layout(self._factor(rng, n), order)
             b = rng.standard_normal((n,) + rhs)
             want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
             got = solve_triangular(L, b, overwrite_b=overwrite_b)
@@ -145,14 +164,72 @@ class TestSolveTriangular:
             assert got.shape == want.shape and got.dtype == want.dtype == np.float64
             assert np.array_equal(got, want)
 
-    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("order", ["C", "F", "view"])
     def test_zero_pivot_raises(self, order):
-        L = np.asarray([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.3, 1.0]], order=order)
+        L = self._layout(np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.2, 0.3, 1.0]]), order)
         b = np.ones(3)
         with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
             scipy.linalg.solve_triangular(L, b, lower=True)
         with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
             solve_triangular(L, b)
+
+    def test_read_only_factor(self, rng):
+        L = self._factor(rng, 12)
+        L.flags.writeable = False
+        b = rng.standard_normal((12, 3))
+        want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+        for layout in (L, L.T.T, np.asfortranarray(L)):
+            layout.flags.writeable = False
+            assert np.array_equal(solve_triangular(layout, b), want)
+
+    def test_binds_the_openblas_numpy_maps(self):
+        # scipy is loaded in this process too; the solve must still use
+        # numpy's library, not fall back to scipy's wrapper
+        if not any(getattr(lib, name, None) is not None
+                   for lib in gp._openblas_libs() for name, _ in gp._DTRTRS_SYMBOLS):
+            pytest.skip("no OpenBLAS with dtrtrs is loaded")
+        assert gp._dtrtrs().__qualname__.startswith("_openblas_dtrtrs")
+
+    def test_fallback_to_scipy_when_no_symbol_is_found(self):
+        # a fresh process whose lookup misses: scipy is imported at the
+        # first solve, not before, and gives scipy's bits in every layout
+        code = """
+import json, sys
+import numpy as np
+from mfbo import gp
+gp._DTRTRS_SYMBOLS = ()
+loaded = [m for m in sys.modules if m.split(".")[0] == "scipy"]
+rng = np.random.default_rng(7)
+A = rng.standard_normal((30, 30))
+L = np.linalg.cholesky(A @ A.T + 30 * np.eye(30))
+big = np.eye(33)
+big[3:, 3:] = L
+layouts = [L, np.asfortranarray(L), big[3:, 3:]]
+bs = [rng.standard_normal(30), rng.standard_normal((30, 4))]
+got = [gp.solve_triangular(M, b) for M in layouts for b in bs]
+loaded_by_solve = "scipy.linalg.lapack" in sys.modules
+import scipy.linalg
+want = [scipy.linalg.solve_triangular(M, b, lower=True, check_finite=False)
+        for M in layouts for b in bs]
+Z = np.array([[1.0, 0.0], [0.5, 0.0]])
+try:
+    gp.solve_triangular(Z, np.ones(2))
+    message = None
+except np.linalg.LinAlgError as exc:
+    message = str(exc)
+print(json.dumps({"loaded_before": loaded, "loaded_by_solve": loaded_by_solve,
+                  "bound": gp._dtrtrs().__qualname__,
+                  "bitwise": [bool(np.array_equal(g, w)) for g, w in zip(got, want)],
+                  "message": message}))
+"""
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        out = json.loads(proc.stdout)
+        assert out["loaded_before"] == [] and out["loaded_by_solve"]
+        assert out["bound"].startswith("_dtrtrs")  # scipy's wrapper, not an OpenBLAS binding
+        assert out["bitwise"] == [True] * 6
+        assert out["message"] == "singular matrix: resolution failed at diagonal 1"
 
 
 class TestOneBlasThread:

@@ -104,3 +104,19 @@ def test_import_leaves_out_scipy_stats_and_optimize():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     assert proc.stdout.split() == []
+
+
+def test_import_and_a_policy_run_load_no_scipy(tmp_path):
+    # the solves go through numpy's own OpenBLAS and the kernels are numpy,
+    # so scipy is not imported, neither by the modules nor by a run
+    code = (
+        "import sys, mfbo, mfbo.cli, mfbo.verify\n"
+        "rc = mfbo.cli.main(['bench', '--problem', 'currin2', '--seeds', '1',"
+        " '--budget-mult', '5', '--candidates', '200', '--policies', 'mf_mi_greedy,sf_only',"
+        " '--hyperfit-every', '2', '--out', sys.argv[1]])\n"
+        "print(rc, ' '.join(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout.split("\n")[-2].split() == ["0"]

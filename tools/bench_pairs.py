@@ -11,13 +11,18 @@ checkout's perfbench/_out/. Per checkout, the record keeps the thread
 count of each OpenBLAS its mfbo finds, outside and inside its
 one_blas_thread() pin ("no pin" where mfbo.gp has none), read once in a
 fresh process. It keeps every run (its end-to-end metrics, checks, CSV
-hashes, the thread and BLAS environment run.py reports, and the load
-average when it started) and, per workload and metric, each side's
+hashes, the thread and BLAS environment run.py reports, the load average
+when it started, and the wall and CPU time of each of its rounds, read
+from run.py's `# roundN` lines) and, per workload and metric, each side's
 median and quartiles and the change's wins, losses and ties over the
 pairs. A gain holds when the change wins at least nine tenths of the
 pairs and the medians lie further apart than the distance between the
-parent's quartiles. Exits 1 if any run failed a check or the CSV hashes
-differ between runs of one workload.
+parent's quartiles. Per workload it also reports, for wall and CPU time,
+each side's median over its runs of the run's fastest round, and the
+change's wins over the pairs by that minimum: a round slowed by load on
+a shared machine moves a run's median round but rarely its fastest one.
+Exits 1 if any run failed a check or the CSV hashes differ between runs
+of one workload.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import statistics
 import subprocess
 import sys
@@ -33,6 +39,8 @@ from pathlib import Path
 
 RUN_TIMEOUT_S = 900
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# run.py's report of one --trace 0 round: "# round3   wall 0.820 s  cpu 0.818 s ..."
+ROUND_LINE = re.compile(r"# round\d+\s+wall (\S+) s\s+cpu (\S+) s")
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
@@ -45,8 +53,12 @@ def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
                           timeout=RUN_TIMEOUT_S)
     lines = proc.stdout.strip().splitlines()
     env = hashes = result = None
+    rounds = []
     for line in lines:
-        if line.startswith("# env "):
+        m = ROUND_LINE.match(line)
+        if m:
+            rounds.append({"wall_s": float(m.group(1)), "cpu_s": float(m.group(2))})
+        elif line.startswith("# env "):
             env = json.loads(line[len("# env "):])
         elif line.startswith("# csv sha256 "):
             hashes = json.loads(line[len("# csv sha256 "):])
@@ -67,6 +79,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
         "csv_sha256": hashes,
         "env": env,
         "loadavg_1m": load,
+        "rounds": rounds,
     }
 
 
@@ -135,6 +148,28 @@ def summarize(pairs, spec) -> dict:
     return out
 
 
+def round_minima(pairs) -> dict:
+    """Per round metric, each side's median over runs of the run's fastest
+    round, their ratio, and the change's wins, losses and ties over the
+    pairs by that minimum (lower is better)."""
+    out = {}
+    for name in ("wall_s", "cpu_s"):
+        fastest = {side: [min(r[name] for r in p[side]["rounds"]) for p in pairs]
+                   for side in ("parent", "change")}
+        par, chg = (statistics.median(fastest[s]) for s in ("parent", "change"))
+        wins = sum(c < p for p, c in zip(fastest["parent"], fastest["change"]))
+        ties = sum(c == p for p, c in zip(fastest["parent"], fastest["change"]))
+        out[name] = {
+            "parent": par,
+            "change": chg,
+            "change_over_parent": chg / par if par else None,
+            "wins": wins,
+            "losses": len(pairs) - wins - ties,
+            "ties": ties,
+        }
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -187,6 +222,7 @@ def main(argv=None) -> int:
             "all_correct": all_correct,
             "csv_identical": same_csv,
             "summary": summarize(pairs, spec),
+            "round_minima": round_minima(pairs),
             "runs": pairs,
         }
         for name, s in record["workloads"][w]["summary"].items():
@@ -195,6 +231,10 @@ def main(argv=None) -> int:
                       w, name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
                       s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
                       s["wins"], args.pairs, s["gain_holds"]), flush=True)
+        for name, s in record["workloads"][w]["round_minima"].items():
+            print("# %-18s fastest round %-6s parent %.4g  change %.4g  ratio %.3f  wins %d/%d" % (
+                w, name, s["parent"], s["change"], s["change_over_parent"], s["wins"],
+                args.pairs), flush=True)
     record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     out = args.out or Path.cwd() / ("BENCH_%s.json" % args.tag)
     out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
