@@ -242,6 +242,10 @@ def _openblas_dtrtrs(fn, int_t):
             x = b
         else:
             x = np.array(b, dtype=np.float64, order="F")
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or x.ndim > 2 or x.shape[0] != a.shape[0]:
+            # LAPACK would read and write past the buffers
+            raise ValueError("dtrtrs needs a square L and b with as many rows: %s and %s"
+                             % (a.shape, x.shape))
         n, info = int_t(a.shape[0]), int_t(0)
         fn(b"L" if lower else b"U", b"N" if lower else b"T", b"N",
            n, one if x.ndim == 1 else int_t(x.shape[1]), ctypes.c_double.from_buffer(a), n,

@@ -173,6 +173,16 @@ class TestSolveTriangular:
         with pytest.raises(np.linalg.LinAlgError, match="diagonal 1"):
             solve_triangular(L, b)
 
+    @pytest.mark.parametrize("L, b", [
+        (np.eye(3), np.ones(2)), (np.eye(3), np.ones((4, 2))), (np.ones((3, 2)), np.ones(3)),
+        (np.eye(2), np.ones((2, 1, 1))),
+    ])
+    def test_shape_mismatch_raises(self, L, b):
+        with pytest.raises(ValueError):
+            scipy.linalg.solve_triangular(L, b, lower=True)
+        with pytest.raises(ValueError):
+            solve_triangular(L, b)
+
     def test_read_only_factor(self, rng):
         L = self._factor(rng, 12)
         L.flags.writeable = False

@@ -556,6 +556,38 @@ class TestCandidateGains:
                          for xa, xb, l in calls)
             assert blocks == 1, lev
 
+    def test_a_repeated_append_reuses_its_kernel_rows(self, three_fid_model, rng, monkeypatch):
+        # an action appended again right after itself builds its rows
+        # against the candidates once, with the bits of building them afresh;
+        # a reset, here to a new model, drops them
+        model = three_fid_model
+        Xc = rng.uniform(-1, 1, size=(30, 2))
+        state = CovState.empty(model)
+        for t in range(6):
+            state = state.append(Action(x=rng.uniform(-1, 1, size=2), fidelity=t % 3 + 1))
+        gains, fresh = CandidateGains(state, Xc), CandidateGains(state, Xc)
+        rows = []
+        real = covops.se_cross
+
+        def se_cross(xa, xb, lengthscales, signal_variance):
+            if len(xa) == 1 and xb is gains.Xc:
+                rows.append(lengthscales)
+            return real(xa, xb, lengthscales, signal_variance)
+
+        monkeypatch.setattr(covops, "se_cross", se_cross)
+        a = Action(x=rng.uniform(-1, 1, size=2), fidelity=1)
+        for _ in range(3):
+            gains.append(a)
+            fresh._last = None
+            fresh.append(a)
+        assert gains.state.rebuilt is None
+        assert len(rows) == 2  # k_f and k_eps_1, once
+        for lev, g in fresh.gains().items():
+            assert np.array_equal(gains.gains()[lev], g), lev
+        gains.reset(CovState.build(model.scaled(2.0), gains.state.X, gains.state.fids))
+        gains.append(a)
+        assert len(rows) == 4 and np.array_equal(rows[-2], 2.0 * model.target_prior.kernel.lengthscales)
+
     def test_candidate_layout_does_not_change_results(self, three_fid_model, rng):
         # Halton candidate sets are Fortran-ordered; gains and posteriors
         # are the same bits from either layout
