@@ -19,10 +19,8 @@ pairs. A gain holds when the change wins at least nine tenths of the
 pairs and the medians lie further apart than the distance between the
 parent's quartiles. Per workload it also reports, for wall and CPU time,
 each side's median over its runs of the run's fastest round, and the
-change's wins over the pairs by that minimum: a round slowed by load on
-a shared machine moves a run's median round but rarely its fastest one.
-Exits 1 if any run failed a check or the CSV hashes differ between runs
-of one workload.
+change's wins over the pairs by that minimum. Exits 1 if any run failed a
+check or the CSV hashes differ between runs of one workload.
 """
 
 from __future__ import annotations
