@@ -50,34 +50,25 @@ def make_candidates(bounds, n: int | None, seed: int) -> CandidateSet:
     return CandidateSet(points=halton_points(bounds, n, seed))
 
 
-@dataclass(frozen=True)
-class UcbSchedule:
-    """Confidence schedule for GP-UCB on a finite candidate set.
+def ucb_beta(t: int, n_candidates: int, delta: float) -> float:
+    """GP-UCB confidence on a finite candidate set, for round t >= 1:
 
-    beta_t = 2 * log(n_candidates * t^2 * pi^2 / (6 * delta)), t >= 1.
+    beta_t = 2 * log(n_candidates * t^2 * pi^2 / (6 * delta)), 0 < delta < 1.
     """
-
-    delta: float
-
-    def __post_init__(self):
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError("delta must be in (0, 1)")
-
-    def beta(self, t: int, n_candidates: int) -> float:
-        if t < 1:
-            raise ValueError("round index t must be >= 1")
-        return 2.0 * float(
-            np.log(n_candidates * t**2 * np.pi**2 / (6.0 * self.delta))
-        )
+    if not 0.0 < delta < 1.0:
+        raise ValueError("delta must be in (0, 1)")
+    if t < 1:
+        raise ValueError("round index t must be >= 1")
+    return 2.0 * float(np.log(n_candidates * t**2 * np.pi**2 / (6.0 * delta)))
 
 
-def gp_ucb_select(mean, var, schedule: UcbSchedule, t: int) -> int:
+def gp_ucb_select(mean, var, delta: float, t: int) -> int:
     """argmax of mean + sqrt(beta_t) * std over candidates; returns index."""
     mean = np.asarray(mean, dtype=np.float64)
     var = np.asarray(var, dtype=np.float64)
     if mean.shape[0] == 0:
         raise ValueError("empty candidate set")
-    beta = schedule.beta(t, mean.shape[0])
+    beta = ucb_beta(t, mean.shape[0], delta)
     score = mean + np.sqrt(beta) * np.sqrt(np.maximum(var, 0.0))
     return int(np.argmax(score))
 

@@ -11,6 +11,7 @@ error (bad flags, unknown problem or policy, malformed config).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .benchmarks import PROBLEM_NAMES
@@ -71,13 +72,15 @@ def main(argv=None) -> int:
     try:
         if args.command == "run":
             cfg = ExperimentConfig.from_file(args.config)
+            if args.out is not None:
+                cfg = dataclasses.replace(cfg, out_dir=args.out)
         else:
             cfg = _config_from_args(args)
     except (ConfigError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
 
-    result = run_experiment(cfg, out_dir=args.out, log=lambda s: print(s, file=sys.stderr))
+    result = run_experiment(cfg, log=lambda s: print(s, file=sys.stderr))
     print("budget %.12g over %d seed(s), outputs in %s" % (
         result.budget, cfg.n_seeds, result.traces_path.rsplit("/", 1)[0]))
     for row in _final_rows(result):

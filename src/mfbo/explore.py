@@ -42,8 +42,12 @@ class ExploreResult:
     selected: tuple[Action, ...]
     cost: float
     cumulative_info_gain: float
-    stop_reason: str
-    beta: float
+    stop_reason: str | None       # None only for NO_EXPLORATION
+    beta: float | None
+
+
+# what an episode that does not explore records: no picks, no cost, no gain
+NO_EXPLORATION = ExploreResult((), 0.0, 0.0, None, None)
 
 
 def alpha_budget(budget: float, exponent: float) -> float:

@@ -234,7 +234,7 @@ class ExperimentResult:
         return sum(1 for o in self.outcomes if o.trace is None or o.trace.failed)
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir=None, log=None) -> ExperimentResult:
+def run_experiment(cfg: ExperimentConfig, log=None) -> ExperimentResult:
     problem = make_problem(cfg.problem, noise=cfg.noise, seed=cfg.problem_seed)
     budget = cfg.budget_mult * problem.model.target_cost
     result = ExperimentResult(config=cfg, budget=budget, f_star=problem.f_star)
@@ -257,11 +257,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, log=None) -> ExperimentR
                 status = "failed: %s" % err if err else "%d episodes" % trace.n_episodes
                 log("%-22s seed %3d  %6.2fs  %s" % (pol, idx, duration, status))
 
-    target = out_dir if out_dir is not None else cfg.out_dir
-    os.makedirs(target, exist_ok=True)
-    result.traces_path = os.path.join(target, "traces.csv")
-    result.curves_path = os.path.join(target, "curves.csv")
-    result.summary_path = os.path.join(target, "summary.csv")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    result.traces_path = os.path.join(cfg.out_dir, "traces.csv")
+    result.curves_path = os.path.join(cfg.out_dir, "curves.csv")
+    result.summary_path = os.path.join(cfg.out_dir, "summary.csv")
     write_traces_csv(result.traces_path, outcomes, problem.dim)
     write_run_curves_csv(result.curves_path, outcomes, problem.f_star)
     write_summary_csv(result.summary_path, outcomes, problem.f_star, checkpoint_costs(budget))

@@ -1,14 +1,16 @@
 """Budgeted multi-fidelity optimization policies.
 
-All three policies share one episode loop so their degenerate cases agree
-action-for-action (with one fidelity and matched seeds, mf_mi_greedy and
-sf_only produce identical traces):
+All three policies share one episode loop: Explore-LF, then one target
+query chosen by the single-fidelity subroutine on the latent posterior.
+They differ only in how many leading episodes run Explore-LF:
 
-  mf_mi_greedy          explore lower fidelities every episode, then one
-                        target query chosen by the single-fidelity
-                        subroutine on the latent posterior;
-  explore_then_exploit  one exploration phase up front, target-only after;
-  sf_only               target-only baseline.
+  mf_mi_greedy          every episode;
+  explore_then_exploit  the first episode only;
+  sf_only               none (the target-only baseline).
+
+An episode that does not explore records explore.NO_EXPLORATION. With one
+fidelity and matched seeds, mf_mi_greedy and sf_only produce identical
+traces.
 
 An episode starts only while the remaining budget covers one target query,
 so the budget is never overdrawn. Episode bookkeeping retains exploration
@@ -24,13 +26,14 @@ model refit resets it to a fresh factorization at the same points.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .acquisition import UcbSchedule, gp_mi_select, gp_ucb_select, make_candidates
-from .explore import explore_lf
+from .acquisition import gp_mi_select, gp_ucb_select, make_candidates
+from .explore import NO_EXPLORATION, explore_lf
 from .gp import NumericalError, one_blas_thread
 from .model import (
     Action,
@@ -152,17 +155,17 @@ def serialize_trace(trace: Trace) -> str:
 
 def mf_mi_greedy(problem, budget: float, cfg: PolicyConfig | None = None, seed: int = 0) -> Trace:
     """Per-episode information-greedy exploration plus a target query."""
-    return _run(problem, budget, cfg, seed, "mf_mi_greedy", explore="each")
+    return _run(problem, budget, cfg, seed, "mf_mi_greedy", explore_episodes=math.inf)
 
 
 def explore_then_exploit(problem, budget: float, cfg: PolicyConfig | None = None, seed: int = 0) -> Trace:
     """One up-front exploration phase, then target-only episodes."""
-    return _run(problem, budget, cfg, seed, "explore_then_exploit", explore="once")
+    return _run(problem, budget, cfg, seed, "explore_then_exploit", explore_episodes=1)
 
 
 def sf_only(problem, budget: float, cfg: PolicyConfig | None = None, seed: int = 0) -> Trace:
     """Target-only baseline: floor(budget / target_cost) subroutine rounds."""
-    return _run(problem, budget, cfg, seed, "sf_only", explore="never")
+    return _run(problem, budget, cfg, seed, "sf_only", explore_episodes=0)
 
 
 POLICIES = {
@@ -173,37 +176,35 @@ POLICIES = {
 
 
 @one_blas_thread()
-def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
+def _run(problem, budget, cfg, seed, policy_name, explore_episodes) -> Trace:
     if cfg is None:
         cfg = PolicyConfig()
     budget = float(budget)
     if budget <= 0:
         raise ValueError("budget must be positive")
-    model = problem.model
-    m = model.m
-    lam_m = model.target_cost
+    m = problem.model.m
+    lam_m = problem.model.target_cost
 
     cand_seed = cfg.candidate_seed
     if cand_seed is None:
         cand_seed = mix64(seed, "candidates")
     candidates = make_candidates(problem.bounds, cfg.n_candidates, cand_seed)
     noise_rng = np.random.default_rng(mix64(seed, "noise"))
-    schedule = UcbSchedule(cfg.delta)
     alpha_mi = cfg.alpha_mi if cfg.alpha_mi is not None else float(np.log(2.0 / cfg.delta))
     grid = None
 
-    cands = CandidateGains(CovState.empty(model), candidates.points)
+    cands = CandidateGains(CovState.empty(problem.model), candidates.points)
     y: list[float] = []           # observed values, in query order
     episodes: list[Episode] = []
     spent = 0.0
     gamma_mi = 0.0
     t = 0
-    explored_once = False
     failed = False
     error = None
 
     while budget - spent >= lam_m:
         t += 1
+        before = cands.state
         try:
             if (
                 cfg.hyperfit_every
@@ -214,22 +215,18 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
                 if grid is None:
                     grid = default_hyper_grid(problem.model)
                 refit = fit_hyperparameters(cands.state, y, grid)
-                if refit is not model:
-                    model = refit
-                    cands.reset(CovState.build(model, cands.state.X, cands.state.fids))
+                if refit is not cands.state.model:
+                    cands.reset(CovState.build(refit, cands.state.X, cands.state.fids))
 
-            low_obs: list[Observation] = []
-            result = None
-            if explore == "each" or (explore == "once" and not explored_once):
-                before = cands.state
+            result = NO_EXPLORATION
+            if t <= explore_episodes:
                 result = explore_lf(budget - spent, cfg.alpha_exponent, cands)
-                explored_once = True
-                low_obs = [Observation(a, problem.evaluate(a, noise_rng)) for a in result.selected]
-                y += [o.y for o in low_obs]
+            low_obs = [Observation(a, problem.evaluate(a, noise_rng)) for a in result.selected]
+            y += [o.y for o in low_obs]
 
             mean, var = cands.posterior(y)
             if cfg.subroutine == "gp_ucb":
-                idx = gp_ucb_select(mean, var, schedule, t)
+                idx = gp_ucb_select(mean, var, cfg.delta, t)
             else:
                 idx, gamma_mi = gp_mi_select(mean, var, gamma_mi, alpha_mi)
             target_action = Action(x=candidates.points[idx], fidelity=m)
@@ -237,18 +234,17 @@ def _run(problem, budget, cfg, seed, policy_name, explore) -> Trace:
             cands.append(target_action)
             y.append(target_obs.y)
 
-            ep_explore_cost = result.cost if result is not None else 0.0
             episode = Episode(
                 index=t,
                 low_observations=tuple(low_obs),
                 target_observation=target_obs,
                 target_true=problem.value(target_action.x, m),
-                cost=ep_explore_cost + lam_m,
-                explore_cost=ep_explore_cost,
-                explore_info_gain=result.cumulative_info_gain if result is not None else 0.0,
-                explore_beta=result.beta if result is not None else None,
-                explore_stop_reason=result.stop_reason if result is not None else None,
-                model=model,
+                cost=result.cost + lam_m,
+                explore_cost=result.cost,
+                explore_info_gain=result.cumulative_info_gain,
+                explore_beta=result.beta,
+                explore_stop_reason=result.stop_reason,
+                model=cands.state.model,
             )
             episodes.append(episode)
             spent += episode.cost

@@ -18,6 +18,9 @@ criterion's own work.
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import io
 import os
 import tempfile
 import time
@@ -34,8 +37,6 @@ from .model import Action, CandidateGains, CovState, FidelityModel, info_gain_se
 from .policy import PolicyConfig, mf_mi_greedy, sf_only, trace_records
 from .regret import cumulative_regret_at, decompose_regret
 from .submodular import KS_GUARANTEE, gamma_max_bound
-
-_CACHE: dict = {}
 
 # enumeration guard for exhaustive_opt
 EXHAUSTIVE_MAX = 12
@@ -88,28 +89,26 @@ def make_toy_problem() -> BenchmarkProblem:
     )
 
 
+@functools.cache
 def currin_experiment():
     """The criterion-8 experiment (3 policies x 20 seeds), memoized."""
-    if "currin" not in _CACHE:
-        with tempfile.TemporaryDirectory(prefix="mfbo-verify-currin-") as out:
-            cfg = ExperimentConfig(
-                problem="currin2", budget_mult=100.0, n_seeds=20, master_seed=0, out_dir=out
-            )
-            start = time.process_time()
-            result = run_experiment(cfg)
-            _CACHE["currin"] = (result, time.process_time() - start)
-    return _CACHE["currin"]
+    with tempfile.TemporaryDirectory(prefix="mfbo-verify-currin-") as out:
+        cfg = ExperimentConfig(
+            problem="currin2", budget_mult=100.0, n_seeds=20, master_seed=0, out_dir=out
+        )
+        start = time.process_time()
+        result = run_experiment(cfg)
+        return result, time.process_time() - start
 
 
+@functools.cache
 def m1_traces():
     """mf_mi_greedy and sf_only on the single-fidelity currin2 view."""
-    if "m1" not in _CACHE:
-        prob = single_fidelity_problem(make_problem("currin2", noise=0.05, seed=0))
-        budget = 100.0 * prob.model.target_cost
-        mf = mf_mi_greedy(prob, budget, PolicyConfig(), seed=424242)
-        sf = sf_only(prob, budget, PolicyConfig(), seed=424242)
-        _CACHE["m1"] = (prob, mf, sf)
-    return _CACHE["m1"]
+    prob = single_fidelity_problem(make_problem("currin2", noise=0.05, seed=0))
+    budget = 100.0 * prob.model.target_cost
+    mf = mf_mi_greedy(prob, budget, PolicyConfig(), seed=424242)
+    sf = sf_only(prob, budget, PolicyConfig(), seed=424242)
+    return prob, mf, sf
 
 
 def _random_kernel(rng, d: int) -> SquaredExpKernel:
@@ -477,9 +476,12 @@ def criterion_harness_determinism():
     outputs = []
     for _ in range(2):
         with tempfile.TemporaryDirectory(prefix="mfbo-verify-bench-") as out:
-            rc = cli_main(["bench", "--problem", "currin2", "--seeds", "3", "--out", out])
+            printed = io.StringIO()  # kept out of the acceptance table
+            with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+                rc = cli_main(["bench", "--problem", "currin2", "--seeds", "3", "--out", out])
             if rc != 0:
-                return False, "bench exited with code %d" % rc
+                last = (printed.getvalue().strip().splitlines() or [""])[-1]
+                return False, "bench exited with code %d: %s" % (rc, last)
             blobs = {}
             for name in ("traces.csv", "curves.csv", "summary.csv"):
                 with open(os.path.join(out, name), "rb") as fh:

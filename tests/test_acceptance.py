@@ -11,6 +11,7 @@ import tempfile
 
 import pytest
 
+from mfbo.benchmarks import BenchmarkProblem
 from mfbo.model import CandidateGains
 from mfbo.submodular import KS_GUARANTEE, gamma_max_bound
 from mfbo.verify import (
@@ -44,8 +45,10 @@ def _check(number: int):
 @pytest.mark.parametrize(
     "number", [num for num, _, _ in CRITERIA], ids=[name for _, name, _ in CRITERIA]
 )
-def test_criterion(number):
+def test_criterion(number, capsys):
     _check(number)
+    # a row of the acceptance table is all a criterion may print
+    assert capsys.readouterr() == ("", "")
 
 
 # The criteria that check library identities must catch a fault in the
@@ -94,3 +97,11 @@ def test_submodular_fails_without_the_guarantee_factor(monkeypatch):
                         lambda *args: KS_GUARANTEE * gamma_max_bound(*args))
     passed, detail = criterion_submodular()
     assert not passed, detail
+
+
+def test_harness_determinism_quotes_a_failed_bench(monkeypatch, capsys):
+    monkeypatch.setattr(BenchmarkProblem, "evaluate", lambda self, action, rng: float("nan"))
+    r = run_criterion(11)
+    assert not r.passed
+    assert r.detail == "bench exited with code 1: error: 9 run(s) failed"
+    assert capsys.readouterr() == ("", "")

@@ -3,11 +3,11 @@ import pytest
 
 from mfbo.acquisition import (
     CandidateSet,
-    UcbSchedule,
     default_candidate_count,
     gp_mi_select,
     gp_ucb_select,
     make_candidates,
+    ucb_beta,
 )
 
 
@@ -42,77 +42,75 @@ class TestCandidateSet:
 
 
 class TestUcbSchedule:
+    """ucb_beta, GP-UCB's confidence schedule beta_t."""
+
     def test_delta_range(self):
         with pytest.raises(ValueError):
-            UcbSchedule(delta=0.0)
+            ucb_beta(1, 10, delta=0.0)
         with pytest.raises(ValueError):
-            UcbSchedule(delta=1.0)
+            ucb_beta(1, 10, delta=1.0)
 
     def test_beta_formula(self):
-        sched = UcbSchedule(delta=0.1)
         n, t = 1000, 3
         expect = 2.0 * np.log(n * t**2 * np.pi**2 / (6.0 * 0.1))
-        assert sched.beta(t, n) == pytest.approx(expect, rel=1e-15)
+        assert ucb_beta(t, n, 0.1) == pytest.approx(expect, rel=1e-15)
 
     def test_beta_grows_with_t(self):
-        sched = UcbSchedule(delta=0.1)
-        bs = [sched.beta(t, 100) for t in (1, 2, 5, 10)]
+        bs = [ucb_beta(t, 100, 0.1) for t in (1, 2, 5, 10)]
         assert all(b2 > b1 for b1, b2 in zip(bs, bs[1:]))
 
     def test_t_must_be_positive(self):
         with pytest.raises(ValueError):
-            UcbSchedule(delta=0.1).beta(0, 10)
+            ucb_beta(0, 10, 0.1)
 
 
 class TestGpUcbSelect:
     def test_zero_variance_is_pure_exploitation(self):
         mean = np.array([0.1, 0.9, 0.4])
-        idx = gp_ucb_select(mean, np.zeros(3), UcbSchedule(delta=0.1), t=1)
+        idx = gp_ucb_select(mean, np.zeros(3), 0.1, t=1)
         assert idx == 1
 
     def test_equal_means_prefer_wider(self):
         var = np.array([0.1, 0.1, 0.5, 0.1])
-        idx = gp_ucb_select(np.zeros(4), var, UcbSchedule(delta=0.1), t=1)
+        idx = gp_ucb_select(np.zeros(4), var, 0.1, t=1)
         assert idx == 2
 
     def test_five_candidate_oracle(self):
         mean = np.array([0.2, -0.1, 0.55, 0.3, 0.0])
         var = np.array([0.04, 0.36, 0.0, 0.09, 0.25])
-        sched = UcbSchedule(delta=0.1)
-        beta = sched.beta(1, 5)
+        beta = ucb_beta(1, 5, 0.1)
         scores = mean + np.sqrt(beta) * np.sqrt(var)
-        assert gp_ucb_select(mean, var, sched, t=1) == int(np.argmax(scores))
+        assert gp_ucb_select(mean, var, 0.1, t=1) == int(np.argmax(scores))
 
     def test_tie_breaks_to_lowest_index(self):
         mean = np.array([1.0, 1.0, 1.0])
-        assert gp_ucb_select(mean, np.zeros(3), UcbSchedule(delta=0.1), t=2) == 0
+        assert gp_ucb_select(mean, np.zeros(3), 0.1, t=2) == 0
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(7)
         mean = rng.standard_normal(20)
         var = rng.uniform(0, 1, 20)
-        i0 = gp_ucb_select(mean, var, UcbSchedule(delta=0.1), t=4)
-        i1 = gp_ucb_select(mean + 13.7, var, UcbSchedule(delta=0.1), t=4)
+        i0 = gp_ucb_select(mean, var, 0.1, t=4)
+        i1 = gp_ucb_select(mean + 13.7, var, 0.1, t=4)
         assert i0 == i1
 
     def test_deterministic(self):
         rng = np.random.default_rng(8)
         mean = rng.standard_normal(30)
         var = rng.uniform(0, 1, 30)
-        picks = {gp_ucb_select(mean, var, UcbSchedule(delta=0.1), t=2) for _ in range(5)}
+        picks = {gp_ucb_select(mean, var, 0.1, t=2) for _ in range(5)}
         assert len(picks) == 1
 
     def test_selection_in_range(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
             n = int(rng.integers(1, 15))
-            idx = gp_ucb_select(rng.standard_normal(n), rng.uniform(0, 1, n),
-                                UcbSchedule(delta=0.1), t=1)
+            idx = gp_ucb_select(rng.standard_normal(n), rng.uniform(0, 1, n), 0.1, t=1)
             assert 0 <= idx < n
 
     def test_empty_candidates_error(self):
         with pytest.raises(ValueError):
-            gp_ucb_select(np.array([]), np.array([]), UcbSchedule(delta=0.1), t=1)
+            gp_ucb_select(np.array([]), np.array([]), 0.1, t=1)
 
 
 class TestGpMiSelect:

@@ -238,13 +238,6 @@ class TestRunExperiment:
         for o in result.outcomes:
             assert o.trace.n_episodes == 1
 
-    def test_out_dir_override(self, tmp_path):
-        cfg = tiny_config(tmp_path / "ignored")
-        result = run_experiment(cfg, out_dir=str(tmp_path / "actual"))
-        assert (tmp_path / "actual" / "summary.csv").exists()
-        assert result.summary_path.endswith("actual/summary.csv")
-
-
     def test_numerical_error_reported_with_its_message(self, tmp_path, monkeypatch):
         real = policy.CandidateGains.posterior
         calls = []
@@ -352,6 +345,20 @@ class TestCli:
         rc = cli_main(["run", "--config", str(cfgfile)])
         assert rc == 0
         assert (tmp_path / "ro" / "summary.csv").exists()
+
+    def test_out_dir_override(self, tmp_path, capsys):
+        # mfbo run --out D writes to D, not to the config's out
+        cfgfile = tmp_path / "e.cfg"
+        cfgfile.write_text(
+            "problem = currin2\nbudget_mult = 2\nseeds = 1\nout = %s\n"
+            "[policy]\ncandidates = 32\nhyperfit_every = 0\n" % (tmp_path / "ignored")
+        )
+        rc = cli_main(["run", "--config", str(cfgfile), "--out", str(tmp_path / "actual")])
+        assert rc == 0
+        assert sorted(p.name for p in (tmp_path / "actual").iterdir()) == [
+            "curves.csv", "summary.csv", "traces.csv"]
+        assert not (tmp_path / "ignored").exists()
+        assert "outputs in %s" % (tmp_path / "actual") in capsys.readouterr().out
 
     def test_run_missing_config_exit_2(self, tmp_path, capsys):
         rc = cli_main(["run", "--config", str(tmp_path / "absent.cfg")])

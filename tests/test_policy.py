@@ -387,6 +387,43 @@ class TestRunLongPosterior:
         assert np.array_equal(trace.recommendation, Xc[best])
         assert abs(trace.recommendation_value - mean[best]) <= MEAN_TOL
 
+    @pytest.mark.parametrize("run", [sf_only, explore_then_exploit], ids=lambda f: f.__name__)
+    def test_failure_after_a_target_append_recommends_from_earlier_episodes(
+            self, toy, run, monkeypatch):
+        # the last episode's target append advances the state, then fails;
+        # the run rolls back to where that episode started, though the
+        # episode explores nothing
+        cfg = PolicyConfig(n_candidates=16, hyperfit_every=0)
+        full = run(toy, 30.0, cfg, seed=2718)
+        k = full.n_episodes - 1
+        done = [o for ep in full.episodes[:k]
+                for o in ep.low_observations + (ep.target_observation,)]
+        assert k >= 2 and full.episodes[k].low_observations == ()
+
+        real = CandidateGains.append
+        calls = []
+
+        def append(self, action):
+            real(self, action)
+            calls.append(action)
+            if len(calls) == len(done) + 1:
+                chol_factor(-np.eye(3))
+
+        monkeypatch.setattr(CandidateGains, "append", append)
+        trace = run(toy, 30.0, cfg, seed=2718)
+        monkeypatch.undo()
+        assert trace.failed and trace.n_episodes == k
+        assert trace_records(trace) == trace_records(full)[: len(done)]
+
+        state = CovState.empty(toy.model)
+        for o in done:
+            state = state.append(o.action)
+        Xc = make_candidates(toy.bounds, cfg.n_candidates, mix64(2718, "candidates")).points
+        mean, _ = predict_latent_diag(state, [o.y for o in done], Xc)
+        best = int(np.argmax(mean))
+        assert np.array_equal(trace.recommendation, Xc[best])
+        assert abs(trace.recommendation_value - mean[best]) <= MEAN_TOL
+
 
 def failing_append(n):
     """CovState.append whose n-th call raises the real NumericalError."""

@@ -34,3 +34,24 @@ def test_traced_currin2_run_counts_refits(tmp_path):
     assert metrics["model.solve_triangular.calls"] > 0
     assert metrics["model.CovState.append.calls"] > 0
     assert metrics["covops.se_cross.calls"] > 0
+
+
+# names perfbench/layers.py traces that the library no longer has; any
+# other missing name (a renamed policy helper, say) fails here
+STALE_NAMES = {
+    "mfbo.policy.predict_latent_diag",
+    "mfbo.explore.batch_info_gains",
+    "mfbo.explore.info_gain_set",
+    "mfbo.submodular.batch_info_gains",
+    "mfbo.submodular.info_gain_set",
+}
+
+
+def test_traced_names_exist():
+    tracer = Tracer()
+    layers.install(tracer)
+    try:
+        missing = set(tracer.missing)
+    finally:
+        tracer.restore()
+    assert missing <= STALE_NAMES
