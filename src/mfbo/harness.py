@@ -26,8 +26,15 @@ Per-run seeds derive from the master seed and the seed index only, shared
 across policies: at a given index every policy sees the same candidate pool
 and the same observation-noise stream (common random numbers), so
 policy-to-policy differences come from decisions rather than noise luck.
-Runs execute one after another in (policy, seed index) order, and a failure
-is isolated to its run. Each run holds numpy's OpenBLAS, which does all of
+Each seed index runs all its policies in one policy.run_policies call,
+which computes the episodes they agree on once. Seed indices run one after
+another; the log gets an index's lines, one per policy, when its call
+returns, and a run's duration is the time of that call, the same for each
+of its policies. Outcomes and CSV rows stay in (policy, seed index) order.
+A NumericalError or a non-finite value ends the runs it occurs in as failed
+traces that keep their finished episodes. Any other exception fails every
+policy of its seed index, with no trace, and leaves the other seed indices
+alone. Each run holds numpy's OpenBLAS, which does all of
 mfbo's BLAS and LAPACK work, at one thread (gp.one_blas_thread; any other
 OpenBLAS the process has loaded too), since threading its small calls doubles
 the CPU time and saves no wall time (README, "CLI"). The setting is
@@ -50,7 +57,7 @@ from typing import Optional
 import numpy as np
 
 from .benchmarks import PROBLEM_NAMES, make_problem
-from .policy import POLICIES, POLICY_NAMES, PolicyConfig, Trace, serialize_trace
+from .policy import POLICY_NAMES, PolicyConfig, Trace, run_policies, serialize_trace
 from .regret import cumulative_regret_curve, simple_regret_curve, write_curves_csv
 from .util import mix64
 
@@ -240,22 +247,27 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ExperimentResult:
     result = ExperimentResult(config=cfg, budget=budget, f_star=problem.f_star)
     outcomes = result.outcomes
 
-    for pol in cfg.policies:
-        for idx in range(cfg.n_seeds):
-            seed = run_seed(cfg.master_seed, idx)
-            pc = cfg.policy_config(candidate_seed(cfg.master_seed, idx))
-            start = time.perf_counter()
-            try:
-                trace = POLICIES[pol](problem, budget, pc, seed)
-                err = trace.error
-            except Exception as exc:  # isolate per-run failures
-                trace = None
-                err = "%s: %s" % (type(exc).__name__, exc)
-            duration = time.perf_counter() - start
-            outcomes.append(RunOutcome(pol, idx, seed, trace, err, duration))
-            if log is not None:
-                status = "failed: %s" % err if err else "%d episodes" % trace.n_episodes
-                log("%-22s seed %3d  %6.2fs  %s" % (pol, idx, duration, status))
+    by_seed = []
+    for idx in range(cfg.n_seeds):
+        seed = run_seed(cfg.master_seed, idx)
+        pc = cfg.policy_config(candidate_seed(cfg.master_seed, idx))
+        start = time.perf_counter()
+        err = None
+        try:
+            traces = run_policies(problem, budget, pc, seed, cfg.policies)
+        except Exception as exc:  # isolate failures to their seed index
+            err = "%s: %s" % (type(exc).__name__, exc)
+            traces = dict.fromkeys(cfg.policies)
+        duration = time.perf_counter() - start
+        runs = [RunOutcome(pol, idx, seed, trace, err if trace is None else trace.error, duration)
+                for pol, trace in traces.items()]
+        by_seed.append(runs)
+        if log is not None:
+            for o in runs:
+                status = "failed: %s" % o.error if o.error else "%d episodes" % o.trace.n_episodes
+                log("%-22s seed %3d  %6.2fs  %s" % (o.policy, idx, duration, status))
+    # (policy, seed index) order
+    outcomes += [runs[k] for k in range(len(cfg.policies)) for runs in by_seed]
 
     os.makedirs(cfg.out_dir, exist_ok=True)
     result.traces_path = os.path.join(cfg.out_dir, "traces.csv")

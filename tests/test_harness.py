@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mfbo import policy
+from mfbo import harness, policy
 from mfbo.cli import _build_parser, _config_from_args, main as cli_main
 from mfbo.harness import (
     CONFIG_KEYS,
@@ -204,8 +204,9 @@ class TestRunExperiment:
         assert len(result.outcomes) == 3 * 2
         order = [(pol, idx) for pol in POLICY_NAMES for idx in range(2)]
         assert [(o.policy, o.index) for o in result.outcomes] == order
+        # a seed index's policies run in one call, and log as it finishes
         assert [line.split()[:3] for line in lines] == [
-            [pol, "seed", str(idx)] for pol, idx in order]
+            [pol, "seed", str(idx)] for idx in range(2) for pol in POLICY_NAMES]
         assert result.budget == 6.0
 
         traces = (tmp_path / "r" / "traces.csv").read_text().splitlines()
@@ -259,6 +260,35 @@ class TestRunExperiment:
         assert outcome.error.startswith("NumericalError: Cholesky failed for 3x3 matrix")
         assert "failed: NumericalError: Cholesky failed" in lines[0]
         assert result.n_failed == 1
+
+
+    def test_an_unexpected_error_fails_only_its_seed_index(self, tmp_path, monkeypatch):
+        real = policy.run_policies
+        broken = run_seed(0, 1)
+
+        def run_policies(problem, budget, cfg, seed, names):
+            traces = real(problem, budget, cfg, seed, names)
+            if seed == broken:
+                raise RuntimeError("seed broke")
+            return traces
+
+        whole = run_experiment(tiny_config(tmp_path / "whole", n_seeds=3))
+        monkeypatch.setattr(harness, "run_policies", run_policies)
+        lines = []
+        result = run_experiment(tiny_config(tmp_path / "r", n_seeds=3), log=lines.append)
+        assert result.n_failed == 3
+        for o, w in zip(result.outcomes, whole.outcomes):
+            assert (o.policy, o.index) == (w.policy, w.index)
+            if o.index == 1:
+                assert o.trace is None and o.error == "RuntimeError: seed broke"
+            else:
+                assert o.error is None
+                assert policy.serialize_trace(o.trace) == policy.serialize_trace(w.trace)
+        assert [line.endswith("failed: RuntimeError: seed broke") for line in lines] == [
+            idx == 1 for idx in range(3) for _ in POLICY_NAMES]
+        seeds = {line.split(",")[1] for line in (tmp_path / "r" / "traces.csv").read_text()
+                 .splitlines()[1:]}
+        assert seeds == {"0", "2"}
 
 
 class TestSummarize:

@@ -705,18 +705,19 @@ def smooth_values(actions) -> np.ndarray:
                      for a in actions])
 
 
+def random_chain(rng, model, n) -> list:
+    return [Action(x=rng.uniform(-1, 1, size=model.dim),
+                   fidelity=int(rng.integers(1, model.m + 1))) for _ in range(n)]
+
+
 class TestPosteriorFold:
     """CandidateGains.posterior folds the mean as values arrive; every call
     pattern must agree with a fresh solve."""
 
-    def chain(self, rng, model, n) -> list:
-        return [Action(x=rng.uniform(-1, 1, size=model.dim),
-                       fidelity=int(rng.integers(1, model.m + 1))) for _ in range(n)]
-
     def test_a_call_after_every_append_each_fifth_or_only_at_the_end(self, three_fid_model, rng):
         model = three_fid_model
         Xc = rng.uniform(-1, 1, size=(30, 2))
-        actions = self.chain(rng, model, 40)
+        actions = random_chain(rng, model, 40)
         y = smooth_values(actions)
         every, fifth, once = (CandidateGains(CovState.empty(model), Xc) for _ in range(3))
         for t, action in enumerate(actions, 1):
@@ -738,7 +739,7 @@ class TestPosteriorFold:
     def test_a_call_after_a_reset_to_a_refit_model(self, three_fid_model, rng):
         model = three_fid_model
         Xc = rng.uniform(-1, 1, size=(30, 2))
-        actions = self.chain(rng, model, 30)
+        actions = random_chain(rng, model, 30)
         y = smooth_values(actions)
         cands = CandidateGains(CovState.empty(model), Xc)
         for action in actions[:20]:
@@ -766,7 +767,7 @@ class TestPosteriorFold:
     def test_a_changed_earlier_value_is_folded_afresh(self, three_fid_model, rng):
         model = three_fid_model
         Xc = rng.uniform(-1, 1, size=(30, 2))
-        actions = self.chain(rng, model, 25)
+        actions = random_chain(rng, model, 25)
         y = smooth_values(actions)
         cands = CandidateGains(CovState.empty(model), Xc)
         for action in actions[:15]:
@@ -782,6 +783,68 @@ class TestPosteriorFold:
         changed[17] -= 1.0
         assert_fold_matches(cands, changed)
         assert_fold_matches(cands, y)
+
+
+def assert_same_bits(a: CandidateGains, b: CandidateGains, y) -> None:
+    """a and b hold the same projections, gains and posterior, bit for bit."""
+    assert a.recomputes == b.recomputes
+    assert a.state.L.tobytes() == b.state.L.tobytes()
+    assert a._low.keys() == b._low.keys()
+    pairs = [(a._wf, b._wf)] + [pq for lev in a._low for pq in zip(a._low[lev], b._low[lev])]
+    for p, q in pairs:
+        assert p.rows.tobytes() == q.rows.tobytes() and p.sq.tobytes() == q.sq.tobytes()
+    ga, gb = a.gains(), b.gains()
+    assert all(ga[lev].tobytes() == gb[lev].tobytes() for lev in gb)
+    for u, v in zip(a.posterior(y), b.posterior(y)):
+        assert u.tobytes() == v.tobytes()
+
+
+class TestFork:
+    """A fork and the instance it came from append apart, and each must
+    compute the bits of an instance that made its appends alone."""
+
+    def test_both_sides_append_apart(self, three_fid_model, rng):
+        model, refit = three_fid_model, three_fid_model.scaled(2.0, 0.5)
+        Xc = rng.uniform(-1, 1, size=(30, 2))
+        prefix, left, right = (random_chain(rng, model, n) for n in (20, 90, 80))
+        y = smooth_values(prefix + left + right)
+        y_left, y_right = y[: 20 + 90], np.concatenate([y[:20], y[110:]])
+
+        def replay(k, actions, reset_at=None):
+            """A fresh instance: the prefix, a fold, then actions; the
+            reset to the refit model comes before actions[reset_at]."""
+            cands = CandidateGains(CovState.empty(model), Xc)
+            for a in prefix:
+                cands.append(a)
+            cands.posterior(y[:20])
+            for i, a in enumerate(actions[:k]):
+                if i == reset_at:
+                    cands.reset(CovState.build(refit, cands.state.X, cands.state.fids))
+                cands.append(a)
+            return cands
+
+        origin = replay(0, [])
+        block = origin._wf.buf
+        twin = origin.fork()
+        # the sides take turns, so each writes while the other shares its
+        # block; the origin writes in place, and the twin resets at its
+        # 10th append and forks once more at its 40th
+        for k in range(90):
+            origin.append(left[k])
+            if k < len(right):
+                if k == 10:
+                    twin.reset(CovState.build(refit, twin.state.X, twin.state.fids))
+                if k == 40:
+                    third = twin.fork()
+                twin.append(right[k])
+            if k == 50:
+                third.append(left[0])
+                assert_same_bits(third, replay(41, right[:40] + left[:1], 10),
+                                 np.concatenate([y_right[:60], y[20:21]]))
+        assert_same_bits(origin, replay(90, left), y_left)
+        assert_same_bits(twin, replay(80, right, 10), y_right)
+        # the origin's W_f grew out of the block it shared at the fork
+        assert origin._wf.buf.shape[0] > block.shape[0]
 
 
 class TestLongRunDrift:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from mfbo.policy import (
     PolicyConfig,
     explore_then_exploit,
     mf_mi_greedy,
+    run_policies,
     serialize_trace,
     sf_only,
     trace_records,
@@ -263,6 +265,11 @@ class TestValidation:
         for policy in POLICIES.values():
             with pytest.raises(ValueError):
                 policy(toy, 0.0, quick_cfg, seed=0)
+
+    @pytest.mark.parametrize("names", [("sf_only", "sf_only"), ("random",)])
+    def test_policy_names_must_be_distinct_and_known(self, toy, quick_cfg, names):
+        with pytest.raises(ValueError, match="distinct policy names"):
+            run_policies(toy, 6.0, quick_cfg, 0, names)
 
     def test_unknown_subroutine(self):
         with pytest.raises(ValueError, match="subroutine"):
@@ -615,3 +622,112 @@ class TestOneBlasThread:
             for name in ("traces.csv", "curves.csv", "summary.csv"):
                 assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), (
                     problem, name)
+
+
+def model_key(model) -> list:
+    """Every parameter of a FidelityModel, as comparable values."""
+    priors = (model.target_prior,) + model.error_priors
+    return [(p.kernel.signal_variance, p.kernel.lengthscales.tobytes(), p.noise_variance, p.mean)
+            for p in priors] + [model.costs.tobytes()]
+
+
+def assert_same_run(a, b) -> None:
+    """Two traces of one policy record the same run, bit for bit."""
+    assert a.policy == b.policy
+    assert serialize_trace(a) == serialize_trace(b)
+    assert trace_records(a) == trace_records(b)
+    assert a.recommendation.tobytes() == b.recommendation.tobytes()
+    assert a.recommendation_value == b.recommendation_value
+    assert (a.spent, a.failed, a.error) == (b.spent, b.failed, b.error)
+    assert a.n_episodes == b.n_episodes
+    for ea, eb in zip(a.episodes, b.episodes):
+        assert (ea.explore_cost, ea.explore_info_gain, ea.explore_beta, ea.explore_stop_reason) == (
+            eb.explore_cost, eb.explore_info_gain, eb.explore_beta, eb.explore_stop_reason)
+        assert model_key(ea.model) == model_key(eb.model)
+
+
+def shared_case(name):
+    """(problem, budget, cfg, seed, the episodes in which mf_mi_greedy
+    explores and buys something) of a test case."""
+    toy = make_toy_problem()
+    if name.startswith("toy-refits"):
+        cfg = PolicyConfig(n_candidates=16, alpha_exponent=0.45, hyperfit_every=3)
+        return toy, 60.0, cfg, 0, [1, 10]
+    if name.startswith("toy"):
+        seed, explored = {"toy-1": (1, [1, 2]), "toy-30": (30, [1, 3]), "toy-35": (35, [1, 4])}[name]
+        cfg = PolicyConfig(n_candidates=16, alpha_exponent=0.45, hyperfit_every=0)
+        return toy, 45.0, cfg, seed, explored
+    problem = make_problem("currin2", seed=0)
+    cfg = PolicyConfig(n_candidates=200, hyperfit_every=4)
+    return problem, 30 * problem.model.target_cost, cfg, 5, [1]
+
+
+def every_ordering():
+    """Every ordered non-empty subset of POLICY_NAMES."""
+    return [names for k in range(1, len(POLICY_NAMES) + 1)
+            for names in itertools.permutations(POLICY_NAMES, k)]
+
+
+class TestSharedRuns:
+    """run_policies computes the episodes its policies agree on once; each
+    policy's trace must still be the one its run alone gives."""
+
+    @pytest.mark.parametrize("case", ["toy-1", "toy-30", "toy-35", "toy-refits", "currin2"])
+    def test_each_trace_equals_its_solo_trace(self, case):
+        problem, budget, cfg, seed, explored = shared_case(case)
+        solo = {n: POLICIES[n](problem, budget, cfg, seed) for n in POLICY_NAMES}
+        mf = solo["mf_mi_greedy"]
+        assert [ep.index for ep in mf.episodes if ep.low_observations] == explored
+        if case == "toy-refits":  # the fork at episode 10 comes after refits
+            assert mf.episodes[9].model is not mf.episodes[0].model
+        for names in every_ordering():
+            shared = run_policies(problem, budget, cfg, seed, names)
+            assert list(shared) == list(names)
+            for name in names:
+                assert_same_run(shared[name], solo[name])
+
+    def test_explore_lf_raising_splits_off_the_idle_policy(self, toy, quick_cfg, monkeypatch):
+        # the fifth append fails inside the first Explore-LF call: mf and
+        # ete fail there as they do alone, and sf, which does not explore,
+        # goes on from the state before the call
+        sf = sf_only(toy, 21.0, quick_cfg, seed=2718)
+        failed = {}
+        for name in ("mf_mi_greedy", "explore_then_exploit"):
+            with monkeypatch.context() as mp:
+                mp.setattr(CovState, "append", failing_append(5))
+                failed[name] = POLICIES[name](toy, 21.0, quick_cfg, seed=2718)
+        with monkeypatch.context() as mp:
+            mp.setattr(CovState, "append", failing_append(5))
+            shared = run_policies(toy, 21.0, quick_cfg, 2718, POLICY_NAMES)
+        assert failed["mf_mi_greedy"].failed and failed["mf_mi_greedy"].n_episodes == 0
+        assert not sf.failed and sf.n_episodes == 7
+        assert_same_run(shared["sf_only"], sf)
+        for name, trace in failed.items():
+            assert_same_run(shared[name], trace)
+
+    @pytest.mark.parametrize("problem, names, budget_mult, cfg, solo_sum", [
+        # ete's runs equal mf's on currin2, so the call pays for mf and sf
+        ("currin2", POLICY_NAMES, 100.0, dict(n_candidates=200),
+         ("mf_mi_greedy", "sf_only")),
+        # Explore-LF buys nothing on borehole8, so sf's run is mf's
+        ("borehole8", ("mf_mi_greedy", "sf_only"), 30.0,
+         dict(n_candidates=1000, subroutine="gp_mi"), ("mf_mi_greedy",)),
+    ], ids=["currin2", "borehole8"])
+    def test_work_counts(self, monkeypatch, problem, names, budget_mult, cfg, solo_sum):
+        calls = []
+        real = CandidateGains.append
+
+        def append(self, action):
+            calls.append(action)
+            real(self, action)
+
+        monkeypatch.setattr(CandidateGains, "append", append)
+        prob = make_problem(problem, seed=0)
+        budget, pc = budget_mult * prob.model.target_cost, PolicyConfig(**cfg)
+        solo = 0
+        for name in solo_sum:
+            POLICIES[name](prob, budget, pc, seed=3)
+            solo, calls[:] = solo + len(calls), []
+        traces = run_policies(prob, budget, pc, 3, names)
+        assert not any(tr.failed for tr in traces.values())
+        assert len(calls) == solo
