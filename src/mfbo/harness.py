@@ -27,13 +27,15 @@ across policies: at a given index every policy sees the same candidate pool
 and the same observation-noise stream (common random numbers), so
 policy-to-policy differences come from decisions rather than noise luck.
 Each seed index runs all its policies in one policy.run_policies call,
-which computes the episodes they agree on once. Seed indices run one after
-another; the log gets an index's lines, one per policy, when its call
-returns, and a run's duration is the time of that call, the same for each
-of its policies. Outcomes and CSV rows stay in (policy, seed index) order.
-A NumericalError or a non-finite value ends the runs it occurs in as failed
-traces that keep their finished episodes. Any other exception fails every
-policy of its seed index, with no trace, and leaves the other seed indices
+which copies a trace instead of running its policy again where the run
+would repeat one the call has made. Seed indices run one after another;
+the log gets an index's lines, one per policy, when its call returns, and
+a run's duration is the time of that call, the same for each of its
+policies. Outcomes and CSV rows stay in (policy, seed index) order. A
+NumericalError or a non-finite value ends the run it occurs in as a
+failed trace that keeps its finished episodes, and such a run is never
+copied. Any other exception fails every policy of its seed index, with
+no trace, and leaves the other seed indices
 alone. Each run holds numpy's OpenBLAS, which does all of
 mfbo's BLAS and LAPACK work, at one thread (gp.one_blas_thread; any other
 OpenBLAS the process has loaded too), since threading its small calls doubles

@@ -23,7 +23,6 @@ Fidelities are 1-based; m = number of fidelities = target index.
 
 from __future__ import annotations
 
-import copy
 import warnings
 from collections import namedtuple
 from dataclasses import dataclass
@@ -364,38 +363,27 @@ class _Rows:
     """Rows of one projection W = L^-1 C(X, Xc), in one C-ordered block,
     and their column sums of squares. The block starts as a copy of the
     rows solved at once; when an append finds it full, the rows move to a
-    block a quarter (at least 64 rows) larger. A fork shares the block and
-    does not own it: its first append copies its rows into a block of its
-    own, while the owner keeps writing rows past the fork's in place."""
+    block a quarter (at least 64 rows) larger."""
 
-    __slots__ = ("buf", "n", "sq", "owns")
+    __slots__ = ("buf", "n", "sq")
 
     def __init__(self, L, C):
         # C is Fortran-ordered and owned here, so the solve runs in place
         W = solve_triangular(L, C, overwrite_b=True)
         self.sq = np.einsum("ij,ij->j", W, W)
         self.buf, self.n = np.ascontiguousarray(W), W.shape[0]
-        self.owns = True
 
     @property
     def rows(self) -> np.ndarray:
         return self.buf[: self.n]
 
-    def fork(self) -> "_Rows":
-        twin = _Rows.__new__(_Rows)
-        twin.buf, twin.n, twin.sq, twin.owns = self.buf, self.n, self.sq.copy(), False
-        return twin
-
     def append(self, c, w, d) -> None:
         """Add the row for a new last row [w, d] of L and row c of C."""
         r = (c - w @ self.rows) / d
-        size = self.buf.shape[0]
-        if self.n == size or not self.owns:
-            if self.n == size:
-                size += max(self.n // 4, 64)
-            buf = np.empty((size, self.buf.shape[1]))
+        if self.n == self.buf.shape[0]:
+            buf = np.empty((self.n + max(self.n // 4, 64), self.buf.shape[1]))
             buf[: self.n] = self.rows
-            self.buf, self.owns = buf, True
+            self.buf = buf
         self.buf[self.n] = r
         self.n += 1
         self.sq += r * r
@@ -476,19 +464,6 @@ class CandidateGains:
         self._wf = _Rows(state.L, kf)
         # the values folded into the mean, L^-1 (y - mu) and W_f^T of it
         self._y, self._a, self._wa = np.zeros(0), np.zeros(0), np.zeros(self.Xc.shape[0])
-
-    def fork(self) -> "CandidateGains":
-        """A copy at the same state that appends and folds values apart
-        from this one. It has its own column sums of squares and folded
-        mean, and shares the projections' rows until its first append
-        (_Rows.fork), so a fork costs O(nc) and both sides compute the
-        bits they would have computed alone."""
-        twin = copy.copy(self)
-        twin.recomputes = dict(self.recomputes)
-        twin._wf = self._wf.fork()
-        twin._low = {lev: (wl.fork(), we.fork()) for lev, (wl, we) in self._low.items()}
-        twin._y, twin._a, twin._wa = self._y.copy(), self._a.copy(), self._wa.copy()
-        return twin
 
     def append(self, action: Action) -> None:
         """Condition on one more observation at action."""

@@ -25,17 +25,16 @@ model refit resets it to a fresh factorization at the same points.
 
 run_policies runs several policies at one seed in one call, and each of
 the three policy functions is that call with one name. The runs share the
-candidates and the noise stream, so two of them stay identical until the
-first episode in which one explores and Explore-LF buys something while
-the other does not explore. The call computes such a shared prefix once
-and forks the run state there.
+candidates and the noise stream, so a run that explores for longer than
+another but buys nothing in the episodes only it explores is, up to those
+episodes' recorded beta and stop reason, the other's run too. The call
+copies such a run's trace instead of computing it again.
 """
 
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -186,48 +185,19 @@ POLICIES = {
 EXPLORE_EPISODES = {"mf_mi_greedy": math.inf, "explore_then_exploit": 1, "sf_only": 0}
 
 
-@dataclass
-class _Branch:
-    """The policies whose runs have been identical so far, and that run's
-    state. before is the state the current episode started from while an
-    episode is in progress, else None."""
-
-    names: list[str]
-    cands: CandidateGains
-    y: list[float]                # observed values, in query order
-    noise_rng: np.random.Generator
-    episodes: dict[str, list[Episode]]
-    gamma_mi: float = 0.0
-    spent: float = 0.0
-    t: int = 0
-    before: Optional[CovState] = None
-
-    def split(self, names, cands) -> "_Branch":
-        """names leave this branch for a new one at cands, in the current
-        episode, which the new branch resumes after its refit."""
-        self.names = [n for n in self.names if n not in names]
-        return _Branch(
-            list(names), cands, list(self.y), copy.deepcopy(self.noise_rng),
-            {n: self.episodes.pop(n) for n in names},
-            self.gamma_mi, self.spent, self.t, self.before,
-        )
-
-
 @one_blas_thread()
 def run_policies(problem, budget, cfg=None, seed=0, names=POLICY_NAMES) -> dict[str, Trace]:
     """One run of each named policy, as {name: trace} in the order given.
 
-    The runs are branches of one computation. A branch holds the names
-    whose runs have been identical so far and one run state. In an episode
-    where some of its names explore and others do not, the candidate
-    projections are forked after the refit (CandidateGains.fork). If
-    Explore-LF then selects nothing, the fork is dropped: the exploring
-    names record its result, the others NO_EXPLORATION, and one target
-    query serves them all. If it selects something or raises, the others
-    split off into a new branch at the fork, which resumes the episode
-    after its refit without exploring. A branch that splits off runs to its
-    end before its parent goes on (depth-first, one branch at a time).
-    Each trace is bit for bit the one a run of its policy alone gives.
+    The runs share the candidate set, built once, and the noise stream
+    seeded by seed. The names run in order of decreasing
+    EXPLORE_EPISODES. A policy that explores in its first k episodes takes
+    the trace of a run already made that did not fail and bought nothing
+    after episode k: an Explore-LF call that selects nothing appends
+    nothing and draws no noise, so that run is the policy's own, but for
+    the beta and stop reason of the episodes past k, which become None.
+    Any other policy runs alone. Each trace is bit for bit the one a run of
+    its policy alone gives.
     """
     if cfg is None:
         cfg = PolicyConfig()
@@ -236,120 +206,105 @@ def run_policies(problem, budget, cfg=None, seed=0, names=POLICY_NAMES) -> dict[
         raise ValueError("budget must be positive")
     if not set(names) <= EXPLORE_EPISODES.keys() or len(set(names)) != len(names):
         raise ValueError("need distinct policy names among: %s" % ", ".join(POLICY_NAMES))
-    call = _Call(problem, budget, cfg, seed)
-    call.run(_Branch(
-        list(names), CandidateGains(CovState.empty(problem.model), call.candidates.points), [],
-        np.random.default_rng(mix64(seed, "noise")), {n: [] for n in names},
-    ))
-    return {name: call.traces[name] for name in names}
+    cand_seed = cfg.candidate_seed
+    if cand_seed is None:
+        cand_seed = mix64(seed, "candidates")
+    candidates = make_candidates(problem.bounds, cfg.n_candidates, cand_seed)
+    traces = {}
+    for name in sorted(names, key=EXPLORE_EPISODES.get, reverse=True):
+        k = EXPLORE_EPISODES[name]
+        own = next((tr for tr in traces.values() if not tr.failed and not any(
+            ep.low_observations for ep in tr.episodes if ep.index > k)), None)
+        if own is None:
+            traces[name] = _run(problem, budget, cfg, seed, candidates, name, k)
+        else:
+            traces[name] = replace(
+                own, policy=name, recommendation=own.recommendation.copy(),
+                episodes=tuple(ep if ep.index <= k else replace(
+                    ep, explore_beta=None, explore_stop_reason=None) for ep in own.episodes))
+    return {name: traces[name] for name in names}
 
 
-class _Call:
-    """What the branches of one run_policies call share: its arguments,
-    the candidates, the refit grid once built, and the traces made."""
+def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) -> Trace:
+    """One run of a policy that explores in its first explore_episodes
+    episodes, over candidates."""
+    m = problem.model.m
+    lam_m = problem.model.target_cost
+    noise_rng = np.random.default_rng(mix64(seed, "noise"))
+    alpha_mi = cfg.alpha_mi if cfg.alpha_mi is not None else float(np.log(2.0 / cfg.delta))
+    grid = None
 
-    def __init__(self, problem, budget, cfg, seed):
-        self.problem, self.budget, self.cfg, self.seed = problem, budget, cfg, seed
-        cand_seed = cfg.candidate_seed
-        if cand_seed is None:
-            cand_seed = mix64(seed, "candidates")
-        self.candidates = make_candidates(problem.bounds, cfg.n_candidates, cand_seed)
-        self.alpha_mi = cfg.alpha_mi if cfg.alpha_mi is not None else float(np.log(2.0 / cfg.delta))
-        self.grid = None
-        self.traces = {}
+    cands = CandidateGains(CovState.empty(problem.model), candidates.points)
+    y: list[float] = []           # observed values, in query order
+    episodes: list[Episode] = []
+    spent = 0.0
+    gamma_mi = 0.0
+    t = 0
+    error = None
 
-    def run(self, b: _Branch) -> None:
-        """Run b's episodes, then record a trace for each of its names.
-        A branch that splits off runs at once, before b goes on."""
-        problem, budget, cfg, candidates = self.problem, self.budget, self.cfg, self.candidates
-        m = problem.model.m
-        lam_m = problem.model.target_cost
-        error = None
-        while budget - b.spent >= lam_m:
-            try:
-                if b.before is None:  # a new episode; a split-off branch resumes one
-                    b.t += 1
-                    b.before = b.cands.state
-                    if (
-                        cfg.hyperfit_every
-                        and b.t > 1
-                        and (b.t - 1) % cfg.hyperfit_every == 0
-                        and len(b.y) >= 2
-                    ):
-                        if self.grid is None:
-                            self.grid = default_hyper_grid(problem.model)
-                        refit = fit_hyperparameters(b.cands.state, b.y, self.grid)
-                        if refit is not b.cands.state.model:
-                            b.cands.reset(CovState.build(refit, b.cands.state.X, b.cands.state.fids))
+    while budget - spent >= lam_m:
+        t += 1
+        before = cands.state
+        try:
+            if (
+                cfg.hyperfit_every
+                and t > 1
+                and (t - 1) % cfg.hyperfit_every == 0
+                and len(y) >= 2
+            ):
+                if grid is None:
+                    grid = default_hyper_grid(problem.model)
+                refit = fit_hyperparameters(cands.state, y, grid)
+                if refit is not cands.state.model:
+                    cands.reset(CovState.build(refit, cands.state.X, cands.state.fids))
 
-                result = NO_EXPLORATION
-                idle = [n for n in b.names if b.t > EXPLORE_EPISODES[n]]
-                if len(idle) < len(b.names):
-                    # the idle names run on alone unless Explore-LF buys
-                    # nothing; it draws no noise, so they keep the generator
-                    spare = b.cands.fork() if idle else None
-                    try:
-                        result = explore_lf(budget - b.spent, cfg.alpha_exponent, b.cands)
-                    except (NumericalError, ValueError):
-                        if spare is not None:
-                            self.run(b.split(idle, spare))
-                        raise
-                    if spare is not None and result.selected:
-                        self.run(b.split(idle, spare))
-                    del spare
-                low_obs = [Observation(a, problem.evaluate(a, b.noise_rng)) for a in result.selected]
-                b.y += [o.y for o in low_obs]
+            result = NO_EXPLORATION
+            if t <= explore_episodes:
+                result = explore_lf(budget - spent, cfg.alpha_exponent, cands)
+            low_obs = [Observation(a, problem.evaluate(a, noise_rng)) for a in result.selected]
+            y += [o.y for o in low_obs]
 
-                mean, var = b.cands.posterior(b.y)
-                if cfg.subroutine == "gp_ucb":
-                    idx = gp_ucb_select(mean, var, cfg.delta, b.t)
-                else:
-                    idx, b.gamma_mi = gp_mi_select(mean, var, b.gamma_mi, self.alpha_mi)
-                target_action = Action(x=candidates.points[idx], fidelity=m)
-                target_obs = Observation(target_action, problem.evaluate(target_action, b.noise_rng))
-                b.cands.append(target_action)
-                b.y.append(target_obs.y)
+            mean, var = cands.posterior(y)
+            if cfg.subroutine == "gp_ucb":
+                idx = gp_ucb_select(mean, var, cfg.delta, t)
+            else:
+                idx, gamma_mi = gp_mi_select(mean, var, gamma_mi, alpha_mi)
+            target_action = Action(x=candidates.points[idx], fidelity=m)
+            target_obs = Observation(target_action, problem.evaluate(target_action, noise_rng))
+            cands.append(target_action)
+            y.append(target_obs.y)
 
-                # the names that explored share one Episode, the idle ones another
-                target_true = problem.value(target_action.x, m)
-                made = {}
-                for name in b.names:
-                    r = NO_EXPLORATION if name in idle else result
-                    if r not in made:
-                        made[r] = Episode(
-                            index=b.t,
-                            low_observations=tuple(low_obs),
-                            target_observation=target_obs,
-                            target_true=target_true,
-                            cost=r.cost + lam_m,
-                            explore_cost=r.cost,
-                            explore_info_gain=r.cumulative_info_gain,
-                            explore_beta=r.beta,
-                            explore_stop_reason=r.stop_reason,
-                            model=b.cands.state.model,
-                        )
-                    b.episodes[name].append(made[r])
-                b.spent += result.cost + lam_m
-                b.before = None
-            except (NumericalError, ValueError) as exc:  # ValueError: a non-finite value
-                error = "%s: %s" % (type(exc).__name__, exc)
-                if b.cands.state.n != len(b.y):  # Explore-LF's picks were not all observed
-                    b.cands = CandidateGains(b.before, candidates.points)
-                break
+            episodes.append(Episode(
+                index=t,
+                low_observations=tuple(low_obs),
+                target_observation=target_obs,
+                target_true=problem.value(target_action.x, m),
+                cost=result.cost + lam_m,
+                explore_cost=result.cost,
+                explore_info_gain=result.cumulative_info_gain,
+                explore_beta=result.beta,
+                explore_stop_reason=result.stop_reason,
+                model=cands.state.model,
+            ))
+            spent += result.cost + lam_m
+        except (NumericalError, ValueError) as exc:  # ValueError: a non-finite value
+            error = "%s: %s" % (type(exc).__name__, exc)
+            if cands.state.n != len(y):  # Explore-LF's picks were not all observed
+                cands = CandidateGains(before, candidates.points)
+            break
 
-        mean, _ = b.cands.posterior(b.y)
-        ridx = int(np.argmax(mean))
-        for name in b.names:
-            self.traces[name] = Trace(
-                problem_name=getattr(problem, "name", "unknown"),
-                policy=name,
-                seed=self.seed,
-                budget=budget,
-                spent=b.spent,
-                target_cost=lam_m,
-                episodes=tuple(b.episodes[name]),
-                recommendation=candidates.points[ridx].copy(),
-                recommendation_value=float(mean[ridx]),
-                failed=error is not None,
-                error=error,
-            )
+    mean, _ = cands.posterior(y)
+    ridx = int(np.argmax(mean))
+    return Trace(
+        problem_name=getattr(problem, "name", "unknown"),
+        policy=policy_name,
+        seed=seed,
+        budget=budget,
+        spent=spent,
+        target_cost=lam_m,
+        episodes=tuple(episodes),
+        recommendation=candidates.points[ridx].copy(),
+        recommendation_value=float(mean[ridx]),
+        failed=error is not None,
+        error=error,
+    )

@@ -785,68 +785,6 @@ class TestPosteriorFold:
         assert_fold_matches(cands, y)
 
 
-def assert_same_bits(a: CandidateGains, b: CandidateGains, y) -> None:
-    """a and b hold the same projections, gains and posterior, bit for bit."""
-    assert a.recomputes == b.recomputes
-    assert a.state.L.tobytes() == b.state.L.tobytes()
-    assert a._low.keys() == b._low.keys()
-    pairs = [(a._wf, b._wf)] + [pq for lev in a._low for pq in zip(a._low[lev], b._low[lev])]
-    for p, q in pairs:
-        assert p.rows.tobytes() == q.rows.tobytes() and p.sq.tobytes() == q.sq.tobytes()
-    ga, gb = a.gains(), b.gains()
-    assert all(ga[lev].tobytes() == gb[lev].tobytes() for lev in gb)
-    for u, v in zip(a.posterior(y), b.posterior(y)):
-        assert u.tobytes() == v.tobytes()
-
-
-class TestFork:
-    """A fork and the instance it came from append apart, and each must
-    compute the bits of an instance that made its appends alone."""
-
-    def test_both_sides_append_apart(self, three_fid_model, rng):
-        model, refit = three_fid_model, three_fid_model.scaled(2.0, 0.5)
-        Xc = rng.uniform(-1, 1, size=(30, 2))
-        prefix, left, right = (random_chain(rng, model, n) for n in (20, 90, 80))
-        y = smooth_values(prefix + left + right)
-        y_left, y_right = y[: 20 + 90], np.concatenate([y[:20], y[110:]])
-
-        def replay(k, actions, reset_at=None):
-            """A fresh instance: the prefix, a fold, then actions; the
-            reset to the refit model comes before actions[reset_at]."""
-            cands = CandidateGains(CovState.empty(model), Xc)
-            for a in prefix:
-                cands.append(a)
-            cands.posterior(y[:20])
-            for i, a in enumerate(actions[:k]):
-                if i == reset_at:
-                    cands.reset(CovState.build(refit, cands.state.X, cands.state.fids))
-                cands.append(a)
-            return cands
-
-        origin = replay(0, [])
-        block = origin._wf.buf
-        twin = origin.fork()
-        # the sides take turns, so each writes while the other shares its
-        # block; the origin writes in place, and the twin resets at its
-        # 10th append and forks once more at its 40th
-        for k in range(90):
-            origin.append(left[k])
-            if k < len(right):
-                if k == 10:
-                    twin.reset(CovState.build(refit, twin.state.X, twin.state.fids))
-                if k == 40:
-                    third = twin.fork()
-                twin.append(right[k])
-            if k == 50:
-                third.append(left[0])
-                assert_same_bits(third, replay(41, right[:40] + left[:1], 10),
-                                 np.concatenate([y_right[:60], y[20:21]]))
-        assert_same_bits(origin, replay(90, left), y_left)
-        assert_same_bits(twin, replay(80, right, 10), y_right)
-        # the origin's W_f grew out of the block it shared at the fork
-        assert origin._wf.buf.shape[0] > block.shape[0]
-
-
 class TestLongRunDrift:
     """Factors are extended row by row for a whole run and never rebuilt
     on a step count; this bounds the rounding that accumulates meanwhile."""

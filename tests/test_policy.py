@@ -669,8 +669,9 @@ def every_ordering():
 
 
 class TestSharedRuns:
-    """run_policies computes the episodes its policies agree on once; each
-    policy's trace must still be the one its run alone gives."""
+    """run_policies copies a trace instead of running its policy where the
+    run would repeat one already made; each policy's trace must still be
+    the one its run alone gives."""
 
     @pytest.mark.parametrize("case", ["toy-1", "toy-30", "toy-35", "toy-refits", "currin2"])
     def test_each_trace_equals_its_solo_trace(self, case):
@@ -686,24 +687,53 @@ class TestSharedRuns:
             for name in names:
                 assert_same_run(shared[name], solo[name])
 
-    def test_explore_lf_raising_splits_off_the_idle_policy(self, toy, quick_cfg, monkeypatch):
-        # the fifth append fails inside the first Explore-LF call: mf and
-        # ete fail there as they do alone, and sf, which does not explore,
-        # goes on from the state before the call
+    def test_a_failed_run_is_not_copied(self, toy, quick_cfg, monkeypatch):
+        # a low-fidelity point appended to a 4-point state fails, so mf and
+        # ete fail at the fifth pick of their first Explore-LF call, and
+        # sf, which never explores, runs to its end
         sf = sf_only(toy, 21.0, quick_cfg, seed=2718)
-        failed = {}
+        real = CovState.append
+
+        def append(self, action):
+            if self.n == 4 and action.fidelity < self.model.m:
+                chol_factor(-np.eye(3))
+            return real(self, action)
+
+        monkeypatch.setattr(CovState, "append", append)
+        solo = {n: POLICIES[n](toy, 21.0, quick_cfg, seed=2718) for n in POLICY_NAMES}
+        shared = run_policies(toy, 21.0, quick_cfg, 2718, POLICY_NAMES)
+        monkeypatch.undo()
         for name in ("mf_mi_greedy", "explore_then_exploit"):
-            with monkeypatch.context() as mp:
-                mp.setattr(CovState, "append", failing_append(5))
-                failed[name] = POLICIES[name](toy, 21.0, quick_cfg, seed=2718)
-        with monkeypatch.context() as mp:
-            mp.setattr(CovState, "append", failing_append(5))
-            shared = run_policies(toy, 21.0, quick_cfg, 2718, POLICY_NAMES)
-        assert failed["mf_mi_greedy"].failed and failed["mf_mi_greedy"].n_episodes == 0
+            assert solo[name].failed and solo[name].n_episodes == 0
         assert not sf.failed and sf.n_episodes == 7
-        assert_same_run(shared["sf_only"], sf)
-        for name, trace in failed.items():
-            assert_same_run(shared[name], trace)
+        assert_same_run(solo["sf_only"], sf)
+        for name in POLICY_NAMES:
+            assert_same_run(shared[name], solo[name])
+
+    @pytest.mark.parametrize("one_fidelity", [False, True], ids=["toy-0", "one-fidelity"])
+    def test_a_copy_records_no_exploration_past_its_episodes(self, monkeypatch, one_fidelity):
+        # mf buys only in episode 1 of toy-0, and never with one fidelity,
+        # so the policies that explore less copy its trace, and each
+        # episode they do not explore must read beta and stop reason None
+        toy = make_toy_problem()
+        problem = single_fidelity_problem(toy) if one_fidelity else toy
+        cfg = PolicyConfig(n_candidates=16, alpha_exponent=0.45, hyperfit_every=0)
+        solo = {n: POLICIES[n](problem, 45.0, cfg, 0) for n in POLICY_NAMES}
+        mf = solo["mf_mi_greedy"]
+        assert [ep.index for ep in mf.episodes if ep.low_observations] == ([] if one_fidelity else [1])
+        assert mf.n_episodes > 1 and None not in [ep.explore_stop_reason for ep in mf.episodes]
+        runs = []
+        real = policy._run
+
+        def run(*args):
+            runs.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(policy, "_run", run)
+        shared = run_policies(problem, 45.0, cfg, 0, POLICY_NAMES)
+        assert runs == (["mf_mi_greedy"] if one_fidelity else ["mf_mi_greedy", "sf_only"])
+        for name in POLICY_NAMES:
+            assert_same_run(shared[name], solo[name])
 
     @pytest.mark.parametrize("problem, names, budget_mult, cfg, solo_sum", [
         # ete's runs equal mf's on currin2, so the call pays for mf and sf
