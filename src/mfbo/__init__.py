@@ -15,14 +15,14 @@ from .gp import GpPrior, SquaredExpKernel
 from .model import FidelityModel
 from .benchmarks import PROBLEM_NAMES, make_problem
 from .policy import (
-    POLICIES, PolicyConfig, explore_then_exploit, mf_mi_greedy, run_policies, sf_only,
+    PolicyConfig, explore_then_exploit, mf_mi_greedy, run_policies, sf_only,
 )
 from .harness import ExperimentConfig, run_experiment
 
 __all__ = [
     "GpPrior", "SquaredExpKernel", "FidelityModel",
     "PROBLEM_NAMES", "make_problem",
-    "POLICIES", "PolicyConfig", "mf_mi_greedy", "explore_then_exploit", "sf_only",
+    "PolicyConfig", "mf_mi_greedy", "explore_then_exploit", "sf_only",
     "run_policies",
     "ExperimentConfig", "run_experiment",
 ]

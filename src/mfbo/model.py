@@ -360,31 +360,31 @@ def info_gain_set(state: CovState, actions: Sequence[Action]) -> float:
 
 
 class _Rows:
-    """Rows of one projection W = L^-1 C(X, Xc), in one C-ordered block,
-    and their column sums of squares. The block starts as a copy of the
-    rows solved at once; when an append finds it full, the rows move to a
-    block a quarter (at least 64 rows) larger."""
+    """Rows of one projection W = L^-1 C(X, Xc), in one C-ordered block of
+    capacity rows, and their column sums of squares. The block is made
+    once, with the rows solved at once; each append writes the next row
+    in place, and no block grows."""
 
     __slots__ = ("buf", "n", "sq")
 
-    def __init__(self, L, C):
+    def __init__(self, L, C, capacity):
         # C is Fortran-ordered and owned here, so the solve runs in place
         W = solve_triangular(L, C, overwrite_b=True)
         self.sq = np.einsum("ij,ij->j", W, W)
-        self.buf, self.n = np.ascontiguousarray(W), W.shape[0]
+        self.n = W.shape[0]
+        self.buf = np.empty((capacity, W.shape[1]))
+        self.buf[: self.n] = W
 
     @property
     def rows(self) -> np.ndarray:
         return self.buf[: self.n]
 
     def append(self, c, w, d) -> None:
-        """Add the row for a new last row [w, d] of L and row c of C."""
-        r = (c - w @ self.rows) / d
-        if self.n == self.buf.shape[0]:
-            buf = np.empty((self.n + max(self.n // 4, 64), self.buf.shape[1]))
-            buf[: self.n] = self.rows
-            self.buf = buf
-        self.buf[self.n] = r
+        """Write the row for a new last row [w, d] of L and row c of C."""
+        r = self.buf[self.n]
+        np.matmul(w, self.rows, out=r)
+        np.subtract(c, r, out=r)
+        r /= d
         self.n += 1
         self.sq += r * r
 
@@ -426,11 +426,21 @@ class CandidateGains:
     the factor's new last row [w, d], one O(n nc) product. A `rebuilt`
     state or reset() computes all afresh; recomputes counts these by cause.
     The posterior mean, prior + W_f^T L^-1 (y - mu), is folded as values arrive.
+
+    budget is the most the caller will spend on the actions it appends
+    (None: no appends), and each append pays its cost out of it. Each
+    compute sizes the blocks once, with room for capacity = state.n +
+    budget // c + 1 points, the 1 for rounding in the caller's sums, where
+    c is the cheapest cost of an action that extends them: at the target or
+    at a low fidelity with points, as one at a fidelity without points
+    computes them afresh. No block grows; an append past capacity raises
+    RuntimeError before the state advances.
     """
 
-    def __init__(self, state: CovState, Xc):
+    def __init__(self, state: CovState, Xc, budget=None):
         # dimension-major, as CandidateSet.points already is
         self.Xc = np.asfortranarray(np.reshape(Xc, (-1, state.model.dim)), dtype=np.float64)
+        self.budget = budget
         self.recomputes = dict.fromkeys((FIRST_POINT, JOINT_FAILED, ERROR_FAILED, NEW_MODEL), 0)
         self.reset(state, None)
 
@@ -448,6 +458,11 @@ class CandidateGains:
     def _recompute(self) -> None:
         state = self.state
         model = state.model
+        spare = 0  # points the state has room for
+        if self.budget is not None:
+            cheapest = min(model.costs[lev - 1] for lev in (*state.err, model.m))
+            spare = max(int(self.budget // cheapest) + 1, 0)  # 0 once overspent
+        self.capacity = state.n + spare
         # k_f(X, Xc), built row by row against the candidates, then copied
         # into Fortran order, as are the error blocks: every solve runs in place
         kf = np.asfortranarray(model.target_prior.kernel.cross(state.X, self.Xc))
@@ -457,17 +472,21 @@ class CandidateGains:
             ke = np.asfortranarray(model.error_kernel(lev).cross(state.X[ef.idx], self.Xc))
             cross = kf.copy(order="F")
             cross[ef.idx, :] += ke
-            wl = _Rows(state.L, cross)
+            wl = _Rows(state.L, cross, self.capacity)
             del cross  # before the next solve, so one solved copy is alive at a time
-            self._low[lev] = wl, _Rows(ef.L, ke)
+            self._low[lev] = wl, _Rows(ef.L, ke, len(ef.idx) + spare)
             del ke
-        self._wf = _Rows(state.L, kf)
+        self._wf = _Rows(state.L, kf, self.capacity)
         # the values folded into the mean, L^-1 (y - mu) and W_f^T of it
         self._y, self._a, self._wa = np.zeros(0), np.zeros(0), np.zeros(self.Xc.shape[0])
 
     def append(self, action: Action) -> None:
         """Condition on one more observation at action."""
+        if self.state.n == self.capacity:
+            raise RuntimeError("append past the %d points sized from the budget" % self.capacity)
         self.state = new = self.state.append(action)
+        if self.budget is not None:
+            self.budget -= float(new.model.costs[action.fidelity - 1])
         if new.rebuilt is not None:
             return self.reset(new, new.rebuilt)
         lev = action.fidelity

@@ -175,12 +175,6 @@ def sf_only(problem, budget: float, cfg: PolicyConfig | None = None, seed: int =
     return run_policies(problem, budget, cfg, seed, ("sf_only",))["sf_only"]
 
 
-POLICIES = {
-    "mf_mi_greedy": mf_mi_greedy,
-    "explore_then_exploit": explore_then_exploit,
-    "sf_only": sf_only,
-}
-
 # the number of leading episodes in which each policy runs Explore-LF
 EXPLORE_EPISODES = {"mf_mi_greedy": math.inf, "explore_then_exploit": 1, "sf_only": 0}
 
@@ -234,7 +228,7 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
     alpha_mi = cfg.alpha_mi if cfg.alpha_mi is not None else float(np.log(2.0 / cfg.delta))
     grid = None
 
-    cands = CandidateGains(CovState.empty(problem.model), candidates.points)
+    cands = CandidateGains(CovState.empty(problem.model), candidates.points, budget)
     y: list[float] = []           # observed values, in query order
     episodes: list[Episode] = []
     spent = 0.0

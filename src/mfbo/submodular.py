@@ -57,7 +57,8 @@ def gamma_max_bound(
         return 0.0
     low = list(range(1, model.m))
     c_max = float(max(model.costs[lev - 1] for lev in low))
-    cands = CandidateGains(CovState.empty(model), candidates.points)
+    # the last pick may overshoot the budget by up to c_max
+    cands = CandidateGains(CovState.empty(model), candidates.points, budget + c_max)
     i_single = max(float(g.max()) for lev, g in cands.gains().items() if lev < model.m)
 
     taken = {lev: np.zeros(candidates.n, dtype=bool) for lev in low}

@@ -349,7 +349,7 @@ def criterion_explore_certificate():
             state = state.append(a)
         budget = float(rng.uniform(1.0, 30.0))
         cand = make_candidates(prob.bounds, 64, seed=1000 + i)
-        cands = CandidateGains(state, cand.points)
+        cands = CandidateGains(state, cand.points, budget)
         res = explore_lf(budget, PolicyConfig.alpha_exponent, cands)
         if not res.selected:
             continue

@@ -128,3 +128,12 @@ def test_round_minima_are_the_median_of_each_runs_fastest_round():
     assert s["wall_s"]["change_over_parent"] == pytest.approx(0.95 / 0.9)
     assert (s["wall_s"]["wins"], s["wall_s"]["losses"], s["wall_s"]["ties"]) == (1, 1, 1)
     assert s["cpu_s"]["parent"] == 1.8 and s["cpu_s"]["change"] == 1.9
+
+
+def test_round_counts_are_each_sides_median_rounds_per_run():
+    pairs = [
+        {"parent": {"rounds": rounds_of(1.0, 1.0)}, "change": {"rounds": rounds_of(0.5, 0.5, 0.5)}},
+        {"parent": {"rounds": rounds_of(1.0)}, "change": {"rounds": rounds_of(0.5, 0.5)}},
+        {"parent": {"rounds": rounds_of(1.0, 1.0, 1.0)}, "change": {"rounds": rounds_of(0.5) * 4}},
+    ]
+    assert bench_pairs.round_counts(pairs) == {"parent": 2, "change": 3}

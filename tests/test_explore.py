@@ -20,7 +20,7 @@ POINTS3 = np.array([[-0.6], [0.0], [0.7]])
 
 def explore(budget, state, points=POINTS3):
     """explore_lf over points, ranked by a fresh CandidateGains at state."""
-    return explore_lf(budget, EXPONENT, CandidateGains(state, points))
+    return explore_lf(budget, EXPONENT, CandidateGains(state, points, budget))
 
 
 def random_state(rng, model, n):
@@ -154,7 +154,7 @@ class TestCertificate:
 
 class TestCallerGains:
     def test_picks_are_appended_to_the_callers_object(self, two_fid_model):
-        cands = CandidateGains(CovState.empty(two_fid_model), POINTS3)
+        cands = CandidateGains(CovState.empty(two_fid_model), POINTS3, 40.0)
         res = explore_lf(40.0, EXPONENT, cands)
         assert len(res.selected) >= 2
         assert np.array_equal(cands.state.X, [a.x for a in res.selected])
@@ -164,7 +164,7 @@ class TestCallerGains:
         # explore_lf reads only cands and appends its picks there; values
         # recorded for another state do not match its points and are refused
         state = CovState.empty(two_fid_model).append(Action(x=np.array([0.2]), fidelity=1))
-        cands = CandidateGains(state, POINTS3)
+        cands = CandidateGains(state, POINTS3, 40.0)
         res = explore_lf(40.0, EXPONENT, cands)
         assert len(res.selected) >= 1
         assert cands.state.n == 1 + len(res.selected)

@@ -18,6 +18,7 @@ from mfbo.model import (
     CovState,
     FidelityModel,
     _ErrFactor,
+    _Rows,
     _extend_chol,
     _joint_sym,
     default_hyper_grid,
@@ -96,6 +97,12 @@ def target_only(lengthscale, noise_variance) -> FidelityModel:
     kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([lengthscale]))
     prior = GpPrior(kern, noise_variance=noise_variance)
     return FidelityModel(target_prior=prior, error_priors=(), costs=np.array([1.0]))
+
+
+def spend(model, appends) -> float:
+    """A CandidateGains budget that pays for appends actions at any of
+    model's fidelities."""
+    return appends * float(max(model.costs))
 
 
 def observed_at(model, X) -> CovState:
@@ -209,7 +216,8 @@ class TestPredictLatent:
         X = rng.uniform(-1, 1, size=(8, 1))
         y = rng.standard_normal(8)
         model = target_only(0.6, 0.05)
-        gains = CandidateGains(CovState.empty(model), rng.uniform(-1, 1, size=(6, 1)))
+        Xc = rng.uniform(-1, 1, size=(6, 1))
+        gains = CandidateGains(CovState.empty(model), Xc, spend(model, 8))
         for k in range(8):
             _, var_small = gains.posterior(y[:k])
             gains.append(Action(x=X[k], fidelity=1))
@@ -469,7 +477,7 @@ class TestCandidateGains:
     def _run(self, model, Xc, choose, steps) -> set:
         """Append steps picks; return the (cause, fidelity) of each append
         that computed a factor from scratch."""
-        gains = CandidateGains(CovState.empty(model), Xc)
+        gains = CandidateGains(CovState.empty(model), Xc, spend(model, steps))
         seen = []
         for t in range(steps):
             action = choose(t, gains.gains())
@@ -565,7 +573,7 @@ class TestCandidateGains:
         state = CovState.empty(model)
         for t in range(6):
             state = state.append(Action(x=rng.uniform(-1, 1, size=2), fidelity=t % 3 + 1))
-        gains, fresh = CandidateGains(state, Xc), CandidateGains(state, Xc)
+        gains, fresh = (CandidateGains(state, Xc, spend(model, 4)) for _ in range(2))
         rows = []
         real = covops.se_cross
 
@@ -593,7 +601,8 @@ class TestCandidateGains:
         # are the same bits from either layout
         Xc = rng.uniform(-1, 1, size=(60, 2))
         model = three_fid_model
-        by_order = {o: CandidateGains(CovState.empty(model), np.asarray(Xc, order=o))
+        budget = spend(model, 24)
+        by_order = {o: CandidateGains(CovState.empty(model), np.asarray(Xc, order=o), budget)
                     for o in "CF"}
         y = []
         for t in range(24):
@@ -611,7 +620,8 @@ class TestCandidateGains:
 
     def test_a_known_candidate_gains_zero_as_in_the_formula(self, three_fid_model, rng):
         model = failing_model(three_fid_model)  # noiseless target
-        gains = CandidateGains(CovState.empty(model), np.vstack([rng.uniform(-1, 1, (10, 2)), XA]))
+        Xc = np.vstack([rng.uniform(-1, 1, (10, 2)), XA])
+        gains = CandidateGains(CovState.empty(model), Xc, spend(model, 1))
         gains.gains()
         gains.append(Action(x=XA, fidelity=3))
         got, want = gains.gains(), gains_formula(gains)
@@ -626,7 +636,7 @@ class TestCandidateGains:
         model = problem.model
         rng = np.random.default_rng(11)
         Xc = rng.uniform(problem.bounds[:, 0], problem.bounds[:, 1], size=(300, model.dim))
-        gains = CandidateGains(CovState.empty(model), Xc)
+        gains = CandidateGains(CovState.empty(model), Xc, spend(model, 150))
         for t in range(150):
             g = gains.gains()
             want = gains_formula(gains)
@@ -639,7 +649,7 @@ class TestCandidateGains:
     def test_pick_is_the_best_gain_per_cost_in_gains(self, three_fid_model, rng, monkeypatch):
         # duplicate candidates tie, and the lowest index must win
         Xc = np.vstack([rng.uniform(-1, 1, size=(20, 2))] * 2)
-        gains = CandidateGains(CovState.empty(three_fid_model), Xc)
+        gains = CandidateGains(CovState.empty(three_fid_model), Xc, spend(three_fid_model, 12))
         costs = three_fid_model.costs
         scored = []
         real = CandidateGains._gain
@@ -719,7 +729,8 @@ class TestPosteriorFold:
         Xc = rng.uniform(-1, 1, size=(30, 2))
         actions = random_chain(rng, model, 40)
         y = smooth_values(actions)
-        every, fifth, once = (CandidateGains(CovState.empty(model), Xc) for _ in range(3))
+        every, fifth, once = (CandidateGains(CovState.empty(model), Xc, spend(model, 40))
+                              for _ in range(3))
         for t, action in enumerate(actions, 1):
             for cands in (every, fifth, once):
                 cands.append(action)
@@ -741,7 +752,7 @@ class TestPosteriorFold:
         Xc = rng.uniform(-1, 1, size=(30, 2))
         actions = random_chain(rng, model, 30)
         y = smooth_values(actions)
-        cands = CandidateGains(CovState.empty(model), Xc)
+        cands = CandidateGains(CovState.empty(model), Xc, spend(model, 30))
         for action in actions[:20]:
             cands.append(action)
         assert_fold_matches(cands, y[:20])
@@ -758,7 +769,7 @@ class TestPosteriorFold:
         actions = [Action(x=x, fidelity=f) for x, f in FAILING]
         actions += [Action(x=x, fidelity=2) for x in rng.uniform(-1, 1, size=(6, 2))]
         y = smooth_values(actions)
-        cands = CandidateGains(CovState.empty(model), Xc)
+        cands = CandidateGains(CovState.empty(model), Xc, spend(model, len(actions)))
         for t, action in enumerate(actions, 1):
             cands.append(action)
             assert_fold_matches(cands, y[:t])
@@ -769,7 +780,7 @@ class TestPosteriorFold:
         Xc = rng.uniform(-1, 1, size=(30, 2))
         actions = random_chain(rng, model, 25)
         y = smooth_values(actions)
-        cands = CandidateGains(CovState.empty(model), Xc)
+        cands = CandidateGains(CovState.empty(model), Xc, spend(model, 25))
         for action in actions[:15]:
             cands.append(action)
         assert_fold_matches(cands, y[:15])
@@ -796,7 +807,7 @@ class TestLongRunDrift:
         model = problem.model
         rng = np.random.default_rng(7)
         Xc = rng.uniform(problem.bounds[:, 0], problem.bounds[:, 1], size=(200, model.dim))
-        gains = CandidateGains(CovState.empty(model), Xc)
+        gains = CandidateGains(CovState.empty(model), Xc, spend(model, 800))
         y = []
         for t in range(1, 801):
             g = gains.gains()
@@ -912,7 +923,7 @@ class TestAppend:
         new = [Action(x=np.array([0.3]), fidelity=1), Action(x=np.array([-0.2]), fidelity=2)]
         y_new = np.append(y, [0.5, 1.5])
         Xc = rng.uniform(-1, 1, size=(5, 1))
-        gains = CandidateGains(state, Xc)
+        gains = CandidateGains(state, Xc, spend(two_fid_model, 2))
         for a in new:
             gains.append(a)
         updated = state.append(new[0]).append(new[1])
@@ -927,6 +938,68 @@ class TestAppend:
             gains.posterior(y_new[:5])
         with pytest.raises(ValueError, match="4 values for 6 observed points"):
             gains.posterior(y)
+
+
+class TestRowBlocks:
+    """Each compute sizes the projections' blocks once, from the budget
+    left: an append writes its row in place, and one past the capacity is
+    refused."""
+
+    def test_an_append_writes_the_formulas_bits_up_to_a_full_block(self, rng):
+        n, nc, extra = 5, 40, 3
+        A = rng.standard_normal((n + extra, n + extra))
+        L = np.linalg.cholesky(A @ A.T + (n + extra) * np.eye(n + extra))
+        rows = _Rows(L[:n, :n], np.asfortranarray(rng.standard_normal((n, nc))), n + extra)
+        buf = rows.buf
+        for k in range(n, n + extra):
+            c, w, d = rng.standard_normal(nc), L[k, :k], L[k, k]
+            want = (c - w @ rows.rows) / d
+            want_sq = rows.sq + want * want
+            rows.append(c, w, d)
+            assert np.array_equal(rows.rows[-1], want) and np.array_equal(rows.sq, want_sq)
+        assert rows.n == n + extra and rows.buf is buf and buf.shape == (n + extra, nc)
+
+    def test_each_compute_sizes_the_blocks_from_the_budget_left(self, two_fid_model, rng):
+        # costs 1 and 3: with no low-fidelity point only a target query
+        # extends the blocks, and a first fidelity-1 point computes them afresh
+        Xc = rng.uniform(-1, 1, size=(6, 1))
+        gains = CandidateGains(CovState.empty(two_fid_model), Xc, 9.0)
+        assert gains.capacity == 0 + 3 + 1
+        gains.append(act(0.3, 1))
+        assert gains.capacity == 1 + 8 + 1
+        blocks = gains._wf.buf
+        gains.append(act(-0.2, 2))
+        assert gains.capacity == 10 and gains._wf.buf is blocks and gains.budget == 5.0
+
+    def test_an_append_past_the_capacity_leaves_the_state(self, two_fid_model, rng):
+        # 2.0 buys two points at the cheapest cost, and the capacity one more
+        state, _ = random_observations(rng, two_fid_model, 4)
+        Xc = rng.uniform(-1, 1, size=(6, 1))
+        gains = CandidateGains(state, Xc, 2.0)
+        assert gains.capacity == 7
+        for x in (0.3, -0.2, 0.5):
+            gains.append(act(x, 1))
+        full, want = gains.state, gains.gains()
+        with pytest.raises(RuntimeError, match="past the 7 points"):
+            gains.append(act(0.1, 2))
+        assert gains.state is full
+        for lev, g in gains.gains().items():
+            assert np.array_equal(g, want[lev])
+        # without a budget, the blocks hold the state's points only
+        with pytest.raises(RuntimeError, match="past the 4 points"):
+            CandidateGains(state, Xc).append(act(0.1, 2))
+
+    def test_an_overspent_budget_leaves_no_room(self, three_fid_model, rng):
+        # 0.5 left pays for no point, but one more may be appended; a first
+        # fidelity-2 point then overspends by more than the cheapest cost
+        Xc = rng.uniform(-1, 1, size=(6, 2))
+        state = CovState.empty(three_fid_model).append(Action(x=np.zeros(2), fidelity=1))
+        gains = CandidateGains(state, Xc, 0.5)
+        assert gains.capacity == 2
+        gains.append(Action(x=np.ones(2), fidelity=2))
+        assert gains.budget == -1.5 and gains.capacity == gains.state.n == 2
+        with pytest.raises(RuntimeError, match="past the 2 points"):
+            gains.append(Action(x=np.ones(2), fidelity=1))
 
 
 class TestHyperFit:

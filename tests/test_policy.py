@@ -23,7 +23,6 @@ from mfbo.model import (
     info_gain_set,
 )
 from mfbo.policy import (
-    POLICIES,
     POLICY_NAMES,
     PolicyConfig,
     explore_then_exploit,
@@ -140,9 +139,9 @@ class TestStoredCertificate:
 
 
 class TestEpisodeStructure:
-    @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_well_formed(self, toy, quick_cfg, policy):
-        trace = POLICIES[policy](toy, 15.0, quick_cfg, seed=5)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_well_formed(self, toy, quick_cfg, name):
+        trace = getattr(policy, name)(toy, 15.0, quick_cfg, seed=5)
         assert trace.n_episodes >= 1
         m = toy.m
         for ep in trace.episodes:
@@ -161,8 +160,8 @@ class TestEpisodeStructure:
         assert [e.index for e in trace.episodes] == list(range(1, trace.n_episodes + 1))
 
     def test_budget_exactly_one_target(self, toy, quick_cfg):
-        for policy in POLICIES.values():
-            trace = policy(toy, 3.0, quick_cfg, seed=1)
+        for run in (mf_mi_greedy, explore_then_exploit, sf_only):
+            trace = run(toy, 3.0, quick_cfg, seed=1)
             assert trace.n_episodes == 1
             assert trace.episodes[0].low_observations == ()
             assert trace.spent == 3.0
@@ -219,10 +218,10 @@ class TestSubroutines:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("policy", POLICY_NAMES)
-    def test_same_seed_same_trace(self, toy, quick_cfg, policy):
-        a = POLICIES[policy](toy, 12.0, quick_cfg, seed=31)
-        b = POLICIES[policy](toy, 12.0, quick_cfg, seed=31)
+    @pytest.mark.parametrize("name", POLICY_NAMES)
+    def test_same_seed_same_trace(self, toy, quick_cfg, name):
+        a = getattr(policy, name)(toy, 12.0, quick_cfg, seed=31)
+        b = getattr(policy, name)(toy, 12.0, quick_cfg, seed=31)
         assert serialize_trace(a) == serialize_trace(b)
 
     def test_different_seed_differs(self, toy, quick_cfg):
@@ -262,9 +261,9 @@ class TestRecords:
 
 class TestValidation:
     def test_budget_below_target_cost(self, toy, quick_cfg):
-        for policy in POLICIES.values():
+        for run in (mf_mi_greedy, explore_then_exploit, sf_only):
             with pytest.raises(ValueError):
-                policy(toy, 0.0, quick_cfg, seed=0)
+                run(toy, 0.0, quick_cfg, seed=0)
 
     @pytest.mark.parametrize("names", [("sf_only", "sf_only"), ("random",)])
     def test_policy_names_must_be_distinct_and_known(self, toy, quick_cfg, names):
@@ -348,7 +347,7 @@ class TestRunLongPosterior:
         assert any(ep.low_observations for ep in trace.episodes)
 
         # the run's observations again, one at a time, with the same refits
-        replay, y = Checked(CovState.empty(problem.model), gains.Xc), []
+        replay, y = Checked(CovState.empty(problem.model), gains.Xc, trace.budget), []
         for ep in trace.episodes:
             if ep.model is not replay.state.model:
                 replay.reset(CovState.build(ep.model, replay.state.X, replay.state.fids))
@@ -555,6 +554,52 @@ class TestRecomputeCount:
         assert not stray
 
 
+class TestRowBlocks:
+    """A run sizes its projections' blocks from its budget, and no append
+    replaces one."""
+
+    def test_a_run_buying_at_the_cheapest_cost_fills_its_blocks(self, monkeypatch):
+        # ten queries at cost 0.1 add up to 0.9999999999999999 and fit in
+        # a budget of 1.0, where 1.0 // 0.1 is 9: the capacity's + 1
+        made = []
+
+        class Recorded(CandidateGains):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(policy, "CandidateGains", Recorded)
+        sf = single_fidelity_problem(make_toy_problem())
+        problem = dataclasses.replace(
+            sf, model=dataclasses.replace(sf.model, costs=np.array([0.1])))
+        trace = sf_only(problem, 1.0, PolicyConfig(n_candidates=8, hyperfit_every=0), seed=0)
+        assert not trace.failed and trace.n_episodes == 10
+        (gains,) = made
+        assert gains.capacity == gains.state.n == 10
+
+    def test_an_append_keeps_every_block(self, toy, quick_cfg, monkeypatch):
+        # between computes afresh, each projection writes into the block
+        # it was made with
+        kept = []
+        real = CandidateGains.append
+
+        def blocks(cands):
+            return [cands._wf.buf] + [r.buf for pair in cands._low.values() for r in pair]
+
+        def append(self, action):
+            before = blocks(self)
+            real(self, action)
+            if self.state.rebuilt is None:
+                after = blocks(self)
+                assert len(after) == len(before)
+                assert all(a is b for a, b in zip(after, before))
+                kept.append(len(after))
+
+        monkeypatch.setattr(CandidateGains, "append", append)
+        trace = mf_mi_greedy(toy, 60.0, quick_cfg, seed=2718)
+        assert not trace.failed and 3 in kept
+
+
 class TestOneBlasThread:
     """Runs and the submodular bound hold every loaded OpenBLAS at one
     thread, and hand the caller's counts back."""
@@ -676,7 +721,7 @@ class TestSharedRuns:
     @pytest.mark.parametrize("case", ["toy-1", "toy-30", "toy-35", "toy-refits", "currin2"])
     def test_each_trace_equals_its_solo_trace(self, case):
         problem, budget, cfg, seed, explored = shared_case(case)
-        solo = {n: POLICIES[n](problem, budget, cfg, seed) for n in POLICY_NAMES}
+        solo = {n: getattr(policy, n)(problem, budget, cfg, seed) for n in POLICY_NAMES}
         mf = solo["mf_mi_greedy"]
         assert [ep.index for ep in mf.episodes if ep.low_observations] == explored
         if case == "toy-refits":  # the fork at episode 10 comes after refits
@@ -700,7 +745,7 @@ class TestSharedRuns:
             return real(self, action)
 
         monkeypatch.setattr(CovState, "append", append)
-        solo = {n: POLICIES[n](toy, 21.0, quick_cfg, seed=2718) for n in POLICY_NAMES}
+        solo = {n: getattr(policy, n)(toy, 21.0, quick_cfg, seed=2718) for n in POLICY_NAMES}
         shared = run_policies(toy, 21.0, quick_cfg, 2718, POLICY_NAMES)
         monkeypatch.undo()
         for name in ("mf_mi_greedy", "explore_then_exploit"):
@@ -718,7 +763,7 @@ class TestSharedRuns:
         toy = make_toy_problem()
         problem = single_fidelity_problem(toy) if one_fidelity else toy
         cfg = PolicyConfig(n_candidates=16, alpha_exponent=0.45, hyperfit_every=0)
-        solo = {n: POLICIES[n](problem, 45.0, cfg, 0) for n in POLICY_NAMES}
+        solo = {n: getattr(policy, n)(problem, 45.0, cfg, 0) for n in POLICY_NAMES}
         mf = solo["mf_mi_greedy"]
         assert [ep.index for ep in mf.episodes if ep.low_observations] == ([] if one_fidelity else [1])
         assert mf.n_episodes > 1 and None not in [ep.explore_stop_reason for ep in mf.episodes]
@@ -756,7 +801,7 @@ class TestSharedRuns:
         budget, pc = budget_mult * prob.model.target_cost, PolicyConfig(**cfg)
         solo = 0
         for name in solo_sum:
-            POLICIES[name](prob, budget, pc, seed=3)
+            getattr(policy, name)(prob, budget, pc, seed=3)
             solo, calls[:] = solo + len(calls), []
         traces = run_policies(prob, budget, pc, 3, names)
         assert not any(tr.failed for tr in traces.values())

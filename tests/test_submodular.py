@@ -1,9 +1,11 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import info_gain_single
+from mfbo import submodular
 from mfbo.acquisition import CandidateSet, make_candidates
 from mfbo.benchmarks import make_problem
 from mfbo.gp import GpPrior, SquaredExpKernel
@@ -104,6 +106,25 @@ class TestGammaMaxBound:
         ]
         assert got_picks == want_picks
         assert bound == pytest.approx(want_bound, rel=0, abs=1e-12)
+
+    def test_the_last_pick_past_the_budget_has_a_row(self, two_fid_model, monkeypatch):
+        # at cost 0.1 ten picks add up to 0.9999999999999999, within a
+        # budget of 1.0, and the loop then takes an eleventh; the first
+        # pick sizes the blocks from the 1.0 left of budget + c_max = 1.1,
+        # where 1.0 // 0.1 is 9, so the budget alone would give 10 rows
+        made = []
+
+        class Recorded(CandidateGains):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        monkeypatch.setattr(submodular, "CandidateGains", Recorded)
+        model = replace(two_fid_model, costs=np.array([0.1, 1.0]))
+        cand = CandidateSet(points=np.linspace(-1, 1, 16)[:, None])
+        gamma_max_bound(model, cand, 1.0, beta=0.0)
+        (gains,) = made
+        assert gains.capacity == gains.state.n == 11
 
     def test_single_fidelity_model_is_zero(self):
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 0.1)

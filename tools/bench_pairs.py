@@ -19,8 +19,11 @@ pairs. A gain holds when the change wins at least nine tenths of the
 pairs and the medians lie further apart than the distance between the
 parent's quartiles. Per workload it also reports, for wall and CPU time,
 each side's median over its runs of the run's fastest round, and the
-change's wins over the pairs by that minimum. Exits 1 if any run failed a
-check or the CSV hashes differ between runs of one workload.
+change's wins over the pairs by that minimum, and each side's median
+number of rounds per run, printed next to peak_rss_mb: run.py keeps every
+round's results, so a side that fits more rounds in its seconds reads a
+higher peak. Exits 1 if any run failed a check or the CSV hashes differ
+between runs of one workload.
 """
 
 from __future__ import annotations
@@ -168,6 +171,12 @@ def round_minima(pairs) -> dict:
     return out
 
 
+def round_counts(pairs) -> dict:
+    """Each side's median over runs of the run's number of rounds."""
+    return {side: statistics.median(len(p[side]["rounds"]) for p in pairs)
+            for side in ("parent", "change")}
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -221,14 +230,19 @@ def main(argv=None) -> int:
             "csv_identical": same_csv,
             "summary": summarize(pairs, spec),
             "round_minima": round_minima(pairs),
+            "round_counts": round_counts(pairs),
             "runs": pairs,
         }
+        counts = record["workloads"][w]["round_counts"]
         for name, s in record["workloads"][w]["summary"].items():
+            rounds = ""
+            if name == "peak_rss_mb":
+                rounds = "  rounds parent %g change %g" % (counts["parent"], counts["change"])
             print("# %-18s %-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  "
-                  "wins %d/%d  gain holds: %s" % (
+                  "wins %d/%d  gain holds: %s%s" % (
                       w, name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
                       s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
-                      s["wins"], args.pairs, s["gain_holds"]), flush=True)
+                      s["wins"], args.pairs, s["gain_holds"], rounds), flush=True)
         for name, s in record["workloads"][w]["round_minima"].items():
             print("# %-18s fastest round %-6s parent %.4g  change %.4g  ratio %.3f  wins %d/%d" % (
                 w, name, s["parent"], s["change"], s["change_over_parent"], s["wins"],
