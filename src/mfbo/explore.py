@@ -69,13 +69,10 @@ def explore_lf(budget: float, alpha_exponent: float, cands: CandidateGains) -> E
     m = model.m
     beta = 1.0 / alpha_budget(budget, alpha_exponent) if budget > 0 else np.inf
     target_cost = model.target_cost
-    if budget < target_cost:
-        return ExploreResult((), 0.0, 0.0, BUDGET_EXHAUSTED, beta)
 
     selected: list[Action] = []
     cost_sel = 0.0
     running_gain = 0.0
-    reason = BUDGET_EXHAUSTED
     while True:
         reserve = budget - cost_sel - target_cost
         feasible = [lev for lev in range(1, m + 1) if model.costs[lev - 1] <= reserve]

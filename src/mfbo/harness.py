@@ -33,19 +33,19 @@ the log gets an index's lines, one per policy, when its call returns, and
 a run's duration is the time of that call, the same for each of its
 policies. Outcomes and CSV rows stay in (policy, seed index) order. A
 NumericalError or a non-finite value ends the run it occurs in as a
-failed trace that keeps its finished episodes, and such a run is never
-copied. Any other exception fails every policy of its seed index, with
-no trace, and leaves the other seed indices
-alone. Each run holds numpy's OpenBLAS, which does all of
-mfbo's BLAS and LAPACK work, at one thread (gp.one_blas_thread; any other
-OpenBLAS the process has loaded too), since threading its small calls doubles
-the CPU time and saves no wall time (README, "CLI"). The setting is
-process-wide while a run is in progress, the caller's counts come back
-after it, and it is a no-op where no OpenBLAS is found. Output is three CSVs:
-traces.csv (one row per query), curves.csv (per-episode simple and
-cumulative regret) and summary.csv (mean simple regret at quarter-budget
-checkpoints). Floats are written with %.12g so repeated runs are
-byte-identical.
+failed trace that keeps its finished episodes and recommends from their
+values alone, and such a run is never copied, so the call's other
+policies still run. Any other exception fails every policy of its seed
+index, with no trace, and leaves the other seed indices alone. Each run
+holds numpy's OpenBLAS, which does all of mfbo's BLAS and LAPACK work, at
+one thread (gp.one_blas_thread; any other OpenBLAS the process has loaded
+too), since threading its small calls doubles the CPU time and saves no
+wall time (README, "CLI"). The setting is process-wide while a run is in
+progress, the caller's counts come back after it, and it is a no-op where
+no OpenBLAS is found. Output is three CSVs: traces.csv (one row per
+query), curves.csv (per-episode simple and cumulative regret) and
+summary.csv (mean simple regret at quarter-budget checkpoints). Floats are
+written with %.12g so repeated runs are byte-identical.
 """
 
 from __future__ import annotations

@@ -204,6 +204,13 @@ def _unit_sym(memo, key, X, lengthscales) -> np.ndarray:
     return block
 
 
+def _error_block(model: FidelityModel, lev: int, X: np.ndarray) -> np.ndarray:
+    """k_eps_l(X, X) + s2_l I: fidelity lev's error covariance plus noise."""
+    K = model.error_kernel(lev).sym(X)
+    K[np.diag_indices_from(K)] += model.noise_variance(lev)
+    return K
+
+
 # --------------------------------------------------------------------------
 # incremental factorization state
 
@@ -237,8 +244,7 @@ class CovState:
 
     @classmethod
     def empty(cls, model: FidelityModel) -> "CovState":
-        no_points = np.zeros((0, model.dim)), np.zeros(0, dtype=np.int64), np.zeros((0, 0))
-        return cls(model, *no_points, 0.0, {})
+        return cls.build(model, np.zeros((0, model.dim)), ())
 
     @classmethod
     def build(cls, model: FidelityModel, X, fids, rebuilt=None) -> "CovState":
@@ -254,9 +260,7 @@ class CovState:
 
     @staticmethod
     def _build_err(model, X, idx, lev) -> _ErrFactor:
-        Ke = model.error_kernel(lev).sym(X[idx])
-        Ke[np.diag_indices_from(Ke)] += model.noise_variance(lev)
-        L, jit = chol_factor(Ke)
+        L, jit = chol_factor(_error_block(model, lev, X[idx]))
         return _ErrFactor(idx, L, jit)
 
     @property
@@ -342,12 +346,10 @@ def info_gain_set(state: CovState, actions: Sequence[Action]) -> float:
         idx = np.flatnonzero(fe == lev)
         if not idx.size:
             continue
-        ker = model.error_kernel(lev)
-        Ke = ker.sym(Xe[idx])
-        Ke[np.diag_indices_from(Ke)] += model.noise_variance(lev)
+        Ke = _error_block(model, lev, Xe[idx])
         ef = state.err.get(lev)
         if ef is not None:
-            We = solve_triangular(ef.L, ker.cross(state.X[ef.idx], Xe[idx]))
+            We = solve_triangular(ef.L, model.error_kernel(lev).cross(state.X[ef.idx], Xe[idx]))
             Ke = Ke - We.T @ We
             Ke = 0.5 * (Ke + Ke.T)
         h0 += gaussian_entropy(Ke)

@@ -18,10 +18,14 @@ cost, certified exploration information gain and the exploration threshold
 beta for later regret accounting.
 
 A run's state is one CandidateGains over its candidate set plus the values
-it has observed, in query order. Explore-LF and the target query append to
-it (each observation extends the factors once), and the target choice and
-the recommendation read the latent posterior from it and those values. A
-model refit resets it to a fresh factorization at the same points.
+of its finished episodes, in query order. Explore-LF and the target query
+append to it (each observation extends the factors once), and the target
+choice (with the episode's low-fidelity values) and the recommendation
+read the latent posterior from it and those values. A model refit resets
+it to a fresh factorization at the same points. A NumericalError or a
+non-finite value ends the run and drops the episode it occurs in: its
+values never join the others, and if it appended points the state goes
+back to where the episode started, after its refit.
 
 run_policies runs several policies at one seed in one call, and each of
 the three policy functions is that call with one name. The runs share the
@@ -53,7 +57,9 @@ from .model import (
 )
 from .util import mix64
 
-POLICY_NAMES = ("mf_mi_greedy", "explore_then_exploit", "sf_only")
+# the number of leading episodes in which each policy runs Explore-LF
+EXPLORE_EPISODES = {"mf_mi_greedy": math.inf, "explore_then_exploit": 1, "sf_only": 0}
+POLICY_NAMES = tuple(EXPLORE_EPISODES)
 SUBROUTINES = ("gp_ucb", "gp_mi")
 
 
@@ -175,10 +181,6 @@ def sf_only(problem, budget: float, cfg: PolicyConfig | None = None, seed: int =
     return run_policies(problem, budget, cfg, seed, ("sf_only",))["sf_only"]
 
 
-# the number of leading episodes in which each policy runs Explore-LF
-EXPLORE_EPISODES = {"mf_mi_greedy": math.inf, "explore_then_exploit": 1, "sf_only": 0}
-
-
 @one_blas_thread()
 def run_policies(problem, budget, cfg=None, seed=0, names=POLICY_NAMES) -> dict[str, Trace]:
     """One run of each named policy, as {name: trace} in the order given.
@@ -229,7 +231,7 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
     grid = None
 
     cands = CandidateGains(CovState.empty(problem.model), candidates.points, budget)
-    y: list[float] = []           # observed values, in query order
+    y: list[float] = []           # values of the finished episodes, in query order
     episodes: list[Episode] = []
     spent = 0.0
     gamma_mi = 0.0
@@ -238,7 +240,6 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
 
     while budget - spent >= lam_m:
         t += 1
-        before = cands.state
         try:
             if (
                 cfg.hyperfit_every
@@ -251,14 +252,15 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
                 refit = fit_hyperparameters(cands.state, y, grid)
                 if refit is not cands.state.model:
                     cands.reset(CovState.build(refit, cands.state.X, cands.state.fids))
+            before = cands.state  # where a failed episode rolls back to
 
             result = NO_EXPLORATION
             if t <= explore_episodes:
                 result = explore_lf(budget - spent, cfg.alpha_exponent, cands)
             low_obs = [Observation(a, problem.evaluate(a, noise_rng)) for a in result.selected]
-            y += [o.y for o in low_obs]
+            low_y = [o.y for o in low_obs]
 
-            mean, var = cands.posterior(y)
+            mean, var = cands.posterior(y + low_y)
             if cfg.subroutine == "gp_ucb":
                 idx = gp_ucb_select(mean, var, cfg.delta, t)
             else:
@@ -266,7 +268,6 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
             target_action = Action(x=candidates.points[idx], fidelity=m)
             target_obs = Observation(target_action, problem.evaluate(target_action, noise_rng))
             cands.append(target_action)
-            y.append(target_obs.y)
 
             episodes.append(Episode(
                 index=t,
@@ -280,10 +281,11 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
                 explore_stop_reason=result.stop_reason,
                 model=cands.state.model,
             ))
+            y += low_y + [target_obs.y]
             spent += result.cost + lam_m
         except (NumericalError, ValueError) as exc:  # ValueError: a non-finite value
             error = "%s: %s" % (type(exc).__name__, exc)
-            if cands.state.n != len(y):  # Explore-LF's picks were not all observed
+            if cands.state.n != len(y):  # the failed episode appended points
                 cands = CandidateGains(before, candidates.points)
             break
 

@@ -22,21 +22,18 @@ import numpy as np
 from .policy import Trace
 
 
-def cumulative_regret(trace: Trace, f_star: float) -> float:
-    rewards = float(np.sum(trace.rewards()))
-    return (trace.budget / trace.target_cost) * f_star - rewards
+def cumulative_regret(trace: Trace, f_star: float, cost: float | None = None) -> float:
+    """Regret at spend level cost (default: the budget), counting the
+    episodes finished by then."""
+    if cost is None:
+        cost = trace.budget
+    done = _finished_by(np.cumsum([ep.cost for ep in trace.episodes]), cost)
+    return (cost / trace.target_cost) * f_star - float(np.sum(trace.rewards()[:done]))
 
 
-def cumulative_regret_at(trace: Trace, f_star: float, cost: float) -> float:
-    """Regret against spend level `cost`, counting episodes finished by then."""
-    rewards = 0.0
-    acc = 0.0
-    for ep in trace.episodes:
-        acc += ep.cost
-        if acc > cost + 1e-9:
-            break
-        rewards += ep.target_true
-    return (cost / trace.target_cost) * f_star - rewards
+def _finished_by(costs: np.ndarray, cost: float) -> int:
+    """How many episodes, ending at cumulative costs, finished by spend cost."""
+    return int(np.searchsorted(costs, cost + 1e-9, side="right"))
 
 
 def decompose_regret(trace: Trace, f_star: float) -> dict:
@@ -82,7 +79,7 @@ class RegretCurve:
 
     def value_at(self, cost: float) -> float:
         """Last recorded value at spend <= cost; NaN before the first point."""
-        idx = np.searchsorted(self.costs, cost + 1e-9, side="right") - 1
+        idx = _finished_by(self.costs, cost) - 1
         if idx < 0:
             return float("nan")
         return float(self.values[idx])

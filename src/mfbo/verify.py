@@ -35,7 +35,7 @@ from .gp import GpPrior, SquaredExpKernel, one_blas_thread
 from .harness import ExperimentConfig, run_experiment, summarize, checkpoint_costs
 from .model import Action, CandidateGains, CovState, FidelityModel, info_gain_set
 from .policy import PolicyConfig, mf_mi_greedy, sf_only, trace_records
-from .regret import cumulative_regret_at, decompose_regret
+from .regret import cumulative_regret, decompose_regret
 from .submodular import KS_GUARANTEE, gamma_max_bound
 
 # enumeration guard for exhaustive_opt
@@ -440,7 +440,7 @@ def criterion_no_regret_trend():
     cps = np.array([25.0, 50.0, 75.0, 100.0]) * lam
     means = []
     for c in cps:
-        vals = [cumulative_regret_at(tr, result.f_star, c) / c for tr in traces]
+        vals = [cumulative_regret(tr, result.f_star, c) / c for tr in traces]
         means.append(float(np.mean(vals)))
     inversions = [(means[k + 1] - means[k]) for k in range(3) if means[k + 1] > means[k] + 1e-12]
     ok = len(inversions) == 0 or (len(inversions) == 1 and inversions[0] <= 0.02 * means[0])

@@ -137,3 +137,21 @@ def test_round_counts_are_each_sides_median_rounds_per_run():
         {"parent": {"rounds": rounds_of(1.0, 1.0, 1.0)}, "change": {"rounds": rounds_of(0.5) * 4}},
     ]
     assert bench_pairs.round_counts(pairs) == {"parent": 2, "change": 3}
+
+
+def hashed_pairs(*sides):
+    """Pairs whose runs, parent then change, wrote these traces.csv hashes."""
+    return [{"parent": {"csv_sha256": {"traces.csv": p, "curves.csv": "c"}},
+             "change": {"csv_sha256": {"traces.csv": c, "curves.csv": "c"}}}
+            for p, c in zip(sides[::2], sides[1::2])]
+
+
+def test_csv_match_names_the_first_pair_and_side_that_differ():
+    assert bench_pairs.csv_match(hashed_pairs("a", "a", "a", "a")) == (
+        True, "every run's CSV hashes match (4 runs)")
+    assert bench_pairs.csv_match(hashed_pairs("a", "a", "a", "b", "b", "a")) == (
+        False, "pair 2 change differs from pair 1 parent in traces.csv")
+    pairs = hashed_pairs("a", "a", "a", "a")
+    pairs[1]["parent"]["csv_sha256"] = None  # run.py printed no hashes
+    assert bench_pairs.csv_match(pairs) == (
+        False, "pair 2 parent differs from pair 1 parent in curves.csv, traces.csv")

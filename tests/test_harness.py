@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +262,38 @@ class TestRunExperiment:
         assert "failed: NumericalError: Cholesky failed" in lines[0]
         assert result.n_failed == 1
 
+    def test_a_failure_after_exploring_fails_only_its_policy(self, tmp_path, monkeypatch):
+        # mf_mi_greedy's first target append after Explore-LF bought points
+        # advances the state, then raises the real NumericalError
+        cfg = dict(budget_mult=12.0, policies=("mf_mi_greedy", "sf_only"))
+        whole = run_experiment(tiny_config(tmp_path / "whole", **cfg))
+        real = policy.CandidateGains.append
+        bought = weakref.WeakSet()  # the runs' CandidateGains that bought points
+
+        def append(self, action):
+            real(self, action)
+            if action.fidelity < self.state.model.m:
+                bought.add(self)
+            elif self in bought:
+                chol_factor(-np.eye(3))
+
+        monkeypatch.setattr(policy.CandidateGains, "append", append)
+        result = run_experiment(tiny_config(tmp_path / "r", **cfg))
+        assert result.n_failed == 2 and len(result.outcomes) == 4
+        for o, w in zip(result.outcomes, whole.outcomes):
+            assert (o.policy, o.index) == (w.policy, w.index) and not w.trace.failed
+            if o.policy == "sf_only":
+                assert o.error is None and o.trace.n_episodes == 12
+                assert policy.serialize_trace(o.trace) == policy.serialize_trace(w.trace)
+                assert np.array_equal(o.trace.recommendation, w.trace.recommendation)
+                continue
+            # the episodes before the first one that explored
+            k = next(i for i, ep in enumerate(w.trace.episodes) if ep.low_observations)
+            assert o.trace.failed and o.trace.n_episodes == k
+            assert o.error == o.trace.error
+            assert o.error.startswith("NumericalError: Cholesky failed")
+            assert policy.serialize_trace(o.trace) == policy.serialize_trace(
+                dataclasses.replace(w.trace, episodes=w.trace.episodes[:k]))
 
     def test_an_unexpected_error_fails_only_its_seed_index(self, tmp_path, monkeypatch):
         real = policy.run_policies

@@ -393,18 +393,22 @@ class TestRunLongPosterior:
         assert np.array_equal(trace.recommendation, Xc[best])
         assert abs(trace.recommendation_value - mean[best]) <= MEAN_TOL
 
-    @pytest.mark.parametrize("run", [sf_only, explore_then_exploit], ids=lambda f: f.__name__)
+    @pytest.mark.parametrize("run, failing, bought", [
+        (sf_only, -1, 0), (explore_then_exploit, -1, 0), (mf_mi_greedy, 0, 10)],
+        ids=["sf_only", "explore_then_exploit", "mf_mi_greedy"])
     def test_failure_after_a_target_append_recommends_from_earlier_episodes(
-            self, toy, run, monkeypatch):
-        # the last episode's target append advances the state, then fails;
-        # the run rolls back to where that episode started, though the
-        # episode explores nothing
+            self, toy, run, failing, bought, monkeypatch):
+        # the failing episode's target append advances the state, then
+        # fails; the run rolls back to where that episode started, whether
+        # it explores nothing (the last episode of sf_only and
+        # explore_then_exploit) or bought points (mf_mi_greedy's first)
         cfg = PolicyConfig(n_candidates=16, hyperfit_every=0)
         full = run(toy, 30.0, cfg, seed=2718)
-        k = full.n_episodes - 1
+        k = range(full.n_episodes)[failing]
         done = [o for ep in full.episodes[:k]
                 for o in ep.low_observations + (ep.target_observation,)]
-        assert k >= 2 and full.episodes[k].low_observations == ()
+        assert len(full.episodes[k].low_observations) == bought
+        assert k == 0 or k == full.n_episodes - 1 >= 2
 
         real = CandidateGains.append
         calls = []
@@ -412,7 +416,7 @@ class TestRunLongPosterior:
         def append(self, action):
             real(self, action)
             calls.append(action)
-            if len(calls) == len(done) + 1:
+            if len(calls) == len(done) + bought + 1:
                 chol_factor(-np.eye(3))
 
         monkeypatch.setattr(CandidateGains, "append", append)
@@ -497,6 +501,24 @@ class TestNonFiniteValue:
         best = int(np.argmax(mean))
         assert np.array_equal(trace.recommendation, Xc[best])
         assert abs(trace.recommendation_value - mean[best]) <= MEAN_TOL
+
+    def test_mf_mi_greedy_nan_target_value_after_exploring(self, toy, monkeypatch):
+        # the first target value is NaN, after Explore-LF bought 10 points:
+        # the run recommends from the finished episodes alone, which are none
+        cfg = PolicyConfig(n_candidates=16, hyperfit_every=0)
+        full = mf_mi_greedy(toy, 21.0, cfg, seed=2718)
+        assert len(full.episodes[0].low_observations) == 10
+        monkeypatch.setattr(BenchmarkProblem, "evaluate", nan_evaluate(2, 1))
+        trace = mf_mi_greedy(toy, 21.0, cfg, seed=2718)
+        monkeypatch.undo()
+        assert trace.failed and trace.error == "ValueError: observed values must be finite"
+        assert trace.n_episodes == 0 and trace.spent == 0.0
+
+        Xc = make_candidates(toy.bounds, cfg.n_candidates, mix64(2718, "candidates")).points
+        mean, _ = predict_latent_diag(CovState.empty(toy.model), [], Xc)
+        best = int(np.argmax(mean))
+        assert np.array_equal(trace.recommendation, Xc[best])
+        assert trace.recommendation_value == mean[best] == toy.model.target_prior.mean
 
     @pytest.mark.parametrize("hyperfit_every", [0, 2])
     def test_mf_mi_greedy_nan_low_fidelity_value(self, toy, monkeypatch, hyperfit_every):

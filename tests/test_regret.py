@@ -5,16 +5,16 @@ import pytest
 
 from mfbo.benchmarks import make_problem
 from mfbo.model import Action, Observation
-from mfbo.policy import Episode, Trace
+from mfbo.policy import Episode, PolicyConfig, Trace, mf_mi_greedy
 from mfbo.regret import (
     RegretCurve,
     cumulative_regret,
-    cumulative_regret_at,
     cumulative_regret_curve,
     decompose_regret,
     simple_regret_curve,
     write_curves_csv,
 )
+from mfbo.verify import make_toy_problem
 
 MODEL = make_problem("currin2", noise=0.0).model
 
@@ -106,10 +106,20 @@ class TestCumulativeRegret:
         eps = [make_episode(1, 1.0), make_episode(2, 2.0, explore_cost=1.0)]
         trace = make_trace(eps, budget=6.0)
         # after cost 2: only episode 1 done; f*=2 -> (2/2)*2 - 1 = 1
-        assert cumulative_regret_at(trace, 2.0, 2.0) == pytest.approx(1.0)
+        assert cumulative_regret(trace, 2.0, 2.0) == pytest.approx(1.0)
         # cost 4 lands mid-episode-2: still only episode 1 rewarded
-        assert cumulative_regret_at(trace, 2.0, 4.0) == pytest.approx(3.0)
-        assert cumulative_regret_at(trace, 2.0, 5.0) == pytest.approx(2.0)
+        assert cumulative_regret(trace, 2.0, 4.0) == pytest.approx(3.0)
+        assert cumulative_regret(trace, 2.0, 5.0) == pytest.approx(2.0)
+
+    def test_default_spend_is_the_budget_bit_for_bit(self):
+        toy = make_toy_problem()
+        tr = mf_mi_greedy(toy, 21.0, PolicyConfig(n_candidates=16, hyperfit_every=0), seed=2718)
+        f = toy.f_star
+        assert tr.n_episodes >= 2 and tr.spent < tr.budget
+        assert cumulative_regret(tr, f) == cumulative_regret(tr, f, tr.budget)
+        # every episode counts, summed as one np.sum
+        assert cumulative_regret(tr, f) == (
+            (tr.budget / tr.target_cost) * f - float(np.sum(tr.rewards())))
 
 
 class TestDecomposition:

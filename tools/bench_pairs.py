@@ -22,7 +22,9 @@ each side's median over its runs of the run's fastest round, and the
 change's wins over the pairs by that minimum, and each side's median
 number of rounds per run, printed next to peak_rss_mb: run.py keeps every
 round's results, so a side that fits more rounds in its seconds reads a
-higher peak. Exits 1 if any run failed a check or the CSV hashes differ
+higher peak. Per workload it prints whether every run's CSV hashes
+matched, or the first pair and side whose hashes differ from pair 1's
+parent run. Exits 1 if any run failed a check or the CSV hashes differ
 between runs of one workload.
 """
 
@@ -171,6 +173,21 @@ def round_minima(pairs) -> dict:
     return out
 
 
+def csv_match(pairs) -> tuple[bool, str]:
+    """Whether every run wrote the CSV hashes of pair 1's parent run, and a
+    line saying so or naming the first pair and side that differ, and in
+    which files."""
+    ref = pairs[0]["parent"]["csv_sha256"] or {}
+    for k, pair in enumerate(pairs, 1):
+        for side in ("parent", "change"):
+            got = pair[side]["csv_sha256"] or {}
+            if got != ref:
+                names = sorted(n for n in ref.keys() | got.keys() if got.get(n) != ref.get(n))
+                return False, "pair %d %s differs from pair 1 parent in %s" % (
+                    k, side, ", ".join(names))
+    return True, "every run's CSV hashes match (%d runs)" % (2 * len(pairs))
+
+
 def round_counts(pairs) -> dict:
     """Each side's median over runs of the run's number of rounds."""
     return {side: statistics.median(len(p[side]["rounds"]) for p in pairs)
@@ -222,7 +239,7 @@ def main(argv=None) -> int:
                       flush=True)
             pairs.append(pair)
         runs = [p[s] for p in pairs for s in ("parent", "change")]
-        same_csv = all(r["csv_sha256"] == runs[0]["csv_sha256"] for r in runs)
+        same_csv, csv_line = csv_match(pairs)
         all_correct = all(r["correct"] and r["exit"] == 0 for r in runs)
         ok = ok and same_csv and all_correct
         record["workloads"][w] = {
@@ -233,6 +250,7 @@ def main(argv=None) -> int:
             "round_counts": round_counts(pairs),
             "runs": pairs,
         }
+        print("# %-18s csv: %s" % (w, csv_line), flush=True)
         counts = record["workloads"][w]["round_counts"]
         for name, s in record["workloads"][w]["summary"].items():
             rounds = ""
