@@ -292,8 +292,8 @@ def make_problem(name: str, noise: float = 0.05, seed: int = 0) -> BenchmarkProb
         raise ValueError(
             "unknown problem %r (known: %s)" % (name, ", ".join(PROBLEM_NAMES))
         ) from None
-    if noise < 0:
-        raise ValueError("noise fraction must be >= 0")
+    if not 0 <= noise < np.inf:
+        raise ValueError("noise fraction must be finite and >= 0")
     return builder(noise, seed)
 
 

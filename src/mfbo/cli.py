@@ -92,11 +92,7 @@ def main(argv=None) -> int:
 
 
 def _final_rows(result):
-    from .harness import checkpoint_costs, summarize
-
-    rows = summarize(result.outcomes, result.f_star, checkpoint_costs(result.budget))
-    final = [r for r in rows if r[1] == result.budget]
-    return [(r[0], r[2], r[4]) for r in final]
+    return [(r[0], r[2], r[4]) for r in result.summary if r[1] == result.budget]
 
 
 if __name__ == "__main__":

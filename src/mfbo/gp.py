@@ -80,9 +80,6 @@ class GpPrior:
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
         object.__setattr__(self, "mean", float(self.mean))
 
-    def mean_at(self, X) -> np.ndarray:
-        return np.full(np.shape(X)[0], self.mean)
-
 
 def chol_factor(mat: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of a symmetric PSD matrix.

@@ -222,7 +222,6 @@ def checkpoint_costs(budget: float) -> np.ndarray:
 class RunOutcome:
     policy: str
     index: int
-    seed: int
     trace: Optional[Trace]
     error: Optional[str]
     duration: float
@@ -234,6 +233,7 @@ class ExperimentResult:
     budget: float
     f_star: float
     outcomes: list[RunOutcome] = field(default_factory=list)
+    summary: list[tuple] = field(default_factory=list)
     traces_path: str = ""
     curves_path: str = ""
     summary_path: str = ""
@@ -244,6 +244,14 @@ class ExperimentResult:
 
 
 def run_experiment(cfg: ExperimentConfig, log=None) -> ExperimentResult:
+    """Run cfg's policies at each of its seed indices and write three CSVs.
+
+    Writes traces.csv, curves.csv and summary.csv into cfg.out_dir, and
+    calls log, if given, with one line per run as its seed index finishes.
+    The result holds the outcomes in (policy, seed index) order, summary
+    as summary.csv holds it (summarize's rows at the budget's quarters) and
+    the three paths.
+    """
     problem = make_problem(cfg.problem, noise=cfg.noise, seed=cfg.problem_seed)
     budget = cfg.budget_mult * problem.model.target_cost
     result = ExperimentResult(config=cfg, budget=budget, f_star=problem.f_star)
@@ -261,7 +269,7 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ExperimentResult:
             err = "%s: %s" % (type(exc).__name__, exc)
             traces = dict.fromkeys(cfg.policies)
         duration = time.perf_counter() - start
-        runs = [RunOutcome(pol, idx, seed, trace, err if trace is None else trace.error, duration)
+        runs = [RunOutcome(pol, idx, trace, err if trace is None else trace.error, duration)
                 for pol, trace in traces.items()]
         by_seed.append(runs)
         if log is not None:
@@ -277,7 +285,8 @@ def run_experiment(cfg: ExperimentConfig, log=None) -> ExperimentResult:
     result.summary_path = os.path.join(cfg.out_dir, "summary.csv")
     write_traces_csv(result.traces_path, outcomes, problem.dim)
     write_run_curves_csv(result.curves_path, outcomes, problem.f_star)
-    write_summary_csv(result.summary_path, outcomes, problem.f_star, checkpoint_costs(budget))
+    result.summary = summarize(outcomes, problem.f_star, checkpoint_costs(budget))
+    write_summary_csv(result.summary_path, result.summary)
     return result
 
 
@@ -332,8 +341,8 @@ def summarize(outcomes, f_star: float, checkpoints) -> list[tuple]:
     return rows
 
 
-def write_summary_csv(path, outcomes, f_star: float, checkpoints) -> None:
+def write_summary_csv(path, rows) -> None:
     with open(path, "w") as fh:
         fh.write("policy,checkpoint_cost,mean_simple_regret,stderr,n_seeds\n")
-        for policy, c, mean, stderr, n in summarize(outcomes, f_star, checkpoints):
+        for policy, c, mean, stderr, n in rows:
             fh.write("%s,%.12g,%.12g,%.12g,%d\n" % (policy, c, mean, stderr, n))

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import warnings
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -141,23 +141,12 @@ class FidelityModel:
         return v
 
     def scaled(self, ls_factor: float = 1.0, sv_factor: float = 1.0) -> "FidelityModel":
-        """Copy with all kernels rescaled (noise and costs unchanged)."""
-        tp = self.target_prior
-        return FidelityModel(
-            target_prior=GpPrior(
-                kernel=tp.kernel.scaled(ls_factor, sv_factor),
-                noise_variance=tp.noise_variance,
-                mean=tp.mean,
-            ),
-            error_priors=tuple(
-                GpPrior(
-                    kernel=p.kernel.scaled(ls_factor, sv_factor),
-                    noise_variance=p.noise_variance,
-                )
-                for p in self.error_priors
-            ),
-            costs=self.costs.copy(),
-        )
+        """Copy with all kernels rescaled (noise, means and costs unchanged)."""
+        def rescale(p: GpPrior) -> GpPrior:
+            return replace(p, kernel=p.kernel.scaled(ls_factor, sv_factor))
+
+        return replace(self, target_prior=rescale(self.target_prior),
+                       error_priors=tuple(map(rescale, self.error_priors)))
 
     def _check_fidelity(self, fidelity: int):
         if not 1 <= fidelity <= self.m:
@@ -440,8 +429,11 @@ class CandidateGains:
     """
 
     def __init__(self, state: CovState, Xc, budget=None):
+        if np.ndim(Xc) != 2 or np.shape(Xc)[1] != state.model.dim:
+            raise ValueError("candidates must be an (n, %d) matrix, not of shape %s"
+                             % (state.model.dim, np.shape(Xc)))
         # dimension-major, as CandidateSet.points already is
-        self.Xc = np.asfortranarray(np.reshape(Xc, (-1, state.model.dim)), dtype=np.float64)
+        self.Xc = np.asfortranarray(Xc, dtype=np.float64)
         self.budget = budget
         self.recomputes = dict.fromkeys((FIRST_POINT, JOINT_FAILED, ERROR_FAILED, NEW_MODEL), 0)
         self.reset(state, None)
@@ -487,8 +479,7 @@ class CandidateGains:
         if self.state.n == self.capacity:
             raise RuntimeError("append past the %d points sized from the budget" % self.capacity)
         self.state = new = self.state.append(action)
-        if self.budget is not None:
-            self.budget -= float(new.model.costs[action.fidelity - 1])
+        self.budget -= float(new.model.costs[action.fidelity - 1])
         if new.rebuilt is not None:
             return self.reset(new, new.rebuilt)
         lev = action.fidelity
@@ -589,11 +580,11 @@ class CandidateGains:
             k, self._wa = 0, np.zeros(self.Xc.shape[0])
         if k < state.n:
             # rows k: of L a = y - mu, given a[:k]
-            resid = y[k:] - prior.mean_at(state.X[k:]) - state.L[k:, :k] @ self._a[:k]
+            resid = y[k:] - prior.mean - state.L[k:, :k] @ self._a[:k]
             a = solve_triangular(state.L[k:, k:], resid)
             self._wa += self._wf.rows[k:].T @ a
             self._y, self._a = y.copy(), np.concatenate([self._a[:k], a])
-        mean = prior.mean_at(self.Xc) + self._wa
+        mean = prior.mean + self._wa
         return mean, np.maximum(prior.kernel.signal_variance - self._wf.sq, 0.0)
 
 
@@ -627,7 +618,7 @@ def log_marginal_likelihood(model: FidelityModel, X, fids, y, memo=None) -> floa
         return 0.0
     K = _joint_sym(model, X, fids, memo)
     L, _ = chol_factor(K)
-    resid = y - model.target_prior.mean_at(X)
+    resid = y - model.target_prior.mean
     a = solve_triangular(L, resid)
     return float(
         -0.5 * (a @ a) - np.sum(np.log(np.diag(L))) - 0.5 * n * np.log(2.0 * np.pi)

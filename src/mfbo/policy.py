@@ -198,8 +198,8 @@ def run_policies(problem, budget, cfg=None, seed=0, names=POLICY_NAMES) -> dict[
     if cfg is None:
         cfg = PolicyConfig()
     budget = float(budget)
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < np.inf:
+        raise ValueError("budget must be positive and finite")
     if not set(names) <= EXPLORE_EPISODES.keys() or len(set(names)) != len(names):
         raise ValueError("need distinct policy names among: %s" % ", ".join(POLICY_NAMES))
     cand_seed = cfg.candidate_seed

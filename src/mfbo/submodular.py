@@ -49,8 +49,8 @@ def gamma_max_bound(
     Explore-LF runs: ties break to the lowest fidelity, then the lowest
     candidate index.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not 0 < budget < np.inf:
+        raise ValueError("budget must be positive and finite")
     if not beta >= 0:
         raise ValueError("beta must be >= 0")
     if model.m < 2:

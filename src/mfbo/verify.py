@@ -32,7 +32,7 @@ from .acquisition import CandidateSet, make_candidates
 from .benchmarks import BenchmarkProblem, make_problem, single_fidelity_problem
 from .explore import alpha_budget, explore_lf
 from .gp import GpPrior, SquaredExpKernel, one_blas_thread
-from .harness import ExperimentConfig, run_experiment, summarize, checkpoint_costs
+from .harness import ExperimentConfig, run_experiment
 from .model import Action, CandidateGains, CovState, FidelityModel, info_gain_set
 from .policy import PolicyConfig, mf_mi_greedy, sf_only, trace_records
 from .regret import cumulative_regret, decompose_regret
@@ -415,11 +415,7 @@ def criterion_relative_performance():
     result, elapsed = currin_experiment()
     if result.n_failed:
         return False, "%d run(s) failed" % result.n_failed
-    final = {}
-    for pol, c, mean, _, n in summarize(result.outcomes, result.f_star,
-                                        checkpoint_costs(result.budget)):
-        if c == result.budget:
-            final[pol] = (mean, n)
+    final = {pol: (mean, n) for pol, c, mean, _, n in result.summary if c == result.budget}
     mf, _ = final["mf_mi_greedy"]
     ete, _ = final["explore_then_exploit"]
     sf, n = final["sf_only"]

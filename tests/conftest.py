@@ -98,11 +98,11 @@ def predict_latent_diag(state: CovState, y, Xq) -> tuple[np.ndarray, np.ndarray]
     model = state.model
     Xq = np.asarray(Xq, dtype=np.float64).reshape(-1, model.dim)
     kf = model.target_prior.kernel
-    prior_mean = model.target_prior.mean_at(Xq)
+    prior_mean = model.target_prior.mean
     sv = kf.signal_variance
     if state.n == 0:
-        return prior_mean, np.full(Xq.shape[0], sv)
-    resid = np.asarray(y, dtype=np.float64) - model.target_prior.mean_at(state.X)
+        return np.full(Xq.shape[0], prior_mean), np.full(Xq.shape[0], sv)
+    resid = np.asarray(y, dtype=np.float64) - prior_mean
     a = solve_triangular(state.L, resid, lower=True, check_finite=False)
     alpha = solve_triangular(state.L.T, a, lower=False, check_finite=False)
     Kc = kf.cross(state.X, Xq)

@@ -33,6 +33,11 @@ class TestRegistry:
         with pytest.raises(ValueError):
             make_problem("currin2", noise=-0.1)
 
+    @pytest.mark.parametrize("noise", [np.nan, np.inf])
+    def test_noise_must_be_finite(self, noise):
+        with pytest.raises(ValueError, match="noise fraction must be finite"):
+            make_problem("currin2", noise=noise)
+
 
 class TestCostsAndShapes:
     def test_cost_vectors(self):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import weakref
 
 import numpy as np
@@ -322,6 +323,51 @@ class TestRunExperiment:
         seeds = {line.split(",")[1] for line in (tmp_path / "r" / "traces.csv").read_text()
                  .splitlines()[1:]}
         assert seeds == {"0", "2"}
+
+
+class TestOutputBytes:
+    # sha256 of traces.csv, curves.csv and summary.csv of two small
+    # experiments: a change to any output byte fails here, not only in the
+    # benchmark's CSV hashes
+    PINNED = {
+        "currin2": (
+            dict(problem="currin2", budget_mult=12.0, n_seeds=2, n_candidates=64,
+                 hyperfit_every=3),
+            ("9821d60a011e152aa990d4d05819e18181519301aa4a1a66467fd678ccc8cfa5",
+             "34dad84f60e2872243452f49db27c88443bf3999fc7cf63036d92dd45eb6267a",
+             "34c76dd3e1e1a794f58542580cdc9182818e2ada3abe9cc3f53c56540a20389a"),
+        ),
+        "borehole8": (
+            dict(problem="borehole8", budget_mult=12.0, n_seeds=1, n_candidates=300,
+                 hyperfit_every=3, subroutine="gp_mi", policies=("mf_mi_greedy", "sf_only")),
+            ("992bf804e8108b4251f6a70fc09920defc383fa846a720ebb196cecdcab7230c",
+             "967eb3b5f76f839643078439294cf95b5997e96dfa2e37d2353854f577116504",
+             "00c0f0d23a0a83354c42ea8358502fff60322ed52d4f80de9d5580d1c72191e8"),
+        ),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_csv_hashes(self, name, tmp_path, monkeypatch):
+        kw, hashes = self.PINNED[name]
+        runs = []
+        real = policy._run
+
+        def counted(*args):
+            runs.append(args[5])
+            return real(*args)
+
+        monkeypatch.setattr(policy, "_run", counted)
+        result = run_experiment(ExperimentConfig(out_dir=str(tmp_path), **kw))
+        assert result.n_failed == 0
+        # the config takes a copied trace and a refit that changes the model,
+        # and on currin2 an Explore-LF call that buys points
+        assert len(runs) < len(result.outcomes)
+        episodes = [ep for o in result.outcomes for ep in o.trace.episodes]
+        assert len({id(ep.model) for ep in episodes}) > 1
+        assert any(ep.low_observations for ep in episodes) == (name == "currin2")
+        got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest()
+                    for f in ("traces.csv", "curves.csv", "summary.csv"))
+        assert got == hashes
 
 
 class TestSummarize:

@@ -60,12 +60,12 @@ def predict_observable(state: CovState, y, action: Action) -> tuple[float, float
     model._check_fidelity(action.fidelity)
     prior_var = model.prior_variance(action.fidelity)
     x1 = action.x[None, :]
-    mean_prior = float(model.target_prior.mean_at(x1)[0])
+    mean_prior = model.target_prior.mean
     if state.n == 0:
         return mean_prior, prior_var
     fn = np.append(state.fids, action.fidelity)
     cross = _joint_sym(model, np.vstack([state.X, x1]), fn)[:-1, -1]
-    resid = y - model.target_prior.mean_at(state.X)
+    resid = np.asarray(y, dtype=np.float64) - mean_prior
     mean = mean_prior + cross @ cho_solve((state.L, True), resid)
     w = solve_triangular(state.L, cross, lower=True, check_finite=False)
     var = prior_var - w @ w
@@ -301,7 +301,7 @@ class TestPredictObservable:
         for i in range(n):
             for j in range(n):
                 K[i, j] = joint_cov(model, acts[i], acts[j], same_obs=(i == j))
-        prior_mean = np.array([model.target_prior.mean_at(x.x[None, :])[0] for x in acts])
+        prior_mean = np.full(n, model.target_prior.mean)
         Khh = K[:-1, :-1]
         kh = K[:-1, -1]
         mean0 = prior_mean[-1] + kh @ np.linalg.solve(Khh, y - prior_mean[:-1])
@@ -681,6 +681,12 @@ class TestCandidateGains:
             assert gains.pick((1,), taken) == (1, int(i), float(g[i]))
             taken[1][i] = True
         assert gains.pick((1,), taken) is None
+
+    @pytest.mark.parametrize("shape", [(4, 3), (6, 1), (12,), (3, 2, 2)])
+    def test_candidates_must_be_model_dim_wide(self, three_fid_model, shape):
+        # each shape holds a multiple of the model's 2 dimensions
+        with pytest.raises(ValueError, match=r"candidates must be an \(n, 2\) matrix"):
+            CandidateGains(CovState.empty(three_fid_model), np.zeros(shape))
 
     def test_posterior_needs_one_value_per_point(self, two_fid_model, rng):
         state, y = random_observations(rng, two_fid_model, 4)

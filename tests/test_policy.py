@@ -265,6 +265,11 @@ class TestValidation:
             with pytest.raises(ValueError):
                 run(toy, 0.0, quick_cfg, seed=0)
 
+    @pytest.mark.parametrize("budget", [np.nan, np.inf])
+    def test_budget_must_be_finite(self, toy, quick_cfg, budget):
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            run_policies(toy, budget, quick_cfg, 0, POLICY_NAMES)
+
     @pytest.mark.parametrize("names", [("sf_only", "sf_only"), ("random",)])
     def test_policy_names_must_be_distinct_and_known(self, toy, quick_cfg, names):
         with pytest.raises(ValueError, match="distinct policy names"):

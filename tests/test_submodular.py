@@ -137,6 +137,17 @@ class TestGammaMaxBound:
         with pytest.raises(ValueError):
             gamma_max_bound(two_fid_model, cand, 0.0, 0.5)
 
+    def test_candidates_must_be_model_dim_wide(self, two_fid_model):
+        cand = CandidateSet(points=np.zeros((3, 2)))  # a 1-d model
+        with pytest.raises(ValueError, match=r"candidates must be an \(n, 1\) matrix"):
+            gamma_max_bound(two_fid_model, cand, 10.0, 0.5)
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf])
+    def test_budget_finite(self, two_fid_model, budget):
+        cand = CandidateSet(points=np.array([[0.0]]))
+        with pytest.raises(ValueError, match="budget must be positive and finite"):
+            gamma_max_bound(two_fid_model, cand, budget, 0.5)
+
     @pytest.mark.parametrize("beta", [np.nan, -0.1, -np.inf])
     def test_beta_nonnegative(self, two_fid_model, beta):
         # a NaN or negative beta never ends the loop on the ratio rule
