@@ -29,7 +29,7 @@ import numpy as np
 
 from .gp import GpPrior, SquaredExpKernel
 from .model import Action, FidelityModel
-from .util import halton_points, mix64
+from .util import as_points, halton_points, mix64
 
 # fixed sample used to estimate ranges/variances at build time
 _RANGE_SEED = 170_561
@@ -65,13 +65,17 @@ class BenchmarkProblem:
         """Noiseless u_l at an (n, d) array of points."""
         if not 1 <= fidelity <= self.m:
             raise ValueError("fidelity %r out of range 1..%d" % (fidelity, self.m))
-        X = np.asarray(X, dtype=np.float64).reshape(-1, self.dim)
+        X = as_points(X, self.dim)
         return np.asarray(self.fidelity_fns[fidelity - 1](X), dtype=np.float64)
 
     def value(self, x, fidelity: int | None = None) -> float:
+        """Noiseless u_l at one point x of length d (default l: the target)."""
         if fidelity is None:
             fidelity = self.m
-        return float(self.values(np.asarray(x).reshape(1, -1), fidelity)[0])
+        x = np.asarray(x, dtype=np.float64)
+        if x.shape != (self.dim,):
+            raise ValueError("x must be a point of length %d, got shape %s" % (self.dim, x.shape))
+        return float(self.values(x[None, :], fidelity)[0])
 
     def evaluate(self, action: Action, rng: np.random.Generator) -> float:
         """One noisy observation; always draws exactly one normal."""

@@ -30,7 +30,7 @@ class NumericalError(RuntimeError):
     """A covariance factorization failed even at the largest jitter."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SquaredExpKernel:
     """k(x, x') = signal_variance * exp(-0.5 * sum_i ((x-x')_i / ls_i)^2)."""
 
@@ -66,7 +66,7 @@ class SquaredExpKernel:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GpPrior:
     """GP prior with a constant mean and homoscedastic observation noise."""
 

@@ -60,7 +60,7 @@ import numpy as np
 
 from .benchmarks import PROBLEM_NAMES, make_problem
 from .policy import POLICY_NAMES, PolicyConfig, Trace, run_policies, serialize_trace
-from .regret import cumulative_regret_curve, simple_regret_curve, write_curves_csv
+from .regret import cumulative_regret_curve, simple_regret_curve
 from .util import mix64
 
 
@@ -176,8 +176,12 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        with open(path) as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError("%s: not UTF-8 text (byte offset %d)" % (path, exc.start)) from None
         sections = parse_config_text(text, source=str(path))
         return cls.from_sections(sections)
 
@@ -304,18 +308,16 @@ def write_traces_csv(path, outcomes, dim: int) -> None:
 
 
 def write_run_curves_csv(path, outcomes, f_star: float) -> None:
-    write_curves_csv(
-        path,
-        (
-            (o.index, o.policy, curve)
-            for o in outcomes
-            if o.trace is not None
-            for curve in (
-                simple_regret_curve(o.trace, f_star),
-                cumulative_regret_curve(o.trace, f_star),
-            )
-        ),
-    )
+    """Each run's simple and cumulative regret curves as seed,policy,cost,value,kind."""
+    with open(path, "w") as fh:
+        fh.write("seed,policy,cost,value,kind\n")
+        for o in outcomes:
+            if o.trace is None:
+                continue
+            for curve in (simple_regret_curve(o.trace, f_star),
+                          cumulative_regret_curve(o.trace, f_star)):
+                for c, v in zip(curve.costs, curve.values):
+                    fh.write("%d,%s,%.12g,%.12g,%s\n" % (o.index, o.policy, c, v, curve.kind))
 
 
 def summarize(outcomes, f_star: float, checkpoints) -> list[tuple]:

@@ -40,6 +40,7 @@ from .gp import (
     gaussian_entropy,
     solve_triangular,
 )
+from .util import as_points
 
 # Below this latent variance a query point is treated as already known and
 # its information gain is exactly zero (avoids log(0/0) degeneracies).
@@ -79,7 +80,7 @@ class Observation:
             raise ValueError("observed values must be finite")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FidelityModel:
     """Joint prior: target GP plus one disturbance GP per lower fidelity.
 
@@ -203,6 +204,17 @@ def _error_block(model: FidelityModel, lev: int, X: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 # incremental factorization state
 
+def _located(model: FidelityModel, X, fids) -> tuple[np.ndarray, np.ndarray]:
+    """X as an (n, dim) float matrix and fids as its n integer fidelities;
+    ValueError if either has another shape."""
+    X = as_points(X, model.dim)
+    fids = np.asarray(fids, dtype=np.int64)
+    if fids.shape != (X.shape[0],):
+        raise ValueError("fids must hold one fidelity per point: shape %s for %d points"
+                         % (fids.shape, X.shape[0]))
+    return X, fids
+
+
 # Cholesky of k_eps_l(X_l, X_l) + s2_l I over one fidelity's points X[idx]
 _ErrFactor = namedtuple("_ErrFactor", "idx L jit")
 
@@ -237,8 +249,7 @@ class CovState:
 
     @classmethod
     def build(cls, model: FidelityModel, X, fids, rebuilt=None) -> "CovState":
-        X = np.asarray(X, dtype=np.float64).reshape(-1, model.dim)
-        fids = np.asarray(fids, dtype=np.int64).reshape(-1)
+        X, fids = _located(model, X, fids)
         L, jit = chol_factor(_joint_sym(model, X, fids))
         err = {}
         for lev in range(1, model.m):
@@ -610,8 +621,7 @@ def log_marginal_likelihood(model: FidelityModel, X, fids, y, memo=None) -> floa
     unit block, and the value is bitwise the one computed without it.
     Raises ValueError unless y holds one finite value per point.
     """
-    X = np.asarray(X, dtype=np.float64).reshape(-1, model.dim)
-    fids = np.asarray(fids, dtype=np.int64).reshape(-1)
+    X, fids = _located(model, X, fids)
     n = X.shape[0]
     y = _observed_values(y, n)
     if n == 0:

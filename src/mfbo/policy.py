@@ -137,22 +137,12 @@ def trace_records(trace: Trace) -> list[tuple]:
     """
     rows = []
     cost = 0.0
-    model_costs = None
     for ep in trace.episodes:
-        model_costs = ep.model.costs
-        step = 0
-        for obs in ep.low_observations:
-            step += 1
-            cost += float(model_costs[obs.action.fidelity - 1])
+        for step, obs in enumerate(ep.low_observations + (ep.target_observation,), 1):
+            cost += float(ep.model.costs[obs.action.fidelity - 1])
             rows.append(
                 (ep.index, step, obs.action.fidelity, cost, obs.y) + tuple(obs.action.x)
             )
-        step += 1
-        cost += trace.target_cost
-        obs = ep.target_observation
-        rows.append(
-            (ep.index, step, obs.action.fidelity, cost, obs.y) + tuple(obs.action.x)
-        )
     return rows
 
 

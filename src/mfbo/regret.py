@@ -97,12 +97,3 @@ def cumulative_regret_curve(trace: Trace, f_star: float) -> RegretCurve:
     rewards = np.cumsum(trace.rewards())
     values = (costs / trace.target_cost) * f_star - rewards
     return RegretCurve("cumulative_regret", costs, values)
-
-
-def write_curves_csv(path, runs) -> None:
-    """Write (seed, policy, RegretCurve) triples as seed,policy,cost,value,kind."""
-    with open(path, "w") as fh:
-        fh.write("seed,policy,cost,value,kind\n")
-        for seed, policy, curve in runs:
-            for c, v in zip(curve.costs, curve.values):
-                fh.write("%d,%s,%.12g,%.12g,%s\n" % (seed, policy, c, v, curve.kind))

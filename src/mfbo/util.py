@@ -1,4 +1,5 @@
-"""Small shared helpers: deterministic seed mixing and quasi-uniform points."""
+"""Small shared helpers: deterministic seed mixing, quasi-uniform points and
+the shape check of a point matrix."""
 
 from __future__ import annotations
 
@@ -86,3 +87,11 @@ def halton_points(bounds: np.ndarray, n: int, seed: int) -> np.ndarray:
                 s += perm[0] * b2r
             b2r /= base
     return bounds[:, 0] + unit.T * (bounds[:, 1] - bounds[:, 0])
+
+
+def as_points(X, dim: int) -> np.ndarray:
+    """X as a float (n, dim) matrix; ValueError if it is not one."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise ValueError("X must be an (n, %d) matrix of points, got shape %s" % (dim, X.shape))
+    return X

@@ -32,7 +32,7 @@ from .acquisition import CandidateSet, make_candidates
 from .benchmarks import BenchmarkProblem, make_problem, single_fidelity_problem
 from .explore import alpha_budget, explore_lf
 from .gp import GpPrior, SquaredExpKernel, one_blas_thread
-from .harness import ExperimentConfig, run_experiment
+from .harness import ExperimentConfig, checkpoint_costs, run_experiment
 from .model import Action, CandidateGains, CovState, FidelityModel, info_gain_set
 from .policy import PolicyConfig, mf_mi_greedy, sf_only, trace_records
 from .regret import cumulative_regret, decompose_regret
@@ -427,18 +427,13 @@ def criterion_relative_performance():
 def criterion_no_regret_trend():
     """Seed-mean cumulative regret per unit budget falls along checkpoints."""
     result, _ = currin_experiment()
-    lam = None
-    traces = []
-    for o in result.outcomes:
-        if o.policy == "mf_mi_greedy" and o.trace is not None:
-            traces.append(o.trace)
-            lam = o.trace.target_cost
-    cps = np.array([25.0, 50.0, 75.0, 100.0]) * lam
+    traces = [o.trace for o in result.outcomes
+              if o.policy == "mf_mi_greedy" and o.trace is not None]
     means = []
-    for c in cps:
+    for c in checkpoint_costs(result.budget):
         vals = [cumulative_regret(tr, result.f_star, c) / c for tr in traces]
         means.append(float(np.mean(vals)))
-    inversions = [(means[k + 1] - means[k]) for k in range(3) if means[k + 1] > means[k] + 1e-12]
+    inversions = [b - a for a, b in zip(means, means[1:]) if b > a + 1e-12]
     ok = len(inversions) == 0 or (len(inversions) == 1 and inversions[0] <= 0.02 * means[0])
     return ok, "R(c)/c at checkpoints: %s, inversions %d" % (
         ["%.4f" % v for v in means], len(inversions))

@@ -1,3 +1,4 @@
+import json
 import sys
 from pathlib import Path
 
@@ -155,3 +156,15 @@ def test_csv_match_names_the_first_pair_and_side_that_differ():
     pairs[1]["parent"]["csv_sha256"] = None  # run.py printed no hashes
     assert bench_pairs.csv_match(pairs) == (
         False, "pair 2 parent differs from pair 1 parent in curves.csv, traces.csv")
+
+
+def test_record_keeps_every_key_and_writes_each_runs_rounds_on_one_line():
+    run = {"rounds": rounds_of(0.9, 0.6), "metrics": {"cpu_s": 1.0}, "csv_sha256": {"a": "b"}}
+    record = {"tag": "t", "workloads": {"w": {
+        "round_minima": {"wall_s": {"parent": 0.6}},
+        "runs": [{"first": "parent", "parent": run, "change": dict(run, rounds=[])}]}}}
+    text = bench_pairs.dump_record(record)
+    assert json.loads(text) == record and text.endswith("}\n")
+    lines = [line for line in text.splitlines() if '"rounds"' in line]
+    assert [json.loads("{%s}" % line.strip().rstrip(","))["rounds"] for line in lines] == [
+        [], rounds_of(0.9, 0.6)]

@@ -119,6 +119,23 @@ class TestDisturbances:
         assert np.array_equal(a.values(X, 2), c.values(X, 2))
 
 
+class TestPointShapes:
+    @pytest.mark.parametrize("X", [np.zeros((2, 3)), np.zeros(2), np.zeros((1, 1, 2))])
+    def test_values_rejects_other_than_an_n_by_d_matrix(self, X):
+        with pytest.raises(ValueError, match=r"X must be an \(n, 2\) matrix"):
+            make_problem("currin2").values(X, 2)
+
+    @pytest.mark.parametrize("call", [
+        lambda p: p.value(np.zeros(4)),
+        lambda p: p.value(np.zeros((1, 2))),
+        lambda p: p.value(np.zeros(4), 1),
+        lambda p: p.evaluate(Action(x=np.zeros(4), fidelity=2), np.random.default_rng(0)),
+    ], ids=["value", "value-row", "value-low", "evaluate"])
+    def test_one_point_must_be_d_long(self, call):
+        with pytest.raises(ValueError, match="x must be a point of length 2"):
+            call(make_problem("currin2"))
+
+
 class TestNoise:
     def test_noise_sd_is_fraction_of_range(self):
         p = make_problem("currin2", noise=0.1, seed=0)

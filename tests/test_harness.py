@@ -11,16 +11,19 @@ from mfbo.harness import (
     CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
+    RunOutcome,
     candidate_seed,
     checkpoint_costs,
     parse_config_text,
     run_experiment,
     run_seed,
     summarize,
+    write_run_curves_csv,
 )
 from mfbo.benchmarks import BenchmarkProblem
 from mfbo.gp import chol_factor
-from mfbo.policy import POLICY_NAMES, PolicyConfig, sf_only
+from mfbo.model import Action, Observation
+from mfbo.policy import POLICY_NAMES, Episode, PolicyConfig, Trace, sf_only
 from mfbo.verify import make_toy_problem
 
 
@@ -388,6 +391,31 @@ class TestSummarize:
         assert by_cost[3.0][4] == 2 and np.isfinite(by_cost[3.0][2])
 
 
+class TestCurvesCsv:
+    def test_format(self, tmp_path):
+        model = make_toy_problem().model
+        x = np.array([0.5])
+
+        def episode(index, cost, target_true):
+            obs = Observation(Action(x=x, fidelity=model.m), target_true)
+            return Episode(index, (), obs, target_true, cost, 0.0, 0.0, None, None, model)
+
+        trace = Trace("toy", "sf_only", 0, budget=3.0, spent=2.5, target_cost=1.0,
+                      episodes=(episode(1, 1.0, 2.0 / 3.0), episode(2, 1.5, 0.875)),
+                      recommendation=None, recommendation_value=float("nan"))
+        outcomes = [RunOutcome("sf_only", 7, trace, None, 0.0),
+                    RunOutcome("sf_only", 8, None, "ValueError: x", 0.0)]
+        out = tmp_path / "curves.csv"
+        write_run_curves_csv(out, outcomes, f_star=1.0)
+        assert out.read_text().splitlines() == [
+            "seed,policy,cost,value,kind",
+            "7,sf_only,1,0.333333333333,simple_regret",
+            "7,sf_only,2.5,0.125,simple_regret",
+            "7,sf_only,1,0.333333333333,cumulative_regret",
+            "7,sf_only,2.5,0.958333333333,cumulative_regret",
+        ]
+
+
 class TestCli:
     def test_missing_required_flag_exits_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -480,6 +508,14 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "bad.cfg:2" in err
+
+    def test_config_not_utf8_exit_2(self, tmp_path, capsys):
+        cfgfile = tmp_path / "latin.cfg"
+        cfgfile.write_bytes(b"problem = currin2\n# caf\xff\n")
+        rc = cli_main(["run", "--config", str(cfgfile)])
+        assert rc == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: %s: not UTF-8 text (byte offset 23)" % cfgfile]
 
     def test_bad_config_value_exit_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"

@@ -176,6 +176,19 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             FidelityModel(target_prior=t, error_priors=(), costs=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("part", [
+        lambda model: model,
+        lambda model: model.target_prior,
+        lambda model: model.target_prior.kernel,
+        lambda model: model.error_priors[0].kernel,
+    ], ids=["model", "prior", "kernel", "error-kernel"])
+    def test_values_compare_and_hash_by_identity(self, part):
+        # two builds hold equal parameters in separate arrays
+        a, b = (part(make_problem("currin2").model) for _ in range(2))
+        assert a == a and a != b
+        assert a in [b, a] and a not in [b]
+        assert len({a, b}) == 2 and hash(a) == hash(a)
+
 
 class TestPredictLatent:
     """The latent posterior at candidates, CandidateGains.posterior."""
@@ -872,6 +885,16 @@ class TestCovState:
         assert (FIRST_POINT, 2) in seen
         assert set(state.fids.tolist()) == {1, 2, 3}
 
+    @pytest.mark.parametrize("name, X, fids, message", [
+        ("currin2", np.zeros((3, 2)), [1], r"fids must hold one fidelity per point"),
+        ("currin2", np.zeros((3, 2)), np.ones((3, 1)), r"fids must hold one fidelity"),
+        ("currin2", np.zeros(2), [2], r"X must be an \(n, 2\) matrix"),
+        ("hartmann6", np.zeros((6, 4)), [1, 2, 3, 4], r"X must be an \(n, 6\) matrix"),
+    ])
+    def test_build_rejects_misshapen_points(self, name, X, fids, message):
+        with pytest.raises(ValueError, match=message):
+            CovState.build(make_problem(name).model, X, fids)
+
     @pytest.mark.parametrize("rebuilt", [None, JOINT_FAILED])
     def test_build_with_no_points_is_empty(self, three_fid_model, rebuilt):
         empty = CovState.empty(three_fid_model)
@@ -1049,6 +1072,17 @@ class TestHyperFit:
             log_marginal_likelihood(two_fid_model, state.X, state.fids, [0.3])
         with pytest.raises(ValueError, match="1 values for 5 observed points"):
             fit_hyperparameters(state, [0.3], default_hyper_grid(two_fid_model))
+
+    @pytest.mark.parametrize("name, X, fids, message", [
+        ("hartmann6", np.zeros((6, 4)), [1, 2, 3, 4], r"X must be an \(n, 6\) matrix"),
+        ("currin2", np.zeros(6), [1, 2, 2], r"X must be an \(n, 2\) matrix"),
+        ("currin2", np.zeros((3, 2)), np.ones((3, 1)), r"fids must hold one fidelity"),
+        ("currin2", np.zeros((3, 2)), [1, 2, 2, 1], r"fids must hold one fidelity"),
+    ])
+    def test_likelihood_rejects_misshapen_points(self, name, X, fids, message):
+        y = np.linspace(0.0, 1.0, np.size(fids))
+        with pytest.raises(ValueError, match=message):
+            log_marginal_likelihood(make_problem(name).model, X, fids, y)
 
     def test_rejects_non_finite_values(self, two_fid_model, rng):
         state, y = random_observations(rng, two_fid_model, 5)

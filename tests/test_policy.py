@@ -107,6 +107,18 @@ class TestGoldenTrace:
             assert ep.explore_beta == pytest.approx(beta)
             remaining -= ep.cost
 
+    def test_default_beta_is_the_inverse_cube_root_of_the_remaining_budget(self, toy):
+        # the README's spec, with the default exponent rather than the config's
+        trace = mf_mi_greedy(toy, 21.0, PolicyConfig(n_candidates=16, hyperfit_every=0),
+                             seed=2718)
+        remaining, exploring = 21.0, 0
+        for ep in trace.episodes:
+            if ep.explore_beta is not None:
+                exploring += 1
+                assert ep.explore_beta == pytest.approx(remaining ** (-1.0 / 3.0), rel=1e-12)
+            remaining -= ep.cost
+        assert exploring == trace.n_episodes == 3
+
     def test_golden_certificate(self, toy, quick_cfg):
         trace = mf_mi_greedy(toy, 21.0, quick_cfg, seed=2718)
         ep = trace.episodes[0]
@@ -130,8 +142,8 @@ class TestStoredCertificate:
         for ep in trace.episodes:
             if ep.low_observations:
                 exploring += 1
-                state = CovState.build(ep.model, [a.x for a in before],
-                                       [a.fidelity for a in before])
+                X = np.reshape([a.x for a in before], (len(before), ep.model.dim))
+                state = CovState.build(ep.model, X, [a.fidelity for a in before])
                 want = info_gain_set(state, [o.action for o in ep.low_observations])
                 assert abs(ep.explore_info_gain - want) <= 1e-10, (ep.index, want)
             before += [o.action for o in ep.low_observations + (ep.target_observation,)]

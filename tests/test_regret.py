@@ -12,7 +12,6 @@ from mfbo.regret import (
     cumulative_regret_curve,
     decompose_regret,
     simple_regret_curve,
-    write_curves_csv,
 )
 from mfbo.verify import make_toy_problem
 
@@ -180,15 +179,3 @@ class TestCurves:
         # after ep1: (2/2)*1 - 1 = 0; after ep2: (6/2)*1 - 1.5 = 1.5
         assert np.allclose(curve.costs, [2.0, 6.0])
         assert np.allclose(curve.values, [0.0, 1.5])
-
-
-class TestCsv:
-    def test_format(self, tmp_path):
-        curve = RegretCurve("simple_regret", np.array([1.0, 2.5]),
-                            np.array([0.125, 1.0 / 3.0]))
-        out = tmp_path / "curves.csv"
-        write_curves_csv(out, [(7, "sf_only", curve)])
-        lines = out.read_text().splitlines()
-        assert lines[0] == "seed,policy,cost,value,kind"
-        assert lines[1] == "7,sf_only,1,0.125,simple_regret"
-        assert lines[2] == "7,sf_only,2.5,0.333333333333,simple_regret"

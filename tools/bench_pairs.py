@@ -26,6 +26,7 @@ higher peak. Per workload it prints whether every run's CSV hashes
 matched, or the first pair and side whose hashes differ from pair 1's
 parent run. Exits 1 if any run failed a check or the CSV hashes differ
 between runs of one workload.
+The record is indented JSON with each run's rounds on one line.
 """
 
 from __future__ import annotations
@@ -44,6 +45,9 @@ RUN_TIMEOUT_S = 900
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 # run.py's report of one --trace 0 round: "# round3   wall 0.820 s  cpu 0.818 s ..."
 ROUND_LINE = re.compile(r"# round\d+\s+wall (\S+) s\s+cpu (\S+) s")
+# a run's rounds list as json.dumps(..., indent=1) spreads it; its rounds
+# hold numbers only, so the first "]" closes it
+ROUNDS_LIST = re.compile(r'"rounds": (\[[^\]]*\])')
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
@@ -194,6 +198,13 @@ def round_counts(pairs) -> dict:
             for side in ("parent", "change")}
 
 
+def dump_record(record) -> str:
+    """record as indented JSON with sorted keys, each run's rounds on one line."""
+    text = json.dumps(record, indent=1, sort_keys=True)
+    return ROUNDS_LIST.sub(lambda m: '"rounds": %s' % json.dumps(
+        json.loads(m.group(1)), sort_keys=True), text) + "\n"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -267,7 +278,7 @@ def main(argv=None) -> int:
                 args.pairs), flush=True)
     record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     out = args.out or Path.cwd() / ("BENCH_%s.json" % args.tag)
-    out.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n")
+    out.write_text(dump_record(record))
     print("# wrote %s" % out)
     return 0 if ok else 1
 
