@@ -14,7 +14,7 @@ import numpy as np
 from .util import halton_points
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CandidateSet:
     """Finite optimization domain of quasi-uniform points."""
 

@@ -15,9 +15,10 @@ Disturbance amplitudes, observation-noise fractions and the default GP
 hyperparameters below are reproduction parameters: they shape the test
 problems but are not part of any algorithmic contract.
 
-Certified optima (dense quasi-random scan plus local refinement, frozen):
-hartmann6 3.322368011415514, currin2 2 - 3*(1 - exp(-1/2)), borehole8
-10 - 7.819676328755232 at the domain corner recorded in _BOREHOLE_XSTAR.
+Each problem is one row of _PROBLEMS. Certified optima (dense quasi-random
+scan plus local refinement, frozen): hartmann6 3.322368011415514, currin2
+2 - 3*(1 - exp(-1/2)), borehole8 10 - 7.819676328755232 at the domain
+corner recorded as its x_star.
 """
 
 from __future__ import annotations
@@ -119,44 +120,12 @@ def _currin_raw(X):
     return fac * num / den
 
 
-_BOREHOLE_BOUNDS = np.array(
-    [
-        [0.05, 0.15],       # r_w
-        [100.0, 50000.0],   # r
-        [63070.0, 115600.0],  # T_u
-        [990.0, 1110.0],    # H_u
-        [63.1, 116.0],      # T_l
-        [700.0, 820.0],     # H_l
-        [1120.0, 1680.0],   # L
-        [9855.0, 12045.0],  # K_w
-    ]
-)
-
-
 def _borehole_raw(X):
     rw, r, tu, hu, tl, hl, ell, kw = (X[:, i] for i in range(8))
     lnr = np.log(r / rw)
     return 2.0 * np.pi * tu * (hu - hl) / (
         lnr * (1.0 + 2.0 * ell * tu / (lnr * rw**2 * kw) + tu / tl)
     )
-
-
-_HARTMANN6_XSTAR = np.array(
-    [
-        0.20168950968761765,
-        0.15001069413863433,
-        0.47687396963094986,
-        0.27533242916768874,
-        0.31165161370991157,
-        0.6573005333899428,
-    ]
-)
-_BOREHOLE_XSTAR = np.array(
-    [0.05, 50000.0, 63070.0, 990.0, 63.1, 820.0, 1680.0, 9855.0]
-)
-
-_CURRIN_SHIFT = 2.0
-_BOREHOLE_SHIFT = 10.0
 
 
 # --------------------------------------------------------------------------
@@ -179,7 +148,6 @@ def _cosine_bump(bounds, amplitude: float, seed: int):
 
 def _assemble(name, target_fn, bounds, costs, amplitudes, f_star, x_star, noise_frac, seed):
     bounds = np.asarray(bounds, dtype=np.float64)
-    m = len(amplitudes) + 1
     sample = halton_points(bounds, _RANGE_SAMPLE, _RANGE_SEED)
     fm = target_fn(sample)
 
@@ -231,57 +199,47 @@ def _shifted_neg(fn, shift):
     return lambda X: shift - fn(X)
 
 
-def _make_hartmann6(noise, seed):
-    return _assemble(
-        "hartmann6",
-        _shifted_neg(_hartmann6_raw, 0.0),
-        np.array([[0.0, 1.0]] * 6),
-        [1.0, 2.0, 4.0, 8.0],
-        [0.6, 0.4, 0.2],
+# name -> target, bounds, costs, disturbance amplitudes, f* and x*.
+# borehole8's amplitude is 0.4 x the target's range over the fixed range
+# sample (tests recompute it bit for bit).
+_PROBLEMS = {
+    "hartmann6": dict(
+        target_fn=_shifted_neg(_hartmann6_raw, 0.0),
+        bounds=[[0.0, 1.0]] * 6,
+        costs=[1.0, 2.0, 4.0, 8.0],
+        amplitudes=[0.6, 0.4, 0.2],
         f_star=3.322368011415514,
-        x_star=_HARTMANN6_XSTAR,
-        noise_frac=noise,
-        seed=seed,
-    )
-
-
-def _make_currin2(noise, seed):
-    return _assemble(
-        "currin2",
-        _shifted_neg(_currin_raw, _CURRIN_SHIFT),
-        np.array([[0.0, 1.0]] * 2),
-        [1.0, 3.0],
-        [0.5],
-        f_star=_CURRIN_SHIFT - 3.0 * (1.0 - float(np.exp(-0.5))),
-        x_star=np.array([0.0, 1.0]),
-        noise_frac=noise,
-        seed=seed,
-    )
-
-
-def _make_borehole8(noise, seed):
-    sample = halton_points(_BOREHOLE_BOUNDS, _RANGE_SAMPLE, _RANGE_SEED)
-    amp = 0.4 * float(np.ptp(_BOREHOLE_SHIFT - _borehole_raw(sample)))
-    return _assemble(
-        "borehole8",
-        _shifted_neg(_borehole_raw, _BOREHOLE_SHIFT),
-        _BOREHOLE_BOUNDS,
-        [1.0, 2.0],
-        [amp],
-        f_star=_BOREHOLE_SHIFT - 7.819676328755232,
-        x_star=_BOREHOLE_XSTAR,
-        noise_frac=noise,
-        seed=seed,
-    )
-
-
-_BUILDERS = {
-    "hartmann6": _make_hartmann6,
-    "currin2": _make_currin2,
-    "borehole8": _make_borehole8,
+        x_star=[0.20168950968761765, 0.15001069413863433, 0.47687396963094986,
+                0.27533242916768874, 0.31165161370991157, 0.6573005333899428],
+    ),
+    "currin2": dict(
+        target_fn=_shifted_neg(_currin_raw, 2.0),
+        bounds=[[0.0, 1.0]] * 2,
+        costs=[1.0, 3.0],
+        amplitudes=[0.5],
+        f_star=2.0 - 3.0 * (1.0 - float(np.exp(-0.5))),
+        x_star=[0.0, 1.0],
+    ),
+    "borehole8": dict(
+        target_fn=_shifted_neg(_borehole_raw, 10.0),
+        bounds=[
+            [0.05, 0.15],       # r_w
+            [100.0, 50000.0],   # r
+            [63070.0, 115600.0],  # T_u
+            [990.0, 1110.0],    # H_u
+            [63.1, 116.0],      # T_l
+            [700.0, 820.0],     # H_l
+            [1120.0, 1680.0],   # L
+            [9855.0, 12045.0],  # K_w
+        ],
+        costs=[1.0, 2.0],
+        amplitudes=[107.67842733846463],
+        f_star=10.0 - 7.819676328755232,
+        x_star=[0.05, 50000.0, 63070.0, 990.0, 63.1, 820.0, 1680.0, 9855.0],
+    ),
 }
 
-PROBLEM_NAMES = tuple(sorted(_BUILDERS))
+PROBLEM_NAMES = tuple(sorted(_PROBLEMS))
 
 
 def make_problem(name: str, noise: float = 0.05, seed: int = 0) -> BenchmarkProblem:
@@ -291,14 +249,14 @@ def make_problem(name: str, noise: float = 0.05, seed: int = 0) -> BenchmarkProb
     range (0 disables noise); seed fixes the lower-fidelity disturbances.
     """
     try:
-        builder = _BUILDERS[name]
+        row = _PROBLEMS[name]
     except KeyError:
         raise ValueError(
             "unknown problem %r (known: %s)" % (name, ", ".join(PROBLEM_NAMES))
         ) from None
     if not 0 <= noise < np.inf:
         raise ValueError("noise fraction must be finite and >= 0")
-    return builder(noise, seed)
+    return _assemble(name, noise_frac=noise, seed=seed, **row)
 
 
 def single_fidelity_problem(problem: BenchmarkProblem) -> BenchmarkProblem:

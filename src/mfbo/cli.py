@@ -15,7 +15,7 @@ import dataclasses
 import sys
 
 from .benchmarks import PROBLEM_NAMES
-from .harness import ConfigError, ExperimentConfig, parse_names, run_experiment
+from .harness import CONFIG_KEYS, ConfigError, ExperimentConfig, run_experiment
 from .policy import POLICY_NAMES, SUBROUTINES
 
 
@@ -29,35 +29,33 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--config", required=True, help="path to the config file")
     run_p.add_argument("--out", default=None, help="override the output directory")
 
-    # bench flags have no defaults of their own: a flag left out is absent
-    # from the namespace, so ExperimentConfig's default applies
-    bench_p = sub.add_parser("bench", help="run a benchmark with inline options",
-                             argument_default=argparse.SUPPRESS)
+    # each bench flag's dest is its config key: the flags given go through
+    # ExperimentConfig.from_sections, as the keys of a config file do
+    bench_p = sub.add_parser("bench", help="run a benchmark with inline options")
     bench_p.add_argument("--problem", required=True, help="one of: %s" % ", ".join(PROBLEM_NAMES))
-    bench_p.add_argument("--budget-mult", type=float,
-                         help="budget as a multiple of the target query cost")
-    bench_p.add_argument("--seeds", dest="n_seeds", type=int, help="number of repetitions")
-    bench_p.add_argument("--master-seed", type=int)
-    bench_p.add_argument("--noise", type=float,
-                         help="noise sd as a fraction of each fidelity's range")
+    bench_p.add_argument("--budget-mult", help="budget as a multiple of the target query cost")
+    bench_p.add_argument("--seeds", help="number of repetitions")
+    bench_p.add_argument("--master-seed")
+    bench_p.add_argument("--noise", help="noise sd as a fraction of each fidelity's range")
     bench_p.add_argument("--policies",
                          help="comma-separated subset of: %s" % ", ".join(POLICY_NAMES))
-    bench_p.add_argument("--subroutine", choices=SUBROUTINES)
-    bench_p.add_argument("--candidates", dest="n_candidates", type=int,
+    bench_p.add_argument("--subroutine", help="one of: %s" % ", ".join(SUBROUTINES))
+    bench_p.add_argument("--candidates",
                          help="candidate pool size (default scales with dimension)")
-    bench_p.add_argument("--hyperfit-every", type=int)
-    bench_p.add_argument("--out", default=None, help="output directory (default results/<problem>)")
+    bench_p.add_argument("--hyperfit-every")
+    bench_p.add_argument("--out", help="output directory (default results/<problem>)")
 
     sub.add_parser("verify", help="run the acceptance checks")
     return parser
 
 
 def _config_from_args(args) -> ExperimentConfig:
-    kwargs = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-    if "policies" in kwargs:
-        kwargs["policies"] = parse_names(kwargs["policies"])
-    out = args.out if args.out is not None else "results/%s" % args.problem
-    return ExperimentConfig(out_dir=out, **kwargs)
+    sections = {}
+    for section, key in CONFIG_KEYS:
+        if vars(args).get(key) is not None:
+            sections.setdefault(section, {})[key] = vars(args)[key]
+    sections[""].setdefault("out", "results/%s" % args.problem)
+    return ExperimentConfig.from_sections(sections)
 
 
 def main(argv=None) -> int:

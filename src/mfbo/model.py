@@ -607,10 +607,13 @@ def default_hyper_grid(model: FidelityModel) -> tuple[FidelityModel, ...]:
 
     The same multipliers apply to the target and every error process. The
     lengthscale multiplier is the outer loop, so each run of 5 consecutive
-    models shares its kernels' unit blocks in fit_hyperparameters.
+    models shares its kernels' unit blocks in fit_hyperparameters. The
+    middle entry, both multipliers 1, is model itself, so a refit that
+    keeps the prior's parameters keeps its factors.
     """
     factors = np.logspace(np.log10(0.25), np.log10(4.0), 5)
-    return tuple(model.scaled(a, b) for a in factors for b in factors)
+    return tuple(model if a == b == 1.0 else model.scaled(a, b)
+                 for a in factors for b in factors)
 
 
 def log_marginal_likelihood(model: FidelityModel, X, fids, y, memo=None) -> float:

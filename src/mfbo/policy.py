@@ -106,7 +106,7 @@ class Episode:
     model: FidelityModel          # model in force during this episode
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trace:
     problem_name: str
     policy: str

@@ -61,7 +61,7 @@ def decompose_regret(trace: Trace, f_star: float) -> dict:
     }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RegretCurve:
     """Per-episode checkpoints of some running quantity against spend."""
 

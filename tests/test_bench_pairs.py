@@ -168,3 +168,44 @@ def test_record_keeps_every_key_and_writes_each_runs_rounds_on_one_line():
     lines = [line for line in text.splitlines() if '"rounds"' in line]
     assert [json.loads("{%s}" % line.strip().rstrip(","))["rounds"] for line in lines] == [
         [], rounds_of(0.9, 0.6)]
+
+
+# run.py that prints no result on its second call, in the checkout it runs
+# in: it exits 3, or first sleeps past the timeout the test sets
+FAILING_RUN = '''
+import pathlib, sys, time
+calls = pathlib.Path("calls")
+n = int(calls.read_text()) + 1 if calls.exists() else 1
+calls.write_text(str(n))
+if n == 2:
+    sys.stderr.write("Traceback: boom\\n")
+    sys.stderr.flush()
+    time.sleep(SLEEP)
+    sys.exit(3)
+''' + FAKE_RUN
+
+
+@pytest.mark.parametrize("mode", ["no_result", "timeout"])
+def test_a_failed_run_keeps_the_finished_pairs(tmp_path, monkeypatch, mode):
+    spec = {"run_seconds": 1, "workloads": [{"name": "currin2_compare"}],
+            "end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    failing = FAILING_RUN.replace("SLEEP", "30" if mode == "timeout" else "0")
+    for side, run in (("parent", FAKE_RUN), ("change", failing)):
+        checkout = fake_checkout(tmp_path / side, FAKE_GP)
+        (checkout / "perfbench").mkdir()
+        (checkout / "perfbench" / "run.py").write_text(run)
+        (checkout / "BENCHMARK.json").write_text(json.dumps(spec))
+    if mode == "timeout":
+        monkeypatch.setattr(bench_pairs, "RUN_TIMEOUT_S", 2)
+    out = tmp_path / "BENCH_t.json"
+    rc = bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                           str(tmp_path / "change"), "--tag", "t", "--workloads",
+                           "currin2_compare", "--seed", "0", "--out", str(out)])
+    assert rc == 1
+    record = json.loads(out.read_text())
+    # pair 1 ran parent then change; pair 2 runs the change first, its second call
+    (pair,) = record["workloads"]["currin2_compare"]["runs"]
+    assert pair["parent"]["metrics"] == pair["change"]["metrics"] == {"wall_s": 0.7}
+    assert record["failed_run"] == {
+        "workload": "currin2_compare", "pair": 2, "side": "change", "dir": "change",
+        "exit": None if mode == "timeout" else 3, "stderr_tail": "Traceback: boom\n"}

@@ -2,6 +2,9 @@ import numpy as np
 import pytest
 
 from mfbo.benchmarks import (
+    _PROBLEMS,
+    _RANGE_SAMPLE,
+    _RANGE_SEED,
     PROBLEM_NAMES,
     BenchmarkProblem,
     make_problem,
@@ -107,6 +110,14 @@ class TestDisturbances:
         assert gap.max() <= amp + 1e-9
         target_range = np.ptp(p.values(X, p.m))
         assert amp == pytest.approx(0.4 * target_range, rel=0.05)
+
+    def test_borehole_amplitude_is_frozen_bit_for_bit(self):
+        # the literal is 0.4 x the target's range over the build-time sample
+        p = make_problem("borehole8")
+        sample = halton_points(p.bounds, _RANGE_SAMPLE, _RANGE_SEED)
+        amp = 0.4 * float(np.ptp(p.values(sample, p.m)))
+        assert _PROBLEMS["borehole8"]["amplitudes"] == [amp] == [107.67842733846463]
+        assert p.model.error_priors[0].kernel.signal_variance == amp**2 / 2.0
 
     def test_disturbance_fixed_by_seed(self):
         a = make_problem("currin2", seed=3)

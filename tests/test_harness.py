@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import hashlib
 import weakref
@@ -524,3 +525,28 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.splitlines() == ["error: unknown subroutine 'gp_ei' (known: gp_ucb, gp_mi)"]
+
+    @pytest.mark.parametrize("flag, value, config", [
+        ("--seeds", "many", "seeds = many\n"),
+        ("--budget-mult", "x", "budget_mult = x\n"),
+        ("--subroutine", "gp_ei", "[policy]\nsubroutine = gp_ei\n"),
+    ], ids=["seeds", "budget_mult", "subroutine"])
+    def test_bad_bench_flag_prints_the_config_files_one_line(
+            self, tmp_path, capsys, flag, value, config):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("problem = currin2\n" + config)
+        assert cli_main(["run", "--config", str(cfgfile)]) == 2
+        from_file = capsys.readouterr().err.splitlines()
+        assert len(from_file) == 1 and from_file[0].startswith("error: ")
+        assert cli_main(["bench", "--problem", "currin2", flag, value]) == 2
+        assert capsys.readouterr().err.splitlines() == from_file
+
+    def test_bench_flags_are_config_keys(self):
+        sub = next(a for a in _build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+        flags = [a for a in sub.choices["bench"]._actions if a.dest != "help"]
+        assert [a.option_strings[0] for a in flags] == [
+            "--problem", "--budget-mult", "--seeds", "--master-seed", "--noise", "--policies",
+            "--subroutine", "--candidates", "--hyperfit-every", "--out"]
+        assert {a.dest for a in flags} <= {key for _, key in CONFIG_KEYS}
+        assert all(a.type is None and a.choices is None for a in flags)

@@ -1152,3 +1152,36 @@ class TestHyperFit:
     def test_default_grid_size(self, two_fid_model):
         grid = default_hyper_grid(two_fid_model)
         assert len(grid) == 25
+
+    def test_default_grid_scales_every_kernel_by_the_multiplier_products(self, three_fid_model):
+        # lengthscale multiplier outer, signal-variance multiplier inner; noise,
+        # means and costs stay the model's
+        factors = [0.25, 0.5, 1.0, 2.0, 4.0]
+        grid = default_hyper_grid(three_fid_model)
+        assert len(grid) == len(factors) ** 2
+        base = (three_fid_model.target_prior,) + three_fid_model.error_priors
+        for k, model in enumerate(grid):
+            a, b = factors[k // 5], factors[k % 5]
+            priors = (model.target_prior,) + model.error_priors
+            assert len(priors) == len(base)
+            for p, p0 in zip(priors, base):
+                assert p.kernel.lengthscales == pytest.approx(a * p0.kernel.lengthscales,
+                                                              rel=1e-15)
+                assert p.kernel.signal_variance == pytest.approx(b * p0.kernel.signal_variance,
+                                                                 rel=1e-15)
+                assert (p.noise_variance, p.mean) == (p0.noise_variance, p0.mean)
+            assert np.array_equal(model.costs, three_fid_model.costs)
+
+    def test_a_refit_that_keeps_the_prior_returns_the_model_itself(self):
+        # near-noiseless data drawn from the model at 80 points spread over
+        # 20 lengthscales picks the grid's middle entry (at every seed 0-9),
+        # so the refit hands back the model and its factors stay
+        rng = np.random.default_rng(0)
+        t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.4])), 1e-6)
+        e = GpPrior(SquaredExpKernel(signal_variance=0.25, lengthscales=np.array([0.6])), 1e-6)
+        model = FidelityModel(target_prior=t, error_priors=(e,), costs=np.array([1.0, 3.0]))
+        X = rng.uniform(-4, 4, size=(80, 1))
+        K = t.kernel.cross(X, X) + 1e-6 * np.eye(80)
+        y = np.linalg.cholesky(K) @ rng.standard_normal(80)
+        state = CovState.build(model, X, np.full(80, 2))
+        assert fit_hyperparameters(state, y, default_hyper_grid(model)) is model

@@ -241,6 +241,16 @@ class TestDeterminism:
         b = sf_only(toy, 12.0, quick_cfg, seed=32)
         assert serialize_trace(a) != serialize_trace(b)
 
+    def test_value_types_compare_and_hash_by_identity(self, toy, quick_cfg):
+        # equal values held in separate arrays: == and hash go by identity
+        cands = [make_candidates(toy.bounds, 16, 5) for _ in range(2)]
+        traces = [sf_only(toy, 12.0, quick_cfg, seed=31) for _ in range(2)]
+        curves = [simple_regret_curve(traces[0], toy.f_star) for _ in range(2)]
+        for a, b in (cands, curves, traces):
+            assert a == a and a != b
+            assert a in [b, a] and a not in [b]
+            assert len({a, b}) == 2 and hash(a) == hash(a)
+
 
 class TestRecords:
     def test_cost_accumulates_across_episodes(self, toy, quick_cfg):

@@ -25,7 +25,10 @@ round's results, so a side that fits more rounds in its seconds reads a
 higher peak. Per workload it prints whether every run's CSV hashes
 matched, or the first pair and side whose hashes differ from pair 1's
 parent run. Exits 1 if any run failed a check or the CSV hashes differ
-between runs of one workload.
+between runs of one workload. A run that prints no result or runs past
+RUN_TIMEOUT_S ends the pairs: the record keeps the pairs finished so far
+and, as failed_run, that run's workload, pair, side, checkout directory,
+exit code (null for a timeout) and stderr tail, and the script exits 1.
 The record is indented JSON with each run's rounds on one line.
 """
 
@@ -50,14 +53,30 @@ ROUND_LINE = re.compile(r"# round\d+\s+wall (\S+) s\s+cpu (\S+) s")
 ROUNDS_LIST = re.compile(r'"rounds": (\[[^\]]*\])')
 
 
+class RunFailed(Exception):
+    """A run that printed no result or ran past RUN_TIMEOUT_S."""
+
+    def __init__(self, exit_code, stderr):
+        if isinstance(stderr, bytes):  # what a timeout captured
+            stderr = stderr.decode(errors="replace")
+        self.exit_code = exit_code  # None: timed out
+        self.stderr_tail = (stderr or "")[-2000:]
+        what = ("timed out after %g s" % RUN_TIMEOUT_S if exit_code is None
+                else "no result (exit %d)" % exit_code)
+        super().__init__("%s\n%s" % (what, self.stderr_tail))
+
+
 def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     if seconds is not None:
         cmd += ["--seconds", str(seconds)]
     load = os.getloadavg()[0]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                          timeout=RUN_TIMEOUT_S)
+    try:
+        proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                              timeout=RUN_TIMEOUT_S)
+    except subprocess.TimeoutExpired as exc:
+        raise RunFailed(None, exc.stderr) from None
     lines = proc.stdout.strip().splitlines()
     env = hashes = result = None
     rounds = []
@@ -75,8 +94,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds) -> dict:
         except json.JSONDecodeError:
             pass
     if result is None:
-        raise SystemExit("%s %s: no result (exit %d)\n%s" % (
-            checkout, workload, proc.returncode, proc.stderr[-2000:]))
+        raise RunFailed(proc.returncode, proc.stderr)
     return {
         "exit": proc.returncode,
         "correct": result["correct"],
@@ -205,6 +223,38 @@ def dump_record(record) -> str:
         json.loads(m.group(1)), sort_keys=True), text) + "\n"
 
 
+def report_workload(record, w, pairs, spec, n_pairs) -> bool:
+    """Summarize workload w's pairs into record and print the summary;
+    whether every run passed its checks and wrote the same CSV hashes."""
+    runs = [p[s] for p in pairs for s in ("parent", "change")]
+    same_csv, csv_line = csv_match(pairs)
+    all_correct = all(r["correct"] and r["exit"] == 0 for r in runs)
+    record["workloads"][w] = {
+        "all_correct": all_correct,
+        "csv_identical": same_csv,
+        "summary": summarize(pairs, spec),
+        "round_minima": round_minima(pairs),
+        "round_counts": round_counts(pairs),
+        "runs": pairs,
+    }
+    print("# %-18s csv: %s" % (w, csv_line), flush=True)
+    counts = record["workloads"][w]["round_counts"]
+    for name, s in record["workloads"][w]["summary"].items():
+        rounds = ""
+        if name == "peak_rss_mb":
+            rounds = "  rounds parent %g change %g" % (counts["parent"], counts["change"])
+        print("# %-18s %-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  "
+              "wins %d/%d  gain holds: %s%s" % (
+                  w, name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
+                  s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
+                  s["wins"], n_pairs, s["gain_holds"], rounds), flush=True)
+    for name, s in record["workloads"][w]["round_minima"].items():
+        print("# %-18s fastest round %-6s parent %.4g  change %.4g  ratio %.3f  wins %d/%d" % (
+            w, name, s["parent"], s["change"], s["change_over_parent"], s["wins"],
+            n_pairs), flush=True)
+    return same_csv and all_correct
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path, help="checkout of the parent commit")
@@ -239,43 +289,25 @@ def main(argv=None) -> int:
         "workloads": {},
     }
     ok = True
-    for w in workloads:
-        pairs = []
-        for k in range(args.pairs):
-            order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
-            pair = {"first": order[0]}
-            for side in order:
-                pair[side] = run_once(sides[side], w, args.seed, args.seconds)
-                print("%s pair %d %-6s %s" % (w, k + 1, side, json.dumps(pair[side]["metrics"])),
-                      flush=True)
-            pairs.append(pair)
-        runs = [p[s] for p in pairs for s in ("parent", "change")]
-        same_csv, csv_line = csv_match(pairs)
-        all_correct = all(r["correct"] and r["exit"] == 0 for r in runs)
-        ok = ok and same_csv and all_correct
-        record["workloads"][w] = {
-            "all_correct": all_correct,
-            "csv_identical": same_csv,
-            "summary": summarize(pairs, spec),
-            "round_minima": round_minima(pairs),
-            "round_counts": round_counts(pairs),
-            "runs": pairs,
-        }
-        print("# %-18s csv: %s" % (w, csv_line), flush=True)
-        counts = record["workloads"][w]["round_counts"]
-        for name, s in record["workloads"][w]["summary"].items():
-            rounds = ""
-            if name == "peak_rss_mb":
-                rounds = "  rounds parent %g change %g" % (counts["parent"], counts["change"])
-            print("# %-18s %-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  "
-                  "wins %d/%d  gain holds: %s%s" % (
-                      w, name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
-                      s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
-                      s["wins"], args.pairs, s["gain_holds"], rounds), flush=True)
-        for name, s in record["workloads"][w]["round_minima"].items():
-            print("# %-18s fastest round %-6s parent %.4g  change %.4g  ratio %.3f  wins %d/%d" % (
-                w, name, s["parent"], s["change"], s["change_over_parent"], s["wins"],
-                args.pairs), flush=True)
+    try:
+        for w in workloads:
+            pairs = []
+            record["workloads"][w] = {"runs": pairs}  # the finished pairs, should a run fail
+            for k in range(args.pairs):
+                order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+                pair = {"first": order[0]}
+                for side in order:
+                    pair[side] = run_once(sides[side], w, args.seed, args.seconds)
+                    print("%s pair %d %-6s %s" % (w, k + 1, side,
+                                                  json.dumps(pair[side]["metrics"])), flush=True)
+                pairs.append(pair)
+            ok = report_workload(record, w, pairs, spec, args.pairs) and ok
+    except RunFailed as exc:
+        record["failed_run"] = {"workload": w, "pair": k + 1, "side": side,
+                                "dir": sides[side].name, "exit": exc.exit_code,
+                                "stderr_tail": exc.stderr_tail}
+        print("# %s pair %d %s: %s" % (w, k + 1, side, exc), file=sys.stderr, flush=True)
+        ok = False
     record["finished"] = time.strftime("%Y-%m-%dT%H:%M:%S%z")
     out = args.out or Path.cwd() / ("BENCH_%s.json" % args.tag)
     out.write_text(dump_record(record))
