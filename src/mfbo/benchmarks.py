@@ -1,15 +1,15 @@
 """Synthetic multi-fidelity benchmark problems.
 
-All problems are maximization; classical minimization forms are negated
-and, where the resulting maximum would be negative, shifted by a constant
-so the best target value is positive. Lower fidelities are the target
-function plus a fixed smooth low-frequency disturbance with a documented
-amplitude bound
+Each problem has the additive model's form: a target f, written for
+maximization, plus one fixed smooth low-frequency disturbance per lower
+fidelity with a documented amplitude bound
 
     u_l(x) = f(x) + A_l * cos(2*pi * w.z + phi),   z = unit-cube coords,
 
 with w, phi drawn once from a seeded generator, so |u_l - f| <= A_l
-everywhere and evaluators are deterministic given (name, seed).
+everywhere and evaluators are deterministic given (name, seed). Classical
+minimization forms are negated and, where the maximum would be negative,
+shifted (currin2 is 2 - currin, borehole8 10 - borehole).
 
 Disturbance amplitudes, observation-noise fractions and the default GP
 hyperparameters below are reproduction parameters: they shape the test
@@ -23,7 +23,7 @@ corner recorded as its x_star.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -39,15 +39,26 @@ _RANGE_SAMPLE = 4096
 
 @dataclass(frozen=True, eq=False)
 class BenchmarkProblem:
-    """A fixed multi-fidelity problem: noiseless evaluators plus noise."""
+    """A fixed multi-fidelity problem as the additive model sees it: u_m is
+    target_fn and u_l = target_fn + disturbances[l-1] below it (noiseless,
+    (n, d) -> (n,)), observed with noise_sd[l-1]; m and d are the model's."""
 
     name: str
     bounds: np.ndarray          # (d, 2)
-    fidelity_fns: tuple[Callable, ...]  # vectorized (n, d) -> (n,); last is the target
+    target_fn: Callable
+    disturbances: tuple[Callable, ...]  # one per lower fidelity
     noise_sd: np.ndarray        # (m,)
     f_star: float               # certified max of the target
     x_star: np.ndarray
     model: FidelityModel        # default prior (reproduction parameters)
+
+    def __post_init__(self):
+        m, d = self.m, self.dim
+        parts = (len(self.disturbances), np.shape(self.noise_sd), np.shape(self.bounds))
+        if parts != (m - 1, (m,), (d, 2)):
+            raise ValueError(
+                "problem %r disagrees with its model (m=%d, d=%d): %d disturbances, "
+                "noise_sd shape %s, bounds shape %s" % ((self.name, m, d) + parts))
 
     @property
     def costs(self) -> np.ndarray:
@@ -56,18 +67,19 @@ class BenchmarkProblem:
 
     @property
     def m(self) -> int:
-        return len(self.fidelity_fns)
+        return self.model.m
 
     @property
     def dim(self) -> int:
-        return self.bounds.shape[0]
+        return self.model.dim
 
     def values(self, X, fidelity: int) -> np.ndarray:
         """Noiseless u_l at an (n, d) array of points."""
         if not 1 <= fidelity <= self.m:
             raise ValueError("fidelity %r out of range 1..%d" % (fidelity, self.m))
         X = as_points(X, self.dim)
-        return np.asarray(self.fidelity_fns[fidelity - 1](X), dtype=np.float64)
+        v = np.asarray(self.target_fn(X), dtype=np.float64)
+        return v + self.disturbances[fidelity - 1](X) if fidelity < self.m else v
 
     def value(self, x, fidelity: int | None = None) -> float:
         """Noiseless u_l at one point x of length d (default l: the target)."""
@@ -87,9 +99,9 @@ class BenchmarkProblem:
 
 
 # --------------------------------------------------------------------------
-# raw response surfaces
+# targets, in maximization form
 
-def _hartmann6_raw(X):
+def _hartmann6(X):
     A = np.array(
         [
             [10.0, 3.0, 17.0, 3.5, 1.7, 8.0],
@@ -108,22 +120,22 @@ def _hartmann6_raw(X):
     )
     alpha = np.array([1.0, 1.2, 3.0, 3.2])
     inner = ((X[:, None, :] - P[None]) ** 2 * A).sum(-1)
-    return -(np.exp(-inner) * alpha).sum(-1)
+    return (np.exp(-inner) * alpha).sum(-1)
 
 
-def _currin_raw(X):
+def _currin2(X):
     x1, x2 = X[:, 0], X[:, 1]
     # the exponential factor tends to 1 as x2 -> 0+
     fac = np.where(x2 <= 0, 1.0, 1.0 - np.exp(-1.0 / (2.0 * np.maximum(x2, 1e-300))))
     num = 2300 * x1**3 + 1900 * x1**2 + 2092 * x1 + 60
     den = 100 * x1**3 + 500 * x1**2 + 4 * x1 + 20
-    return fac * num / den
+    return 2.0 - fac * num / den
 
 
-def _borehole_raw(X):
+def _borehole8(X):
     rw, r, tu, hu, tl, hl, ell, kw = (X[:, i] for i in range(8))
     lnr = np.log(r / rw)
-    return 2.0 * np.pi * tu * (hu - hl) / (
+    return 10.0 - 2.0 * np.pi * tu * (hu - hl) / (
         lnr * (1.0 + 2.0 * ell * tu / (lnr * rw**2 * kw) + tu / tl)
     )
 
@@ -150,15 +162,12 @@ def _assemble(name, target_fn, bounds, costs, amplitudes, f_star, x_star, noise_
     bounds = np.asarray(bounds, dtype=np.float64)
     sample = halton_points(bounds, _RANGE_SAMPLE, _RANGE_SEED)
     fm = target_fn(sample)
-
-    fns = []
-    for lev, amp in enumerate(amplitudes, start=1):
-        bump = _cosine_bump(bounds, amp, mix64(seed, name, lev))
-        fns.append(_add_bump(target_fn, bump))
-    fns.append(target_fn)
-
+    disturbances = tuple(
+        _cosine_bump(bounds, amp, mix64(seed, name, lev))
+        for lev, amp in enumerate(amplitudes, start=1)
+    )
     noise_sd = np.array(
-        [noise_frac * float(np.ptp(fn(sample))) for fn in fns]
+        [noise_frac * float(np.ptp(v)) for v in [fm + d(sample) for d in disturbances] + [fm]]
     )
 
     # default prior: reproduction parameters, refined online by grid search
@@ -183,7 +192,8 @@ def _assemble(name, target_fn, bounds, costs, amplitudes, f_star, x_star, noise_
     return BenchmarkProblem(
         name=name,
         bounds=bounds,
-        fidelity_fns=tuple(fns),
+        target_fn=target_fn,
+        disturbances=disturbances,
         noise_sd=noise_sd,
         f_star=f_star,
         x_star=np.asarray(x_star, dtype=np.float64),
@@ -191,20 +201,12 @@ def _assemble(name, target_fn, bounds, costs, amplitudes, f_star, x_star, noise_
     )
 
 
-def _add_bump(fn, bump):
-    return lambda X: fn(X) + bump(X)
-
-
-def _shifted_neg(fn, shift):
-    return lambda X: shift - fn(X)
-
-
 # name -> target, bounds, costs, disturbance amplitudes, f* and x*.
 # borehole8's amplitude is 0.4 x the target's range over the fixed range
 # sample (tests recompute it bit for bit).
 _PROBLEMS = {
     "hartmann6": dict(
-        target_fn=_shifted_neg(_hartmann6_raw, 0.0),
+        target_fn=_hartmann6,
         bounds=[[0.0, 1.0]] * 6,
         costs=[1.0, 2.0, 4.0, 8.0],
         amplitudes=[0.6, 0.4, 0.2],
@@ -213,7 +215,7 @@ _PROBLEMS = {
                 0.27533242916768874, 0.31165161370991157, 0.6573005333899428],
     ),
     "currin2": dict(
-        target_fn=_shifted_neg(_currin_raw, 2.0),
+        target_fn=_currin2,
         bounds=[[0.0, 1.0]] * 2,
         costs=[1.0, 3.0],
         amplitudes=[0.5],
@@ -221,7 +223,7 @@ _PROBLEMS = {
         x_star=[0.0, 1.0],
     ),
     "borehole8": dict(
-        target_fn=_shifted_neg(_borehole_raw, 10.0),
+        target_fn=_borehole8,
         bounds=[
             [0.05, 0.15],       # r_w
             [100.0, 50000.0],   # r
@@ -261,17 +263,6 @@ def make_problem(name: str, noise: float = 0.05, seed: int = 0) -> BenchmarkProb
 
 def single_fidelity_problem(problem: BenchmarkProblem) -> BenchmarkProblem:
     """Target-only view of a problem (m = 1), same cost and noise."""
-    model = FidelityModel(
-        target_prior=problem.model.target_prior,
-        error_priors=(),
-        costs=problem.costs[-1:],
-    )
-    return BenchmarkProblem(
-        name=problem.name + "-sf",
-        bounds=problem.bounds,
-        fidelity_fns=problem.fidelity_fns[-1:],
-        noise_sd=problem.noise_sd[-1:].copy(),
-        f_star=problem.f_star,
-        x_star=problem.x_star,
-        model=model,
-    )
+    model = FidelityModel(problem.model.target_prior, (), problem.costs[-1:])
+    return replace(problem, name=problem.name + "-sf", disturbances=(),
+                   noise_sd=problem.noise_sd[-1:].copy(), model=model)

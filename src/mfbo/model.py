@@ -61,7 +61,9 @@ class Action:
     fidelity: int
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=np.float64).reshape(-1)
+        x = np.array(self.x, dtype=np.float64)
+        if x.ndim != 1:
+            raise ValueError("x must be a 1-d point, got shape %s" % (x.shape,))
         x.flags.writeable = False
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "fidelity", int(self.fidelity))

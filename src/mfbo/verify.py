@@ -58,8 +58,8 @@ def make_toy_problem() -> BenchmarkProblem:
     def f(X):
         return np.sin(6.0 * X[:, 0]) + 0.5 * X[:, 0]
 
-    def u1(X):
-        return f(X) + amp * np.cos(4.0 * np.pi * X[:, 0])
+    def d1(X):
+        return amp * np.cos(4.0 * np.pi * X[:, 0])
 
     x_star = float(np.arccos(-1.0 / 12.0)) / 6.0
     f_star = float(np.sqrt(1.0 - 1.0 / 144.0) + 0.5 * x_star)
@@ -81,7 +81,8 @@ def make_toy_problem() -> BenchmarkProblem:
     return BenchmarkProblem(
         name="toy1d",
         bounds=bounds,
-        fidelity_fns=(u1, f),
+        target_fn=f,
+        disturbances=(d1,),
         noise_sd=noise_sd,
         f_star=f_star,
         x_star=np.array([x_star]),
@@ -456,8 +457,8 @@ def criterion_gamma_max():
                 max_gain = max(max_gain, ep.explore_info_gain)
     bound = gamma_max_bound(prob.model, cand, budget, beta=min(betas))
     ok = bound >= max_gain - 1e-12
-    return ok, "gamma_max %.4f >= max episode gain %.4f over %d episodes" % (
-        bound, max_gain, len(betas))
+    return ok, "gamma_max %.4f %s max episode gain %.4f over %d episodes" % (
+        bound, ">=" if ok else "<", max_gain, len(betas))
 
 
 def criterion_harness_determinism():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,42 @@ class TestDisturbances:
         assert not np.array_equal(a.values(X, 1), c.values(X, 1))
         # the target surface itself never depends on the seed
         assert np.array_equal(a.values(X, 2), c.values(X, 2))
+
+
+class TestAdditiveForm:
+    def test_each_fidelity_is_the_target_plus_its_disturbance(self, problem):
+        X = halton_points(problem.bounds, 64, 3)
+        f = problem.target_fn(X)
+        assert np.array_equal(problem.values(X, problem.m), f)
+        assert len(problem.disturbances) == problem.m - 1
+        for lev, d in enumerate(problem.disturbances, start=1):
+            assert np.array_equal(problem.values(X, lev), f + d(X))
+
+    def test_build_evaluates_the_target_once(self, monkeypatch):
+        row = _PROBLEMS["hartmann6"]
+        real, calls = row["target_fn"], []
+
+        def counted(X):
+            calls.append(len(X))
+            return real(X)
+
+        monkeypatch.setitem(row, "target_fn", counted)
+        make_problem("hartmann6")
+        assert calls == [_RANGE_SAMPLE]
+
+    @pytest.mark.parametrize("field, cut, message", [
+        ("disturbances", slice(2), "2 disturbances"),
+        ("noise_sd", slice(3), "noise_sd shape (3,)"),
+        ("bounds", slice(5), "bounds shape (5, 2)"),
+    ], ids=["disturbances", "noise_sd", "bounds"])
+    def test_parts_that_disagree_with_the_model_are_refused(self, field, cut, message):
+        # hartmann6 with one fidelity function too few used to build, then
+        # fail at the first query of fidelity 4
+        p = make_problem("hartmann6")
+        with pytest.raises(ValueError) as exc:
+            dataclasses.replace(p, **{field: getattr(p, field)[cut]})
+        assert str(exc.value).startswith("problem 'hartmann6' disagrees with its model (m=4, d=6)")
+        assert message in str(exc.value)
 
 
 class TestPointShapes:

@@ -200,6 +200,21 @@ class TestSolveTriangular:
             pytest.skip("no OpenBLAS with dtrtrs is loaded")
         assert gp._dtrtrs().__qualname__.startswith("_openblas_dtrtrs")
 
+    @pytest.mark.parametrize("order", ["C", "F", "view"])
+    @pytest.mark.parametrize("overwrite_b", [False, True], ids=["0", "overwrite"])
+    def test_scipy_fallback_in_process(self, rng, monkeypatch, order, overwrite_b):
+        # the solve numpy builds without OpenBLAS (MKL, Accelerate) bind
+        monkeypatch.setattr(gp, "_openblas_libs", lambda: ())
+        solve = gp._dtrtrs.__wrapped__()
+        assert solve.__qualname__.startswith("_dtrtrs")
+        for n in (1, 5, 40, 150):
+            L = self._layout(self._factor(rng, n), order)
+            for b in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+                want = scipy.linalg.solve_triangular(L, b, lower=True, check_finite=False)
+                x, info = solve(L, np.array(b, order="F"), overwrite_b)
+                assert info == 0 and x.shape == b.shape
+                assert np.array_equal(x, want)
+
     def test_fallback_to_scipy_when_no_symbol_is_found(self):
         # a fresh process whose lookup misses: scipy is imported at the
         # first solve, not before, and gives scipy's bits in every layout

@@ -1,12 +1,14 @@
 import argparse
 import dataclasses
 import hashlib
+import textwrap
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from mfbo import harness, policy
+from mfbo import harness, policy, verify
 from mfbo.cli import _build_parser, _config_from_args, main as cli_main
 from mfbo.harness import (
     CONFIG_KEYS,
@@ -113,6 +115,20 @@ class TestExperimentConfig:
     def test_key_table_names_every_field_once(self):
         fields = sorted(f.name for f in dataclasses.fields(ExperimentConfig))
         assert sorted(name for name, _ in CONFIG_KEYS.values()) == fields
+
+    @pytest.mark.parametrize("source", ["README", "harness docstring"])
+    def test_documented_defaults_are_the_defaults(self, source):
+        if source == "README":
+            text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+            block = text.split("```ini\n", 1)[1].split("```", 1)[0]
+        else:
+            block = harness.__doc__.split("the values below are the defaults:\n", 1)[1]
+            block = textwrap.dedent(block.split("\n\nPer-run seeds", 1)[0])
+        sections = parse_config_text(block, source=source)
+        # every key but the two left unset by default, commented out there
+        assert {(sec, key) for sec, keys in sections.items() for key in keys} == set(
+            CONFIG_KEYS) - {("policy", "alpha_mi"), ("policy", "candidates")}
+        assert ExperimentConfig.from_sections(sections) == ExperimentConfig(problem="currin2")
 
     def test_policy_defaults_are_policy_configs(self):
         cfg = ExperimentConfig(problem="currin2")
@@ -550,3 +566,27 @@ class TestCli:
             "--subroutine", "--candidates", "--hyperfit-every", "--out"]
         assert {a.dest for a in flags} <= {key for _, key in CONFIG_KEYS}
         assert all(a.type is None and a.choices is None for a in flags)
+
+    def test_verify_prints_each_criterion_and_exits_1_on_a_failure(self, monkeypatch, capsys):
+        def raises():
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(verify, "CRITERIA", (
+            (1, "passes", lambda: (True, "all good")),
+            (2, "fails", lambda: (False, "off by one")),
+            (3, "raises", raises),
+        ))
+        assert cli_main(["verify"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 4
+        assert [line.split()[1:4] for line in lines[:3]] == [
+            ["1", "PASS", "passes"], ["2", "FAIL", "fails"], ["3", "FAIL", "raises"]]
+        assert lines[0].endswith("s  all good") and lines[1].endswith("s  off by one")
+        assert lines[2].endswith("s  error: RuntimeError: boom")
+        assert lines[3] == "acceptance: 1/3 criteria passed"
+
+    def test_verify_exits_0_when_every_criterion_passes(self, monkeypatch, capsys):
+        monkeypatch.setattr(verify, "CRITERIA", (
+            (1, "one", lambda: (True, "ok")), (2, "two", lambda: (True, "ok"))))
+        assert cli_main(["verify"]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "acceptance: 2/2 criteria passed"

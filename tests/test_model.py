@@ -129,6 +129,13 @@ class TestActionObservation:
         with pytest.raises(ValueError):
             Action(x=np.array([0.0]), fidelity=0)
 
+    @pytest.mark.parametrize("x", [np.arange(6.0).reshape(2, 3) / 10, np.zeros((1, 2)), 0.5],
+                             ids=["2x3", "1x2", "scalar"])
+    def test_x_must_be_one_point(self, x):
+        # a (2, 3) block used to become one 6-d point
+        with pytest.raises(ValueError, match=r"x must be a 1-d point, got shape \("):
+            Action(x=x, fidelity=1)
+
     def test_x_is_readonly(self):
         a = Action(x=np.array([0.5]), fidelity=1)
         with pytest.raises(ValueError):
@@ -1049,20 +1056,23 @@ class TestHyperFit:
         for m in grid:
             assert best_lml >= log_marginal_likelihood(m, state.X, state.fids, y) - 1e-9
 
-    def test_recovers_generating_gridpoint(self):
+    @pytest.mark.parametrize("seed", range(10))
+    def test_recovers_generating_gridpoint(self, seed):
         # self-consistency: near-noiseless data drawn from one grid model
-        # should fit back to that model
-        rng = np.random.default_rng(0)
+        # fit back to that model; 80 points over 20 of its lengthscales
+        # pin it at every seed (50 over 5 picked a neighbour at some)
+        rng = np.random.default_rng(seed)
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([0.4])), 1e-6)
         e = GpPrior(SquaredExpKernel(signal_variance=0.25, lengthscales=np.array([0.6])), 1e-6)
         base = FidelityModel(target_prior=t, error_priors=(e,), costs=np.array([1.0, 3.0]))
         grid = default_hyper_grid(base)
         gen = grid[7]
         kern = gen.target_prior.kernel
-        X = rng.uniform(-1, 1, size=(50, 1))
-        K = kern.cross(X, X) + 1e-6 * np.eye(50)
-        y = np.linalg.cholesky(K) @ rng.standard_normal(50)
-        state = CovState.build(gen, X, np.full(50, 2))
+        assert kern.lengthscales.tolist() == [0.2]
+        X = rng.uniform(-2, 2, size=(80, 1))
+        K = kern.cross(X, X) + 1e-6 * np.eye(80)
+        y = np.linalg.cholesky(K) @ rng.standard_normal(80)
+        state = CovState.build(gen, X, np.full(80, 2))
         best = fit_hyperparameters(state, y, grid)
         assert best is gen
 

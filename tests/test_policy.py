@@ -80,7 +80,8 @@ def quadratic_problem():
     return BenchmarkProblem(
         name="quad1d",
         bounds=bounds,
-        fidelity_fns=(f,),
+        target_fn=f,
+        disturbances=(),
         noise_sd=np.array([0.0]),
         f_star=1.0,
         x_star=np.array([0.3]),
