@@ -1,53 +1,33 @@
 """Single-fidelity GP maximizer subroutines over finite candidate sets.
 
-Both selectors act on the posterior of the latent target f at a fixed
+make_candidates builds a run's candidate set as a plain (n, d) matrix. Both
+selectors act on the posterior of the latent target f at a fixed
 candidate set and return the index of the chosen point. Ties break to the
 lowest candidate index (first argmax).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .util import halton_points
-
-
-@dataclass(frozen=True, eq=False)
-class CandidateSet:
-    """Finite optimization domain of quasi-uniform points."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[0] == 0:
-            raise ValueError("points must be a non-empty (n, d) array")
-        pts.flags.writeable = False
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def n(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
 
 
 def default_candidate_count(dim: int) -> int:
     return 1000 if dim <= 2 else 5000
 
 
-def make_candidates(bounds, n: int | None, seed: int) -> CandidateSet:
-    """Seeded quasi-uniform candidate set inside the box bounds (d, 2)."""
+def make_candidates(bounds, n: int | None, seed: int) -> np.ndarray:
+    """Seeded quasi-uniform candidate set inside the box bounds (d, 2): a
+    read-only (n, d) matrix, dimension-major as CandidateGains keeps it."""
     bounds = np.asarray(bounds, dtype=np.float64)
     if n is None:
         n = default_candidate_count(bounds.shape[0])
     if n < 1:
         raise ValueError("candidate count must be >= 1")
-    return CandidateSet(points=halton_points(bounds, n, seed))
+    points = halton_points(bounds, n, seed)
+    points.flags.writeable = False
+    return points
 
 
 def ucb_beta(t: int, n_candidates: int, delta: float) -> float:

@@ -75,8 +75,10 @@ class GpPrior:
     mean: float = 0.0
 
     def __post_init__(self):
-        if self.noise_variance < 0:
-            raise ValueError("noise_variance must be >= 0")
+        if not 0 <= self.noise_variance < np.inf:
+            raise ValueError("noise_variance must be >= 0 and finite")
+        if not np.isfinite(self.mean):
+            raise ValueError("mean must be finite")
         object.__setattr__(self, "noise_variance", float(self.noise_variance))
         object.__setattr__(self, "mean", float(self.mean))
 

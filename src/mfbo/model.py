@@ -421,15 +421,17 @@ class CandidateGains:
     It holds W_f = L^-1 k_f(X, Xc) over the state's joint factor L and, for
     each low fidelity l with points, one pair: W_l = L^-1 (k_f + k_eps_l on
     l's rows)(X, Xc) and W_eps_l = L_eps_l^-1 k_eps_l(X_l, Xc) over its
-    error factor, both from one error block k_eps_l(X_l, Xc). Xc is kept
-    Fortran-ordered, one contiguous row per dimension, so a kernel row
-    against it reads contiguous memory (mfbo.covops). Each projection
-    keeps its rows in one C-ordered block and their column sums of
-    squares. append(action) advances the CovState and adds one
-    row to each projection the point enters, r = (c(x, Xc) - w^T W) / d for
-    the factor's new last row [w, d], one O(n nc) product. A `rebuilt`
-    state or reset() computes all afresh; recomputes counts these by cause.
-    The posterior mean, prior + W_f^T L^-1 (y - mu), is folded as values arrive.
+    error factor, both from one error block k_eps_l(X_l, Xc). Xc must be a
+    non-empty (n, d) matrix of finite values (ValueError otherwise; this is
+    the one check of every caller's candidates). It is kept Fortran-ordered,
+    one contiguous row per dimension, so a kernel row against it reads
+    contiguous memory (mfbo.covops). Each projection keeps its rows in one
+    C-ordered block and their column sums of squares. append(action)
+    advances the CovState and adds one row to each projection the point
+    enters, r = (c(x, Xc) - w^T W) / d for the factor's new last row [w, d],
+    one O(n nc) product. A `rebuilt` state or reset() computes all afresh;
+    recomputes counts these by cause. The posterior mean,
+    prior + W_f^T L^-1 (y - mu), is folded as values arrive.
 
     budget is the most the caller will spend on the actions it appends
     (None: no appends), and each append pays its cost out of it. Each
@@ -442,11 +444,15 @@ class CandidateGains:
     """
 
     def __init__(self, state: CovState, Xc, budget=None):
-        if np.ndim(Xc) != 2 or np.shape(Xc)[1] != state.model.dim:
-            raise ValueError("candidates must be an (n, %d) matrix, not of shape %s"
-                             % (state.model.dim, np.shape(Xc)))
-        # dimension-major, as CandidateSet.points already is
-        self.Xc = np.asfortranarray(Xc, dtype=np.float64)
+        # dimension-major, as make_candidates builds it
+        Xc = np.asfortranarray(Xc, dtype=np.float64)
+        d = state.model.dim
+        if Xc.ndim != 2 or Xc.shape[0] == 0 or Xc.shape[1] != d:
+            raise ValueError("candidates must be an (n, %d) matrix with n >= 1, not of shape %s"
+                             % (d, Xc.shape))
+        if not np.isfinite(Xc).all():
+            raise ValueError("candidates must be an (n, %d) matrix of finite values" % d)
+        self.Xc = Xc
         self.budget = budget
         self.recomputes = dict.fromkeys((FIRST_POINT, JOINT_FAILED, ERROR_FAILED, NEW_MODEL), 0)
         self.reset(state, None)

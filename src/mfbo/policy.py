@@ -220,7 +220,7 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
     alpha_mi = cfg.alpha_mi if cfg.alpha_mi is not None else float(np.log(2.0 / cfg.delta))
     grid = None
 
-    cands = CandidateGains(CovState.empty(problem.model), candidates.points, budget)
+    cands = CandidateGains(CovState.empty(problem.model), candidates, budget)
     y: list[float] = []           # values of the finished episodes, in query order
     episodes: list[Episode] = []
     spent = 0.0
@@ -255,7 +255,7 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
                 idx = gp_ucb_select(mean, var, cfg.delta, t)
             else:
                 idx, gamma_mi = gp_mi_select(mean, var, gamma_mi, alpha_mi)
-            target_action = Action(x=candidates.points[idx], fidelity=m)
+            target_action = Action(x=candidates[idx], fidelity=m)
             target_obs = Observation(target_action, problem.evaluate(target_action, noise_rng))
             cands.append(target_action)
 
@@ -276,7 +276,7 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
         except (NumericalError, ValueError) as exc:  # ValueError: a non-finite value
             error = "%s: %s" % (type(exc).__name__, exc)
             if cands.state.n != len(y):  # the failed episode appended points
-                cands = CandidateGains(before, candidates.points)
+                cands = CandidateGains(before, candidates)
             break
 
     mean, _ = cands.posterior(y)
@@ -289,7 +289,7 @@ def _run(problem, budget, cfg, seed, candidates, policy_name, explore_episodes) 
         spent=spent,
         target_cost=lam_m,
         episodes=tuple(episodes),
-        recommendation=candidates.points[ridx].copy(),
+        recommendation=candidates[ridx].copy(),
         recommendation_value=float(mean[ridx]),
         failed=error is not None,
         error=error,

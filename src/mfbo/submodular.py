@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .acquisition import CandidateSet
 from .gp import one_blas_thread
 from .model import Action, CandidateGains, CovState, FidelityModel
 
@@ -26,7 +25,7 @@ KS_GUARANTEE = 0.5 * (1.0 - float(np.exp(-1.0)))
 @one_blas_thread()
 def gamma_max_bound(
     model: FidelityModel,
-    candidates: CandidateSet,
+    candidates: np.ndarray,
     budget: float,
     beta: float,
 ) -> float:
@@ -58,10 +57,10 @@ def gamma_max_bound(
     low = list(range(1, model.m))
     c_max = float(max(model.costs[lev - 1] for lev in low))
     # the last pick may overshoot the budget by up to c_max
-    cands = CandidateGains(CovState.empty(model), candidates.points, budget + c_max)
+    cands = CandidateGains(CovState.empty(model), candidates, budget + c_max)
     i_single = max(float(g.max()) for lev, g in cands.gains().items() if lev < model.m)
 
-    taken = {lev: np.zeros(candidates.n, dtype=bool) for lev in low}
+    taken = {lev: np.zeros(cands.Xc.shape[0], dtype=bool) for lev in low}
     cost2 = 0.0
     i_set = 0.0
     gamma = i_single / KS_GUARANTEE
@@ -73,7 +72,7 @@ def gamma_max_bound(
         taken[lev][i] = True
         cost2 += float(model.costs[lev - 1])
         i_set += gain
-        cands.append(Action(x=candidates.points[i], fidelity=lev))
+        cands.append(Action(x=cands.Xc[i], fidelity=lev))
         gamma = max(i_single, i_set) / KS_GUARANTEE
         if cost2 <= c_max:
             continue

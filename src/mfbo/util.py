@@ -66,6 +66,8 @@ def halton_points(bounds: np.ndarray, n: int, seed: int) -> np.ndarray:
     if bounds.ndim != 2 or bounds.shape[0] < 1 or bounds.shape[1] != 2:
         raise ValueError("bounds must be a (d, 2) array with d >= 1, got shape %s"
                          % (bounds.shape,))
+    if not np.isfinite(bounds).all():
+        raise ValueError("bounds must be finite")
     if n < 0:
         raise ValueError("point count must be >= 0, got %d" % n)
     d = bounds.shape[0]

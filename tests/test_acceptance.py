@@ -188,6 +188,28 @@ def test_relative_performance_fails_when_mf_trails_sf(monkeypatch, toy_trace):
     passed, detail = criterion_relative_performance()
     assert not passed
     assert detail.startswith("mf 0.3000 vs 1.10*sf 0.2750 and ete 0.3500 (n=20")
+    assert detail.endswith("; failed: mf > 1.10*sf")
+
+
+@pytest.mark.parametrize("means, n, elapsed, failed", [
+    ((0.30, 0.29, 0.28), 20, 1.0, "mf > ete"),
+    ((0.25, 0.30, 0.25), 19, 1.0, "n != 20"),
+    ((0.25, 0.30, 0.25), 20, 250.0, "CPU >= 200s"),
+    ((0.30, 0.25, 0.25), 19, 1.0, "mf > 1.10*sf, mf > ete, n != 20"),
+    ((0.25, 0.30, 0.25), 20, 1.0, None),
+], ids=["ete", "n", "cpu", "three", "none"])
+def test_relative_performance_names_each_failed_condition(
+        monkeypatch, toy_trace, means, n, elapsed, failed):
+    prob, trace = toy_trace
+    policies = ("mf_mi_greedy", "explore_then_exploit", "sf_only")
+    summary = [(pol, trace.budget, mean, 0.01, n) for pol, mean in zip(policies, means)]
+    monkeypatch.setattr(verify, "currin_experiment",
+                        lambda: (_experiment(prob, trace, summary), elapsed))
+    passed, detail = criterion_relative_performance()
+    head = "mf %.4f vs 1.10*sf %.4f and ete %.4f (n=%d, %.0fs CPU, limit 200s)" % (
+        means[0], 1.10 * means[2], means[1], n, elapsed)
+    assert passed is (failed is None)
+    assert detail == (head if failed is None else head + "; failed: " + failed)
 
 
 def test_no_regret_trend_fails_when_late_queries_fall_off(monkeypatch, toy_trace):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from mfbo.acquisition import (
-    CandidateSet,
     default_candidate_count,
     gp_mi_select,
     gp_ucb_select,
@@ -11,34 +10,28 @@ from mfbo.acquisition import (
 )
 
 
-class TestCandidateSet:
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            CandidateSet(points=np.empty((0, 2)))
-
-    def test_rejects_wrong_rank(self):
-        with pytest.raises(ValueError):
-            CandidateSet(points=np.zeros(5))
-
+class TestMakeCandidates:
     def test_make_candidates_within_bounds(self):
         bounds = np.array([[-2.0, 1.0], [0.0, 5.0]])
         cs = make_candidates(bounds, 200, seed=3)
-        assert cs.n == 200 and cs.dim == 2
-        assert np.all(cs.points >= bounds[:, 0]) and np.all(cs.points <= bounds[:, 1])
+        assert cs.shape == (200, 2)
+        assert np.all(cs >= bounds[:, 0]) and np.all(cs <= bounds[:, 1])
+        # dimension-major and read-only, as CandidateGains keeps it
+        assert cs.flags.f_contiguous and not cs.flags.writeable
 
     def test_make_candidates_deterministic(self):
         bounds = np.array([[0.0, 1.0]])
         a = make_candidates(bounds, 50, seed=9)
         b = make_candidates(bounds, 50, seed=9)
-        assert np.array_equal(a.points, b.points)
+        assert np.array_equal(a, b)
         c = make_candidates(bounds, 50, seed=10)
-        assert not np.array_equal(a.points, c.points)
+        assert not np.array_equal(a, c)
 
     def test_default_counts(self):
         assert default_candidate_count(1) == 1000
         assert default_candidate_count(2) == 1000
         assert default_candidate_count(3) == 5000
-        assert make_candidates(np.array([[0.0, 1.0]] * 6), None, seed=0).n == 5000
+        assert len(make_candidates(np.array([[0.0, 1.0]] * 6), None, seed=0)) == 5000
 
 
 class TestUcbSchedule:

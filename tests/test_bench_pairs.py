@@ -50,6 +50,16 @@ def test_higher_is_better_counts_the_other_way():
     assert s["wins"] == 10 and s["gain_holds"]
 
 
+@pytest.mark.parametrize("name, factor, within", [
+    ("cpu_s", 1.20, True), ("cpu_s", 1.30, False), ("rate", 0.80, True), ("rate", 0.70, False),
+])
+def test_within_bound_allows_a_change_worse_by_at_most_the_bound(name, factor, within):
+    # SPEC's bound is 0.25 for both metrics
+    parent = [1.0 + 0.01 * k for k in range(10)]
+    s = bench_pairs.summarize(pairs_of(parent, [factor * p for p in parent], name), SPEC)[name]
+    assert s["within_bound"] is within and s["wins"] == 0
+
+
 FAKE_GP = '''
 import contextlib
 

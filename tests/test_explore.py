@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import info_gain_single
+from mfbo.acquisition import make_candidates
 from mfbo.explore import (
     BUDGET_EXHAUSTED,
     LOW_CUMULATIVE_RATIO,
@@ -93,6 +94,32 @@ class TestStoppingConditions:
         assert res.stop_reason == LOW_CUMULATIVE_RATIO
         assert len(res.selected) == 4
         assert res.cumulative_info_gain / res.cost >= res.beta - 1e-10
+
+
+class TestFirstDecision:
+    """On a fresh model, whether Explore-LF explores at all is a closed form:
+    it does iff the low fidelity's gain per cost 0.5 log(1 + s_f/(s_eps + s_n))/c_1
+    reaches both the target's 0.5 log(1 + s_f/s_n)/c_2 and beta."""
+
+    @pytest.mark.parametrize("s_eps", [0.150, 0.154, 0.155, 0.160])
+    def test_explores_iff_the_low_rate_reaches_the_targets(self, s_eps):
+        s_n, (c1, c2), budget = 0.0025, (1.0, 3.0), 45.0
+        model = FidelityModel(
+            target_prior=GpPrior(SquaredExpKernel(1.0, np.array([0.2, 0.2])), s_n),
+            error_priors=(GpPrior(SquaredExpKernel(s_eps, np.array([0.5, 0.5])), s_n),),
+            costs=np.array([c1, c2]))
+        low = 0.5 * np.log1p(1.0 / (s_eps + s_n)) / c1
+        target = 0.5 * np.log1p(1.0 / s_n) / c2
+        explores = low >= target and low >= budget ** -EXPONENT
+        # the rates meet at s_eps = 1/((1 + 1/s_n)^(1/3) - 1) - s_n = 0.154382
+        assert explores == (s_eps < 0.154382)
+        candidates = make_candidates([[0.0, 1.0]] * 2, 1000, 0)
+        res = explore_lf(budget, EXPONENT, CandidateGains(CovState.empty(model), candidates, budget))
+        if explores:
+            # once started, the episode runs to the reserve of one target query
+            assert (res.stop_reason, len(res.selected)) == (BUDGET_EXHAUSTED, (budget - c2) // c1)
+        else:
+            assert (res.stop_reason, len(res.selected)) == (TARGET_BETTER, 0)
 
 
 class TestGreedySequence:

@@ -173,6 +173,13 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             FidelityModel(target_prior=t, error_priors=(bad,), costs=np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("field", ["noise_variance", "mean"])
+    def test_prior_fields_must_be_finite(self, field, bad):
+        kern = SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0]))
+        with pytest.raises(ValueError, match=field):
+            GpPrior(kern, **{field: bad})
+
     def test_costs_positive(self):
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 0.1)
         with pytest.raises(ValueError):
@@ -707,6 +714,22 @@ class TestCandidateGains:
         # each shape holds a multiple of the model's 2 dimensions
         with pytest.raises(ValueError, match=r"candidates must be an \(n, 2\) matrix"):
             CandidateGains(CovState.empty(three_fid_model), np.zeros(shape))
+
+    def test_rejects_empty(self, three_fid_model):
+        with pytest.raises(ValueError, match=r"candidates must be an \(n, 2\) matrix with n >= 1"):
+            CandidateGains(CovState.empty(three_fid_model), np.empty((0, 2)))
+
+    def test_rejects_wrong_rank(self, three_fid_model):
+        with pytest.raises(ValueError, match=r"candidates must be an \(n, 2\) matrix"):
+            CandidateGains(CovState.empty(three_fid_model), np.zeros(5))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_candidates(self, three_fid_model, bad):
+        # a NaN candidate used to build, with finite gains; an inf one warned
+        Xc = np.zeros((3, 2))
+        Xc[1, 0] = bad
+        with pytest.raises(ValueError, match=r"candidates must be an \(n, 2\) matrix of finite"):
+            CandidateGains(CovState.empty(three_fid_model), Xc)
 
     def test_posterior_needs_one_value_per_point(self, two_fid_model, rng):
         state, y = random_observations(rng, two_fid_model, 4)

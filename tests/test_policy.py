@@ -244,10 +244,9 @@ class TestDeterminism:
 
     def test_value_types_compare_and_hash_by_identity(self, toy, quick_cfg):
         # equal values held in separate arrays: == and hash go by identity
-        cands = [make_candidates(toy.bounds, 16, 5) for _ in range(2)]
         traces = [sf_only(toy, 12.0, quick_cfg, seed=31) for _ in range(2)]
         curves = [simple_regret_curve(traces[0], toy.f_star) for _ in range(2)]
-        for a, b in (cands, curves, traces):
+        for a, b in (curves, traces):
             assert a == a and a != b
             assert a in [b, a] and a not in [b]
             assert len({a, b}) == 2 and hash(a) == hash(a)
@@ -415,7 +414,7 @@ class TestRunLongPosterior:
         state = CovState.empty(problem.model)
         for o in done:
             state = state.append(o.action)
-        Xc = make_candidates(problem.bounds, cfg.n_candidates, cfg.candidate_seed).points
+        Xc = make_candidates(problem.bounds, cfg.n_candidates, cfg.candidate_seed)
         mean, _ = predict_latent_diag(state, [o.y for o in done], Xc)
         best = int(np.argmax(mean))
         assert np.array_equal(trace.recommendation, Xc[best])
@@ -456,7 +455,7 @@ class TestRunLongPosterior:
         state = CovState.empty(toy.model)
         for o in done:
             state = state.append(o.action)
-        Xc = make_candidates(toy.bounds, cfg.n_candidates, mix64(2718, "candidates")).points
+        Xc = make_candidates(toy.bounds, cfg.n_candidates, mix64(2718, "candidates"))
         mean, _ = predict_latent_diag(state, [o.y for o in done], Xc)
         best = int(np.argmax(mean))
         assert np.array_equal(trace.recommendation, Xc[best])
@@ -524,7 +523,7 @@ class TestNonFiniteValue:
         state = CovState.empty(models[-1] if models else toy.model)
         for o in done:
             state = state.append(o.action)
-        Xc = make_candidates(toy.bounds, cfg.n_candidates, mix64(2718, "candidates")).points
+        Xc = make_candidates(toy.bounds, cfg.n_candidates, mix64(2718, "candidates"))
         mean, _ = predict_latent_diag(state, [o.y for o in done], Xc)
         best = int(np.argmax(mean))
         assert np.array_equal(trace.recommendation, Xc[best])
@@ -542,7 +541,7 @@ class TestNonFiniteValue:
         assert trace.failed and trace.error == "ValueError: observed values must be finite"
         assert trace.n_episodes == 0 and trace.spent == 0.0
 
-        Xc = make_candidates(toy.bounds, cfg.n_candidates, mix64(2718, "candidates")).points
+        Xc = make_candidates(toy.bounds, cfg.n_candidates, mix64(2718, "candidates"))
         mean, _ = predict_latent_diag(CovState.empty(toy.model), [], Xc)
         best = int(np.argmax(mean))
         assert np.array_equal(trace.recommendation, Xc[best])

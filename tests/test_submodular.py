@@ -6,7 +6,7 @@ import pytest
 
 from conftest import info_gain_single
 from mfbo import submodular
-from mfbo.acquisition import CandidateSet, make_candidates
+from mfbo.acquisition import make_candidates
 from mfbo.benchmarks import make_problem
 from mfbo.gp import GpPrior, SquaredExpKernel
 from mfbo.model import Action, CandidateGains, CovState, FidelityModel, info_gain_set
@@ -24,11 +24,11 @@ def gamma_oracle(model, candidates, budget, beta):
     costs = model.costs
     c_max = float(max(costs[lev - 1] for lev in low))
     empty = CovState.empty(model)
-    pairs = [(lev, i) for lev in low for i in range(candidates.n)]
+    pairs = [(lev, i) for lev in low for i in range(len(candidates))]
 
     def gain(h, pair):
         lev, i = pair
-        return info_gain_single(h, Action(x=candidates.points[i], fidelity=lev))
+        return info_gain_single(h, Action(x=candidates[i], fidelity=lev))
 
     i_single = max(gain(empty, p) for p in pairs)
     gamma = i_single / KS_GUARANTEE
@@ -43,8 +43,8 @@ def gamma_oracle(model, candidates, budget, beta):
         lev, i = scored[0][1]
         picked.append((lev, i))
         cost2 += float(costs[lev - 1])
-        h = h.append(Action(x=candidates.points[i], fidelity=lev))
-        actions = [Action(x=candidates.points[j], fidelity=f) for f, j in picked]
+        h = h.append(Action(x=candidates[i], fidelity=lev))
+        actions = [Action(x=candidates[j], fidelity=f) for f, j in picked]
         gamma = max(i_single, info_gain_set(empty, actions)) / KS_GUARANTEE
         if cost2 > c_max and gamma / (cost2 - c_max) < beta:
             break
@@ -53,14 +53,14 @@ def gamma_oracle(model, candidates, budget, beta):
 
 class TestGammaMaxBound:
     def test_single_candidate_value(self, two_fid_model):
-        cand = CandidateSet(points=np.array([[0.2]]))
+        cand = np.array([[0.2]])
         bound = gamma_max_bound(two_fid_model, cand, budget=50.0, beta=1e-6)
         empty = CovState.empty(two_fid_model)
         gain = info_gain_single(empty, Action(x=np.array([0.2]), fidelity=1))
         assert bound == pytest.approx(gain / KS_GUARANTEE, abs=1e-12)
 
     def test_nonincreasing_in_beta(self, two_fid_model):
-        cand = CandidateSet(points=np.linspace(-1, 1, 12)[:, None])
+        cand = np.linspace(-1, 1, 12)[:, None]
         betas = [0.01, 0.05, 0.2, 0.8, 3.0]
         bounds = [gamma_max_bound(two_fid_model, cand, 40.0, b) for b in betas]
         for lo, hi in zip(bounds[1:], bounds):
@@ -69,19 +69,19 @@ class TestGammaMaxBound:
     def test_huge_beta_stops_at_first_chance(self, two_fid_model):
         # with beta = inf the loop breaks at the first step past c_max;
         # costs [1,3] make that the second addition
-        cand = CandidateSet(points=np.linspace(-1, 1, 6)[:, None])
+        cand = np.linspace(-1, 1, 6)[:, None]
         bound = gamma_max_bound(two_fid_model, cand, 40.0, beta=np.inf)
 
         h = CovState.empty(two_fid_model)
         gains = np.array([info_gain_single(h, Action(x=p, fidelity=1))
-                          for p in cand.points])
+                          for p in cand])
         i0 = int(np.argmax(gains))
-        first = Action(x=cand.points[i0], fidelity=1)
+        first = Action(x=cand[i0], fidelity=1)
         h1 = h.append(first)
         cond = np.array([info_gain_single(h1, Action(x=p, fidelity=1))
-                         for p in cand.points])
+                         for p in cand])
         cond[i0] = -np.inf  # set semantics: the taken pair is out
-        second = Action(x=cand.points[int(np.argmax(cond))], fidelity=1)
+        second = Action(x=cand[int(np.argmax(cond))], fidelity=1)
         expect = max(float(gains.max()),
                      info_gain_set(h, (first, second))) / KS_GUARANTEE
         assert bound == pytest.approx(expect, abs=1e-10)
@@ -89,7 +89,7 @@ class TestGammaMaxBound:
     # every pair taken (16 picks); ratio below beta (14); budget spent (10)
     @pytest.mark.parametrize("budget, beta", [(30.0, 0.01), (40.0, 1.5), (12.0, 0.05)])
     def test_matches_oracle_pick_for_pick(self, three_fid_model, rng, monkeypatch, budget, beta):
-        cand = CandidateSet(points=rng.uniform(-1, 1, size=(8, 2)))
+        cand = rng.uniform(-1, 1, size=(8, 2))
         picks = []  # gamma_max_bound appends every pick to its CandidateGains
         append = CandidateGains.append
 
@@ -101,7 +101,7 @@ class TestGammaMaxBound:
         bound = gamma_max_bound(three_fid_model, cand, budget, beta)
         want_picks, want_bound = gamma_oracle(three_fid_model, cand, budget, beta)
         got_picks = [
-            (a.fidelity, int(np.flatnonzero((cand.points == a.x).all(axis=1))[0]))
+            (a.fidelity, int(np.flatnonzero((cand == a.x).all(axis=1))[0]))
             for a in picks
         ]
         assert got_picks == want_picks
@@ -121,7 +121,7 @@ class TestGammaMaxBound:
 
         monkeypatch.setattr(submodular, "CandidateGains", Recorded)
         model = replace(two_fid_model, costs=np.array([0.1, 1.0]))
-        cand = CandidateSet(points=np.linspace(-1, 1, 16)[:, None])
+        cand = np.linspace(-1, 1, 16)[:, None]
         gamma_max_bound(model, cand, 1.0, beta=0.0)
         (gains,) = made
         assert gains.capacity == gains.state.n == 11
@@ -129,29 +129,35 @@ class TestGammaMaxBound:
     def test_single_fidelity_model_is_zero(self):
         t = GpPrior(SquaredExpKernel(signal_variance=1.0, lengthscales=np.array([1.0])), 0.1)
         model = FidelityModel(target_prior=t, error_priors=(), costs=np.array([1.0]))
-        cand = CandidateSet(points=np.array([[0.0]]))
+        cand = np.array([[0.0]])
         assert gamma_max_bound(model, cand, 10.0, 0.5) == 0.0
 
     def test_budget_positive(self, two_fid_model):
-        cand = CandidateSet(points=np.array([[0.0]]))
+        cand = np.array([[0.0]])
         with pytest.raises(ValueError):
             gamma_max_bound(two_fid_model, cand, 0.0, 0.5)
 
     def test_candidates_must_be_model_dim_wide(self, two_fid_model):
-        cand = CandidateSet(points=np.zeros((3, 2)))  # a 1-d model
+        cand = np.zeros((3, 2))  # a 1-d model
         with pytest.raises(ValueError, match=r"candidates must be an \(n, 1\) matrix"):
             gamma_max_bound(two_fid_model, cand, 10.0, 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_candidates_must_be_finite(self, two_fid_model, bad):
+        # the bound used to skip a NaN candidate and count an inf one
+        with pytest.raises(ValueError, match=r"candidates must be an \(n, 1\) matrix of finite"):
+            gamma_max_bound(two_fid_model, np.array([[0.2], [bad]]), 20.0, 0.1)
+
     @pytest.mark.parametrize("budget", [np.nan, np.inf])
     def test_budget_finite(self, two_fid_model, budget):
-        cand = CandidateSet(points=np.array([[0.0]]))
+        cand = np.array([[0.0]])
         with pytest.raises(ValueError, match="budget must be positive and finite"):
             gamma_max_bound(two_fid_model, cand, budget, 0.5)
 
     @pytest.mark.parametrize("beta", [np.nan, -0.1, -np.inf])
     def test_beta_nonnegative(self, two_fid_model, beta):
         # a NaN or negative beta never ends the loop on the ratio rule
-        cand = CandidateSet(points=np.array([[0.0]]))
+        cand = np.array([[0.0]])
         with pytest.raises(ValueError, match="beta"):
             gamma_max_bound(two_fid_model, cand, 10.0, beta)
 

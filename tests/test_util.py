@@ -68,7 +68,7 @@ def test_halton_is_bitwise_scipy(d, n):
 @pytest.mark.parametrize("name", sorted(PINNED))
 def test_pinned_point_sets(name):
     problem = make_problem(name, noise=0.05, seed=0)
-    cand = make_candidates(problem.bounds, None, candidate_seed(0, 0)).points
+    cand = make_candidates(problem.bounds, None, candidate_seed(0, 0))
     sample = halton_points(problem.bounds, _RANGE_SAMPLE, _RANGE_SEED)
     got = (hashlib.sha256(cand.tobytes()).hexdigest(),
            hashlib.sha256(sample.tobytes()).hexdigest())
@@ -83,6 +83,7 @@ def test_zero_points():
 
 @pytest.mark.parametrize("bounds", [
     np.zeros((0, 2)), np.zeros((3, 3)), np.zeros(2), np.zeros((2, 2, 1)),
+    np.array([[0.0, np.nan]]), np.array([[0.0, 1.0], [-np.inf, 0.0]]),
 ])
 def test_rejects_bad_bounds(bounds):
     with pytest.raises(ValueError, match="bounds"):

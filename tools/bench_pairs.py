@@ -17,8 +17,11 @@ from run.py's `# roundN` lines) and, per workload and metric, each side's
 median and quartiles and the change's wins, losses and ties over the
 pairs. A gain holds when the change wins at least nine tenths of the
 pairs and the medians lie further apart than the distance between the
-parent's quartiles. Per workload it also reports, for wall and CPU time,
-each side's median over its runs of the run's fastest round, and the
+parent's quartiles. A metric is within its bound (within_bound) when the
+change's median is worse than the parent's by at most the metric's bound
+in BENCHMARK.json, as a fraction of the parent's median: the rule a
+change that claims no gain is held to. Per workload it also reports, for
+wall and CPU time, each side's median over its runs of the run's fastest round, and the
 change's wins over the pairs by that minimum, and each side's median
 number of rounds per run, printed next to peak_rss_mb: run.py keeps every
 round's results, so a side that fits more rounds in its seconds reads a
@@ -169,6 +172,8 @@ def summarize(pairs, spec) -> dict:
             "losses": len(pairs) - wins - ties,
             "ties": ties,
             "gain_holds": wins >= 0.9 * len(pairs) and gain > ps["q3"] - ps["q1"],
+            "within_bound": None if m.get("bound") is None
+            else -gain <= m["bound"] * ps["median"],
         }
     return out
 
@@ -244,10 +249,10 @@ def report_workload(record, w, pairs, spec, n_pairs) -> bool:
         if name == "peak_rss_mb":
             rounds = "  rounds parent %g change %g" % (counts["parent"], counts["change"])
         print("# %-18s %-12s parent %.4g [%.4g, %.4g]  change %.4g [%.4g, %.4g]  "
-              "wins %d/%d  gain holds: %s%s" % (
+              "wins %d/%d  within bound: %s  gain holds: %s%s" % (
                   w, name, s["parent"]["median"], s["parent"]["q1"], s["parent"]["q3"],
                   s["change"]["median"], s["change"]["q1"], s["change"]["q3"],
-                  s["wins"], n_pairs, s["gain_holds"], rounds), flush=True)
+                  s["wins"], n_pairs, s["within_bound"], s["gain_holds"], rounds), flush=True)
     for name, s in record["workloads"][w]["round_minima"].items():
         print("# %-18s fastest round %-6s parent %.4g  change %.4g  ratio %.3f  wins %d/%d" % (
             w, name, s["parent"], s["change"], s["change_over_parent"], s["wins"],
